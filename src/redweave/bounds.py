@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable, Mapping
 
 from .classes import scan
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
@@ -99,6 +100,20 @@ class AggregateReport:
         )
 
 
+def _aggregate(n: int, l: int, groups: list[Iterable[Letters]]) -> AggregateReport:
+    # one group of canonical words per permutation of length l
+    encodings = [paren_encoding(c) for group in groups for c in group]
+    return AggregateReport(
+        n=n,
+        l=l,
+        count_perms=len(groups),
+        sum_classes=len(encodings),
+        catalan=catalan(l + n - 1),
+        four_power=4 ** (l + n),
+        injective=len(set(encodings)) == len(encodings),
+    )
+
+
 def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
                           cap: int = 6) -> AggregateReport:
     """Sum |G(w)| over all w in S_n with l(w) = l against C_{l+n-1} < 4^(l+n).
@@ -106,22 +121,25 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     Also checks that the parenthesis encodings of all canonical
     representatives across those w are pairwise distinct.
     """
-    count_perms = 0
-    total = 0
-    encodings: list[str] = []
-    for w in enumerate_sn(n, cap=cap):
-        if inversions(w) != l:
-            continue
-        count_perms += 1
-        s = scan(w, budget)
-        total += len(s.class_sizes)
-        encodings.extend(paren_encoding(c) for c in s.class_sizes)
-    return AggregateReport(
-        n=n,
-        l=l,
-        count_perms=count_perms,
-        sum_classes=total,
-        catalan=catalan(l + n - 1),
-        four_power=4 ** (l + n),
-        injective=len(set(encodings)) == len(encodings),
-    )
+    groups = [
+        scan(w, budget).class_sizes
+        for w in enumerate_sn(n, cap=cap)
+        if inversions(w) == l
+    ]
+    return _aggregate(n, l, groups)
+
+
+def aggregate_reports(n: int,
+                      canonicals: Mapping[Perm, Iterable[Letters]]) -> list[AggregateReport]:
+    """``aggregate_bound_check(n, l)`` for every l >= 1, in one pass.
+
+    ``canonicals`` maps each w in S_n to the canonical words of its
+    classes.
+    """
+    groups: dict[int, list[Iterable[Letters]]] = {
+        l: [] for l in range(1, n * (n - 1) // 2 + 1)
+    }
+    for w, canon in canonicals.items():
+        if l := inversions(w):
+            groups[l].append(canon)
+    return [_aggregate(n, l, group) for l, group in groups.items()]

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, inversions, pattern_count
-from .subnet import count_212
+from .perm import Perm, check_perm, identity, inverse, pattern_count
 from .words import (
     Letters,
     Word,
+    _left_descents,
+    _peel,
     canonical_letters,
     count_reduced_words,
-    reduced_letter_seqs,
 )
 
 Wires = tuple[int, int, int]
@@ -23,15 +24,171 @@ EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
 
 @dataclass(frozen=True)
 class WordScan:
-    """Everything one sweep over all reduced words of w can tell us."""
+    """Everything the reduced words of w tell us, computed class by class.
+
+    The mappings are read-only: the result is cached and shared.
+    """
 
     w: Perm
     word_count: int
-    class_sizes: dict[Letters, int]  # canonical letters -> member count
-    edges: dict[tuple[Letters, Letters], frozenset[EdgeLabel]]
+    class_sizes: Mapping[Letters, int]  # canonical letters -> member count
+    edges: Mapping[tuple[Letters, Letters], frozenset[EdgeLabel]]
     max_windows: int           # Y: most long-braid windows in a single word
     max_window_word: Letters   # lexicographically least word attaining it
-    overlapping_windows: bool  # some word has two windows sharing a position
+
+
+def _canonical_words(w: Perm) -> list[Letters]:
+    """The canonical word of every class of w, in lexicographic order.
+
+    A reduced word is canonical (the lexicographically greatest of its
+    class) exactly when no letter exceeds its predecessor by two or
+    more.  The DFS peels left descents in ascending order (see
+    ``words``), offers only letters up to prev + 1, and remembers
+    (state, cap) pairs that lead nowhere.
+    """
+    n = len(w)
+    done = identity(n)
+    out: list[Letters] = []
+    buf: list[int] = []
+    dead: set[tuple[Perm, int]] = set()
+
+    def rec(q: Perm, cap: int) -> bool:
+        if q == done:
+            out.append(tuple(buf))
+            return True
+        if (q, cap) in dead:
+            return False
+        found = False
+        for i in _left_descents(q):
+            if i > cap:
+                break
+            buf.append(i)
+            found |= rec(_peel(q, i), min(i + 1, n - 1))
+            buf.pop()
+        if not found:
+            dead.add((q, cap))
+        return found
+
+    rec(inverse(w), n - 1)
+    dead.clear()  # rec's closure is a cycle: free the memo now, not at GC
+    return out
+
+
+def _class_size(letters: Letters, n: int) -> int:
+    """Words in the class of a canonical word: linear extensions of its heap.
+
+    Pieces of one letter form a chain, and the k-th piece of letter x can
+    be placed once the pieces of x, x-1 and x+1 written before it in the
+    word are placed.  An order ideal is thus its vector of per-letter
+    counts, packed into one int; the DP walks the ideals by size,
+    keeping one layer at a time.
+    """
+    bits = max(len(letters), 1).bit_length()
+    mask = (1 << bits) - 1
+    seen = [0] * (n + 1)
+    needs: list[list] = [[] for _ in range(n + 1)]  # letter -> (lo, hi) per piece
+    for x in letters:
+        needs[x].append((seen[x - 1], seen[x + 1]))
+        seen[x] += 1
+    moves = [
+        (x * bits, (x - 1) * bits, (x + 1) * bits, needs[x] + [None], 1 << (x * bits))
+        for x in range(1, n)
+        if needs[x]
+    ]
+    layer = {0: 1}
+    for _ in letters:
+        nxt: dict[int, int] = {}
+        for ideal, ways in layer.items():
+            for shift, lo_shift, hi_shift, need, step in moves:
+                req = need[(ideal >> shift) & mask]
+                if (
+                    req is not None
+                    and (ideal >> lo_shift) & mask >= req[0]
+                    and (ideal >> hi_shift) & mask >= req[1]
+                ):
+                    nxt[ideal + step] = nxt.get(ideal + step, 0) + ways
+        layer = nxt
+    return sum(layer.values())
+
+
+def _down_braids(canon: Letters, n: int) -> list[tuple[Letters, EdgeLabel]]:
+    """The braid moves (x, x-1, x) available in the class of canon.
+
+    Such a window exists exactly when two consecutive pieces of letter x
+    have a single piece of x-1 or x+1 between them, and it is x-1.  A
+    member word realizing it lists first every piece not above the first
+    x, then the window, then the rest; the move's target class and the
+    three wires it re-crosses are read off that word.
+    """
+    out = []
+    for a, x in enumerate(canon):
+        between = []
+        for b in range(a + 1, len(canon)):
+            if canon[b] == x:
+                break
+            if abs(canon[b] - x) == 1:
+                between.append(b)
+        else:
+            continue  # a holds the last x
+        if len(between) != 1 or canon[between[0]] != x - 1:
+            continue
+        y = x - 1
+        above = {x}  # letters of the pieces above the first x seen so far
+        prefix: list[int] = []
+        rest: list[int] = []
+        for k, z in enumerate(canon):
+            if k > a and not above.isdisjoint((z - 1, z, z + 1)):
+                above.add(z)
+                if k not in (between[0], b):
+                    rest.append(z)
+            elif k != a:
+                prefix.append(z)
+        seq = list(range(1, n + 1))
+        for z in prefix:
+            seq[z - 1], seq[z] = seq[z], seq[z - 1]
+        wires = tuple(sorted(seq[y - 1 : y + 2]))
+        target = canonical_letters((*prefix, y, x, y, *rest))
+        out.append((target, (y, wires)))
+    return out
+
+
+def _most_windows(w: Perm) -> tuple[int, Letters]:
+    """Y and the lexicographically least reduced word with Y braid windows.
+
+    best(q, a, b) is the most windows a word can still gain from state q
+    when its last two letters are a, b; a is kept only while it can
+    close a window (|a - b| = 1), which keeps the memo small.
+    """
+    done = identity(len(w))
+    memo: dict[tuple[Perm, int, int], int] = {}
+
+    def options(q: Perm, a: int, b: int):
+        for i in _left_descents(q):
+            yield i, _peel(q, i), (b if abs(b - i) == 1 else 0), int(a == i)
+
+    def best(q: Perm, a: int, b: int) -> int:
+        if q == done:
+            return 0
+        got = memo.get((q, a, b))
+        if got is None:
+            got = max(gain + best(nq, na, i) for i, nq, na, gain in options(q, a, b))
+            memo[q, a, b] = got
+        return got
+
+    q, a, b = inverse(w), 0, 0
+    y = best(q, a, b)
+    word = []
+    while q != done:
+        target = best(q, a, b)
+        i, q, a, _ = next(
+            (i, nq, na, gain)
+            for i, nq, na, gain in options(q, a, b)
+            if gain + best(nq, na, i) == target
+        )
+        b = i
+        word.append(i)
+    memo.clear()  # best's closure is a cycle: free the memo now, not at GC
+    return y, tuple(word)
 
 
 @lru_cache(maxsize=4096)
@@ -39,52 +196,32 @@ def _scan_impl(w: Perm) -> WordScan:
     n = len(w)
     sizes: dict[Letters, int] = {}
     edges: dict[tuple[Letters, Letters], set[EdgeLabel]] = {}
-    best = -1
-    best_word: Letters = ()
-    overlap = False
-
-    for ls in reduced_letter_seqs(w):
-        canon = canonical_letters(ls)
-        sizes[canon] = sizes.get(canon, 0) + 1
-
-        windows = [
-            p
-            for p in range(len(ls) - 2)
-            if ls[p] == ls[p + 2] and abs(ls[p + 1] - ls[p]) == 1
-        ]
-        if len(windows) > best:
-            best = len(windows)
-            best_word = ls
-        if not overlap and any(q - p < 3 for p, q in zip(windows, windows[1:])):
-            overlap = True
-
-        for p in windows:
-            i = ls[p + 1]
-            if i != ls[p] - 1:  # record each edge from its downward side only
-                continue
-            # the three wires sit at positions i..i+2 just before the window
-            seq = list(range(1, n + 1))
-            for x in ls[:p]:
-                seq[x - 1], seq[x] = seq[x], seq[x - 1]
-            wires = tuple(sorted(seq[i - 1 : i + 2]))
-            target = canonical_letters(ls[:p] + (i, ls[p], i) + ls[p + 3 :])
+    for canon in _canonical_words(w):
+        sizes[canon] = _class_size(canon, n)
+        # each edge is recorded from its downward side only
+        for target, label in _down_braids(canon, n):
             key = (canon, target) if canon < target else (target, canon)
-            edges.setdefault(key, set()).add((i, wires))
-
+            edges.setdefault(key, set()).add(label)
+    y, y_word = _most_windows(w)
     return WordScan(
         w=w,
         word_count=sum(sizes.values()),
-        class_sizes=sizes,
-        edges={k: frozenset(v) for k, v in edges.items()},
-        max_windows=best,
-        max_window_word=best_word,
-        overlapping_windows=overlap,
+        class_sizes=MappingProxyType(sizes),
+        edges=MappingProxyType({k: frozenset(v) for k, v in edges.items()}),
+        max_windows=y,
+        max_window_word=y_word,
     )
 
 
+@lru_cache(maxsize=4096)
+def _word_total(w: Perm) -> int:
+    return count_reduced_words(w)
+
+
 def scan(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> WordScan:
+    """The cached class-level scan of w; refused when |R(w)| exceeds budget."""
     w = check_perm(w)
-    total = count_reduced_words(w)
+    total = _word_total(w)
     if total > budget:
         raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
     return _scan_impl(w)
@@ -194,6 +331,8 @@ class RankedPoset:
 
 
 def build_poset(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RankedPoset:
+    from .subnet import count_212  # subnet imports this module for scan
+
     g = build_graph(w, budget)
     ranks = {c.id: count_212(c.canonical) for c in g.vertices}
     sums = {c.id: sum(c.canonical.letters) for c in g.vertices}

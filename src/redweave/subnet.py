@@ -12,17 +12,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
+from .classes import class_members, scan
 from .errors import InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, identity, inversions, longest_element, pattern_count, pattern_occurrences
-from .words import (
-    Letters,
-    Word,
-    canonical_letters,
-    evaluate,
-    index_sum,
-    reduced_letter_seqs,
-    enumerate_reduced_words,
-)
+from .perm import Perm, longest_element, pattern_count, pattern_occurrences
+from .words import Letters, Word, evaluate, index_sum
 
 
 @dataclass(frozen=True)
@@ -59,10 +52,7 @@ TOP_212 = word_set([(2, 1, 2)], 3)
 
 def s4_longest_classes() -> list[WordSet]:
     """The commutation classes of the longest word of S_4, each as a WordSet."""
-    groups: dict[Letters, list[Letters]] = {}
-    for ls in reduced_letter_seqs((4, 3, 2, 1)):
-        groups.setdefault(canonical_letters(ls), []).append(ls)
-    return [word_set(groups[c], 4) for c in sorted(groups)]
+    return [word_set(class_members(c), 4) for c in sorted(scan((4, 3, 2, 1)).class_sizes)]
 
 
 def parse_word_set(text: str, m: int | None = None) -> WordSet:
@@ -166,9 +156,26 @@ def count_212(word: Word) -> int:
 
 
 def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAULT) -> int:
-    """How many reduced words of w induce no X-subnetwork at all."""
+    """How many reduced words of w induce no X-subnetwork at all.
+
+    When X is a union of commutation classes, the subnetwork count is
+    constant on each class of w, so a class is tested once through its
+    canonical word and counted with its size.  Otherwise every member
+    word is tested.
+    """
+    s = scan(w, budget)
+    n = len(s.w)
+    if all(class_members(ls) <= x.words for ls in x.words):
+        return sum(
+            size
+            for canon, size in s.class_sizes.items()
+            if not has_subnetwork(Word(canon, n), x)
+        )
     return sum(
-        1 for word in enumerate_reduced_words(w, budget) if not has_subnetwork(word, x)
+        1
+        for canon in s.class_sizes
+        for ls in class_members(canon)
+        if not has_subnetwork(Word(ls, n), x)
     )
 
 
@@ -178,17 +185,9 @@ def count_x_avoiding_classes(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFA
     The subnetwork count is constant on a class, so testing each
     canonical representative once suffices.
     """
-    n = len(w)
-    seen: set[Letters] = set()
-    avoiding = 0
-    for word in enumerate_reduced_words(w, budget):
-        canon = canonical_letters(word.letters)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if not has_subnetwork(Word(canon, n), x):
-            avoiding += 1
-    return avoiding
+    s = scan(w, budget)
+    n = len(s.w)
+    return sum(1 for canon in s.class_sizes if not has_subnetwork(Word(canon, n), x))
 
 
 @dataclass(frozen=True)
@@ -223,11 +222,8 @@ class FriendlyPrediction:
 
 def _top_class(p: Perm) -> WordSet:
     """The commutation class of p with the highest index sum, as a WordSet."""
-    groups: dict[Letters, list[Letters]] = {}
-    for ls in reduced_letter_seqs(p):
-        groups.setdefault(canonical_letters(ls), []).append(ls)
-    top = max(groups, key=lambda c: (sum(c), c))
-    return word_set(groups[top], len(p))
+    top = max(scan(p).class_sizes, key=lambda c: (sum(c), c))
+    return word_set(class_members(top), len(p))
 
 
 def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction:
@@ -246,7 +242,7 @@ def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction
     if wp != w or not reduced:
         raise InputError(f"{word.letters} is not a reduced word of {w}")
     x = _top_class(p)
-    c = min(sum(ls) for ls in reduced_letter_seqs(w))
+    c = min(sum(canon) for canon in scan(w).class_sizes)  # index sum is a class invariant
     predicted = fr.k * index_sum(word) - c
     return FriendlyPrediction(predicted, count_subnetworks(word, x), fr.k, c, x)
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bounds import aggregate_bound_check
-from .classes import build_graph, build_poset, graph_checks
+from .bounds import aggregate_reports
+from .classes import build_graph, build_poset, graph_checks, scan
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions, pattern_count
 from .structure import (
@@ -18,6 +18,7 @@ from .structure import (
     max_braid_moves,
     rectangle_label,
 )
+from .words import Letters
 
 
 def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
@@ -75,9 +76,10 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
     return out
 
 
-def _worker(args: tuple[Perm, int]) -> tuple[Perm, list[str]]:
+def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
+    """The violations of w and its canonical words, for the aggregate bound."""
     w, budget = args
-    return w, check_permutation(w, budget)
+    return check_permutation(w, budget), tuple(scan(w, budget).class_sizes)
 
 
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1,
@@ -92,12 +94,11 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1,
     else:
         results = [_worker((w, budget)) for w in perms]
     out: list[str] = []
-    for _, violations in results:
+    for violations, _ in results:
         out.extend(violations)
     # aggregate bound, one check per nontrivial word length
-    max_l = n * (n - 1) // 2
-    for l in range(1, max_l + 1):
-        rep = aggregate_bound_check(n, l, budget, cap=cap)
+    canonicals = {w: canon for w, (_, canon) in zip(perms, results)}
+    for rep in aggregate_reports(n, canonicals):
         if not rep.ok:
-            out.append(f"aggregate bound fails for n={n}, l={l}: {rep}")
+            out.append(f"aggregate bound fails for n={n}, l={rep.l}: {rep}")
     return out

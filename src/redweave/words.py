@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, identity, inversions
+from .perm import Perm, identity, inverse, inversions
 
 Letters = tuple[int, ...]
 
@@ -83,18 +83,18 @@ def index_sum(word: Word) -> int:
     return sum(word.letters)
 
 
-def _left_descents(p: Perm) -> list[int]:
-    # i such that the value i+1 occurs to the left of the value i
-    pos = {v: idx for idx, v in enumerate(p)}
-    return [i for i in range(1, len(p)) if pos[i + 1] < pos[i]]
+# Reduced words are walked on the inverse permutation q, where q[v-1] is the
+# position of the value v.  The first letter of a reduced word may be any
+# left descent i (the value i+1 sits left of the value i, so q[i] < q[i-1]);
+# taking it swaps q[i-1] and q[i], and the walk ends at the identity.
 
 
-def _swap_values(p: Perm, i: int) -> Perm:
-    # left-multiply by s_i: exchange the values i and i+1 wherever they sit
-    q = list(p)
-    a, b = q.index(i), q.index(i + 1)
-    q[a], q[b] = q[b], q[a]
-    return tuple(q)
+def _left_descents(q: Perm) -> list[int]:
+    return [i for i in range(1, len(q)) if q[i] < q[i - 1]]
+
+
+def _peel(q: Perm, i: int) -> Perm:
+    return q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
 
 
 def count_reduced_words(w: Perm) -> int:
@@ -105,15 +105,17 @@ def count_reduced_words(w: Perm) -> int:
     """
     memo: dict[Perm, int] = {identity(len(w)): 1}
 
-    def rec(p: Perm) -> int:
-        got = memo.get(p)
+    def rec(q: Perm) -> int:
+        got = memo.get(q)
         if got is not None:
             return got
-        total = sum(rec(_swap_values(p, i)) for i in _left_descents(p))
-        memo[p] = total
+        total = sum(rec(_peel(q, i)) for i in _left_descents(q))
+        memo[q] = total
         return total
 
-    return rec(w)
+    total = rec(inverse(w))
+    memo.clear()  # rec's closure is a cycle: free the memo now, not at GC
+    return total
 
 
 def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
@@ -127,16 +129,16 @@ def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
     ident = identity(n)
     buf: list[int] = []
 
-    def rec(p: Perm) -> Iterator[Letters]:
-        if p == ident:
+    def rec(q: Perm) -> Iterator[Letters]:
+        if q == ident:
             yield tuple(buf)
             return
-        for i in _left_descents(p):
+        for i in _left_descents(q):
             buf.append(i)
-            yield from rec(_swap_values(p, i))
+            yield from rec(_peel(q, i))
             buf.pop()
 
-    return rec(w)
+    return rec(inverse(w))
 
 
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:

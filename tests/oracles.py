@@ -1,14 +1,18 @@
 """Independent brute-force oracles: slow, definitional reference paths.
 
-Nothing here uses the library's canonicalization, descent recursion, or
-cycle classifier; these re-derive everything from the raw rewriting
-relations so the fast paths can be checked against them.
+Apart from ``word_walk_scan``, nothing here uses the library's
+canonicalization, descent recursion, or cycle classifier; these re-derive
+everything from the raw rewriting relations so the fast paths can be
+checked against them.  ``word_walk_scan`` is the word-by-word sweep that
+the class-level ``scan`` replaced; it rests only on the word-level
+enumeration and canonical form, which the closures here check.
 """
 
 from itertools import combinations
 
 from redweave import Word
 from redweave.perm import Perm, identity
+from redweave.words import canonical_letters, reduced_letter_seqs
 
 
 def one_reduced_word(w: Perm) -> tuple[int, ...]:
@@ -125,3 +129,43 @@ def count_subnetworks_brute(word: Word, members: set, m: int) -> int:
         if tuple(out) in members:
             total += 1
     return total
+
+
+def word_walk_scan(w: Perm) -> dict:
+    """Every ``WordScan`` field of w, by visiting each reduced word in turn."""
+    n = len(w)
+    sizes: dict[tuple[int, ...], int] = {}
+    edges: dict[tuple, set] = {}
+    best = -1
+    best_word: tuple[int, ...] = ()
+    for ls in reduced_letter_seqs(w):
+        canon = canonical_letters(ls)
+        sizes[canon] = sizes.get(canon, 0) + 1
+        windows = [
+            p
+            for p in range(len(ls) - 2)
+            if ls[p] == ls[p + 2] and abs(ls[p + 1] - ls[p]) == 1
+        ]
+        if len(windows) > best:
+            best = len(windows)
+            best_word = ls
+        for p in windows:
+            i = ls[p + 1]
+            if i != ls[p] - 1:  # record each edge from its downward side only
+                continue
+            # the three wires sit at positions i..i+2 just before the window
+            seq = list(range(1, n + 1))
+            for x in ls[:p]:
+                seq[x - 1], seq[x] = seq[x], seq[x - 1]
+            wires = tuple(sorted(seq[i - 1 : i + 2]))
+            target = canonical_letters(ls[:p] + (i, ls[p], i) + ls[p + 3 :])
+            key = (canon, target) if canon < target else (target, canon)
+            edges.setdefault(key, set()).add((i, wires))
+    return {
+        "w": w,
+        "word_count": sum(sizes.values()),
+        "class_sizes": sizes,
+        "edges": {k: frozenset(v) for k, v in edges.items()},
+        "max_windows": best,
+        "max_window_word": best_word,
+    }

@@ -3,13 +3,15 @@ import pytest
 from redweave import InputError
 from redweave.bounds import (
     aggregate_bound_check,
+    aggregate_reports,
     catalan,
     catalan_recurrence,
     paren_encoding,
     size_bounds,
 )
 from redweave.classes import scan
-from redweave.perm import identity, longest_element
+from redweave.perm import enumerate_sn, identity, longest_element
+from redweave.suite import _worker
 
 
 def test_catalan_values():
@@ -84,3 +86,11 @@ def test_aggregate_bound_small():
     rep = aggregate_bound_check(4, 5)
     assert rep.sum_classes < rep.catalan < rep.four_power
     assert rep.injective
+
+
+def test_aggregate_reports_match_per_length_checks():
+    # the one-pass reports scan_sn builds from its workers' results
+    for n in range(2, 6):
+        canonicals = {w: _worker((w, 10**8))[1] for w in enumerate_sn(n)}
+        expected = [aggregate_bound_check(n, l) for l in range(1, n * (n - 1) // 2 + 1)]
+        assert aggregate_reports(n, canonicals) == expected

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import classes_bfs
+from oracles import classes_bfs, word_walk_scan
 from redweave import BudgetExceeded
 from redweave.classes import (
     build_graph,
@@ -16,7 +18,7 @@ from redweave.classes import (
 )
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import count_212
-from redweave.words import Word, index_sum
+from redweave.words import Word, count_reduced_words, index_sum
 
 
 def test_classes_3421():
@@ -84,6 +86,48 @@ def test_graph_checks_all_s5(s5):
 def test_scan_budget():
     with pytest.raises(BudgetExceeded):
         scan(longest_element(5), budget=100)
+    # the word count is cached per permutation, the verdict is not
+    w = (3, 4, 2, 1)
+    assert scan(w).word_count == 5
+    with pytest.raises(BudgetExceeded):
+        scan(w, budget=1)
+
+
+def test_scan_result_is_read_only():
+    s = scan((3, 4, 2, 1))
+    with pytest.raises(AttributeError):
+        s.class_sizes.clear()
+    with pytest.raises(TypeError):
+        del s.class_sizes[(1, 2, 3, 1, 2)]
+    with pytest.raises(TypeError):
+        s.edges[((), ())] = frozenset()
+    again = scan((3, 4, 2, 1))
+    assert len(again.class_sizes) == 3 and len(again.edges) == 2
+
+
+def scan_fields(w):
+    s = scan(w)
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+
+
+def test_scan_matches_word_walk_s5_s6(s5, s6):
+    # every field of the class-level scan against the word-by-word sweep
+    for w in s5 + s6:
+        assert scan_fields(w) == word_walk_scan(w), w
+
+
+@st.composite
+def s7_s8_perm(draw):
+    n = draw(st.sampled_from([7, 8]))
+    w = tuple(draw(st.permutations(range(1, n + 1))))
+    assume(count_reduced_words(w) <= 20_000)
+    return w
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(s7_s8_perm())
+def test_scan_matches_word_walk_s7_s8(w):
+    assert scan_fields(w) == word_walk_scan(w)
 
 
 def test_poset_3421_is_a_chain():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,16 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("module", ["redweave", "redweave.cli"])
+def test_python_dash_m(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", module, "words", "321", "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["count"] == 2

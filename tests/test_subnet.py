@@ -132,6 +132,20 @@ def test_x_avoiding_counts():
     assert count_x_avoiding_classes((3, 4, 2, 1), top) == 1
 
 
+def test_x_avoiding_words_when_x_is_not_a_class_union():
+    # 121321 shares its class with 123121 and 121231; summing class sizes
+    # would wrongly count all three as containing X
+    w0 = longest_element(5)
+    assert count_x_avoiding_words(w0, word_set([(1, 2, 1, 3, 2, 1)], 4)) == 590
+    assert count_x_avoiding_words(w0, WARRINGTON_X) == 328
+    direct = sum(
+        1
+        for word in enumerate_reduced_words(w0)
+        if not has_subnetwork(word, word_set([(1, 2, 1, 3, 2, 1)], 4))
+    )
+    assert direct == 590
+
+
 def test_friendliness_examples():
     fr = friendliness(longest_element(5), longest_element(4))
     assert fr.k == 2 and not fr.vacuous
