@@ -121,6 +121,8 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     Also checks that the parenthesis encodings of all canonical
     representatives across those w are pairwise distinct.
     """
+    if not 0 <= l <= n * (n - 1) // 2:
+        raise InputError(f"length {l} is outside 0..{n * (n - 1) // 2} for S_{n}")
     groups = [
         scan(w, budget).class_sizes
         for w in enumerate_sn(n, cap=cap)

@@ -252,6 +252,7 @@ class ClassGraph:
         self.n = len(w)
         self.vertices = vertices
         self.edges = edges
+        self._index: dict[Letters, int] = {c.canonical.letters: c.id for c in vertices}
         self._adj: dict[int, set[int]] = {c.id: set() for c in vertices}
         for e in edges:
             self._adj[e.u].add(e.v)
@@ -268,14 +269,6 @@ class ClassGraph:
 
     def class_by_canonical(self, letters: Letters) -> CommClass:
         return self.vertices[self._index[letters]]
-
-    @property
-    def _index(self) -> dict[Letters, int]:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {c.canonical.letters: c.id for c in self.vertices}
-            self._index_cache = idx
-        return idx
 
 
 def class_members(letters: Letters) -> set[Letters]:
@@ -330,10 +323,14 @@ class RankedPoset:
     rank: dict[int, int]
 
 
-def build_poset(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RankedPoset:
+def build_poset(g: ClassGraph) -> RankedPoset:
+    """Rank the classes of G(w) by 212-count and orient its edges as covers.
+
+    Raises ``InvariantViolation`` unless every edge joins index sums one
+    apart, every cover drops the rank by one, and the ranks fill 0..N321.
+    """
     from .subnet import count_212  # subnet imports this module for scan
 
-    g = build_graph(w, budget)
     ranks = {c.id: count_212(c.canonical) for c in g.vertices}
     sums = {c.id: sum(c.canonical.letters) for c in g.vertices}
     covers = []
@@ -341,19 +338,19 @@ def build_poset(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RankedPoset:
         upper, lower = (e.u, e.v) if sums[e.u] > sums[e.v] else (e.v, e.u)
         if sums[upper] - sums[lower] != 1:
             raise InvariantViolation(
-                f"edge {e.u}-{e.v} of G({w}) joins index sums "
+                f"edge {e.u}-{e.v} of G({g.w}) joins index sums "
                 f"{sums[e.u]} and {sums[e.v]}"
             )
         if ranks[upper] - ranks[lower] != 1:
             raise InvariantViolation(
-                f"cover {upper}->{lower} of P({w}) drops the 212-count by "
+                f"cover {upper}->{lower} of P({g.w}) drops the 212-count by "
                 f"{ranks[upper] - ranks[lower]}, not 1"
             )
         covers.append((upper, lower))
-    n321 = pattern_count(w, (3, 2, 1))
+    n321 = pattern_count(g.w, (3, 2, 1))
     if set(ranks.values()) != set(range(n321 + 1)):
         raise InvariantViolation(
-            f"ranks of P({w}) are {sorted(set(ranks.values()))}, "
+            f"ranks of P({g.w}) are {sorted(set(ranks.values()))}, "
             f"expected 0..{n321}"
         )
     covers.sort()

@@ -53,6 +53,8 @@ def _emit_json(payload: dict) -> None:
 
 def _threads(args) -> int:
     if args.threads is not None:
+        if args.threads < 1:
+            raise InputError(f"--threads {args.threads} is below 1")
         return args.threads
     env = os.environ.get("REDWEAVE_THREADS")
     if env:
@@ -100,7 +102,7 @@ def _cmd_classes(args) -> int:
 def _cmd_graph(args) -> int:
     w = parse_perm(args.perm)
     g = build_graph(w, args.budget_words)
-    poset = build_poset(w, args.budget_words)
+    poset = build_poset(g)
     if args.format == "dot":
         print(graph_dot(g, poset), end="")
     elif args.format == "json":
@@ -118,7 +120,7 @@ def _cmd_graph(args) -> int:
 def _cmd_poset(args) -> int:
     w = parse_perm(args.perm)
     g = build_graph(w, args.budget_words)
-    poset = build_poset(w, args.budget_words)
+    poset = build_poset(g)
     if args.format == "dot":
         print(graph_dot(g, poset), end="")
     elif args.format == "json":
@@ -297,18 +299,24 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is invalid input (exit 1); 2 means an invariant violation
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redweave",
         description="Reduced words, commutation classes, and subnetwork counts.",
     )
     parser.add_argument("--version", action="version", version=f"redweave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--budget-words", type=int, default=WORD_BUDGET_DEFAULT)
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("words", help="list the reduced words of a permutation")
     p.add_argument("perm")
@@ -322,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="the braid-move graph of the classes")
     p.add_argument("perm")
-    common(p)
+    common(p, ("text", "json", "dot"))
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("poset", help="the ranked class poset with covers")
     p.add_argument("perm")
-    common(p)
+    common(p, ("text", "json", "dot"))
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("bounds", help="class-count bounds for a permutation")
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="run the invariant suite over all of S_n")
     p.add_argument("n", type=int)
-    p.add_argument("--suite", choices=["all"], default="all")
+    p.add_argument("--threads", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_scan)
 

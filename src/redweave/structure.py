@@ -6,7 +6,15 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 
-from .classes import ClassGraph, build_graph, build_poset, class_members, scan
+from .classes import (
+    ClassGraph,
+    RankedPoset,
+    WordScan,
+    build_graph,
+    build_poset,
+    class_members,
+    scan,
+)
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, pattern_occurrences
 from .words import Letters, Word, braid_windows, canonical_letters, evaluate
@@ -60,8 +68,10 @@ def embed_hypercube(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> HypercubeWitn
     every subset of its same-direction braid moves (those are pairwise
     disjoint), and verifies the resulting classes form a hypercube.
     """
-    s = scan(w, budget)
-    g = build_graph(w, budget)
+    return _embed_hypercube(build_graph(w, budget), scan(w, budget))
+
+
+def _embed_hypercube(g: ClassGraph, s: WordScan) -> HypercubeWitness:
     ls = s.max_window_word
     windows = braid_windows(ls)
     down = [p for p in windows if ls[p + 1] == ls[p] - 1]
@@ -82,15 +92,15 @@ def embed_hypercube(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> HypercubeWitn
                 cur[p : p + 3] = [y, x, y]
         classes[bits] = g.class_by_canonical(canonical_letters(tuple(cur))).id
     if len(set(classes.values())) != 2**k:
-        raise InvariantViolation(f"subsets of moves of {ls} collide in G({w})")
+        raise InvariantViolation(f"subsets of moves of {ls} collide in G({g.w})")
     for bits, cid in classes.items():
         for j in range(k):
             other = bits[:j] + (1 - bits[j],) + bits[j + 1 :]
             if not g.has_edge(cid, classes[other]):
                 raise InvariantViolation(
-                    f"missing hypercube edge {bits} -- {other} in G({w})"
+                    f"missing hypercube edge {bits} -- {other} in G({g.w})"
                 )
-    return HypercubeWitness(k, Word(ls, len(w)), classes)
+    return HypercubeWitness(k, Word(ls, g.n), classes)
 
 
 def rectangular_witness(w: Perm) -> Perm | None:
@@ -130,9 +140,13 @@ def rectangle_label(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RectangleSpec
     """
     g = build_graph(w, budget)
     try:
-        poset = build_poset(w, budget)
+        poset = build_poset(g)
     except InvariantViolation:
         return None
+    return _rectangle_label(g, poset)
+
+
+def _rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
     rank = poset.rank
     maxr = max(rank.values())
     rows: dict[int, list[int]] = {}

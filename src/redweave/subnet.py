@@ -151,8 +151,26 @@ def has_subnetwork(word: Word, x: WordSet) -> bool:
 
 
 def count_212(word: Word) -> int:
-    """Number of 212-subnetworks; the rank statistic of the class poset."""
-    return count_subnetworks(word, TOP_212)
+    """Number of 212-subnetworks; the rank statistic of the class poset.
+
+    Values a < b < c induce 2,1,2 exactly when each of their three pairs
+    crosses once and (b, c) crosses before (a, b): the induced word is
+    then one of the two reduced words of 321, and 1,2,1 crosses (a, b)
+    first.  Requiring single crossings keeps this equal to
+    ``count_subnetworks(word, TOP_212)`` on non-reduced words too.
+    """
+    steps: dict[tuple[int, int], list[int]] = {}
+    for t, (u, v) in enumerate(crossing_events(word)):
+        steps.setdefault((min(u, v), max(u, v)), []).append(t)
+    once = {pair: ts[0] for pair, ts in steps.items() if len(ts) == 1}
+    return sum(
+        1
+        for a, b, c in combinations(range(1, word.n + 1), 3)
+        if (a, c) in once
+        and (a, b) in once
+        and (b, c) in once
+        and once[b, c] < once[a, b]
+    )
 
 
 def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAULT) -> int:

@@ -10,13 +10,12 @@ from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions, pattern_count
 from .structure import (
     CycleVerdict,
+    _embed_hypercube,
+    _rectangle_label,
     classify_edge_pair,
     edge_label_report,
-    embed_hypercube,
     is_freely_braided,
     is_rectangular,
-    max_braid_moves,
-    rectangle_label,
 )
 from .words import Letters
 
@@ -24,6 +23,7 @@ from .words import Letters
 def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
     """All per-permutation invariants; returns human-readable violations."""
     out: list[str] = []
+    s = scan(w, budget)
     g = build_graph(w, budget)
     rep = graph_checks(g)
     if not rep.connected:
@@ -33,13 +33,14 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
     out.extend(edge_label_report(g))
 
     try:
-        build_poset(w, budget)  # validates rank interval and cover drops
+        poset = build_poset(g)  # validates rank interval and cover drops
     except InvariantViolation as exc:
         out.append(str(exc))
+        poset = None
 
     l = inversions(w)
     n321 = pattern_count(w, (3, 2, 1))
-    y = max_braid_moves(w, budget)
+    y = s.max_windows
     actual = len(g)
     half = (y + 1) // 2
     if not (2**half + n321 - half <= actual):
@@ -48,14 +49,15 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(f"upper bound fails for {w}")
 
     try:
-        embed_hypercube(w, budget)
+        _embed_hypercube(g, s)
     except InvariantViolation as exc:
         out.append(str(exc))
 
     if is_freely_braided(w) and actual != 2**y:
         out.append(f"freely braided {w} has {actual} classes, expected 2^{y}")
 
-    if is_rectangular(w) != (rectangle_label(w, budget) is not None):
+    label = _rectangle_label(g, poset) if poset is not None else None
+    if is_rectangular(w) != (label is not None):
         out.append(f"rectangularity pattern test and labeling disagree for {w}")
 
     is_path = (

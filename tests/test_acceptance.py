@@ -144,7 +144,7 @@ def test_criterion_03_size_bounds_s6(s6_scans):
 def test_criterion_04_rank_lemma_s5():
     ok = True
     for w in up_to_sn(5):
-        poset = build_poset(w)  # raises unless ranks fill 0..N321 exactly
+        poset = build_poset(build_graph(w))  # raises unless ranks fill 0..N321 exactly
         n321 = pattern_count(w, (3, 2, 1))
         if set(poset.rank.values()) != set(range(n321 + 1)):
             ok = False

@@ -131,18 +131,18 @@ def test_scan_matches_word_walk_s7_s8(w):
 
 
 def test_poset_3421_is_a_chain():
-    p = build_poset((3, 4, 2, 1))
+    p = build_poset(build_graph((3, 4, 2, 1)))
     assert p.rank == {0: 0, 1: 1, 2: 2}
     assert p.covers == ((1, 0), (2, 1))
 
 
 def test_poset_identity():
-    p = build_poset(identity(4))
+    p = build_poset(build_graph(identity(4)))
     assert p.rank == {0: 0} and p.covers == ()
 
 
 def test_poset_326514_levels():
-    p = build_poset((3, 2, 6, 5, 1, 4))
+    p = build_poset(build_graph((3, 2, 6, 5, 1, 4)))
     levels = {}
     for cid, r in p.rank.items():
         levels.setdefault(r, 0)
@@ -152,7 +152,7 @@ def test_poset_326514_levels():
 
 def test_poset_builds_for_all_s4():
     for w in enumerate_sn(4):
-        p = build_poset(w)
+        p = build_poset(build_graph(w))
         for upper, lower in p.covers:
             assert p.rank[upper] - p.rank[lower] == 1
 
@@ -169,7 +169,7 @@ def test_rank_constant_on_class_members(s5):
 
 def test_graph_json_shape():
     g = build_graph((3, 4, 2, 1))
-    doc = graph_json(g, build_poset((3, 4, 2, 1)))
+    doc = graph_json(g, build_poset(g))
     assert doc["schema"] == "redweave/1"
     assert doc["w"] == [3, 4, 2, 1]
     assert [v["rank"] for v in doc["vertices"]] == [0, 1, 2]
@@ -179,8 +179,9 @@ def test_graph_json_shape():
 
 def test_graph_dot_deterministic():
     g = build_graph((3, 4, 2, 1))
-    out = graph_dot(g, build_poset((3, 4, 2, 1)))
-    assert out == graph_dot(build_graph((3, 4, 2, 1)), build_poset((3, 4, 2, 1)))
+    out = graph_dot(g, build_poset(g))
+    fresh = build_graph((3, 4, 2, 1))
+    assert out == graph_dot(fresh, build_poset(fresh))
     assert out.startswith("graph G {")
     assert "n0 -- n1;" in out and "rank=same" in out
 

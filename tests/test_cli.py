@@ -59,6 +59,9 @@ def test_aggregate(capsys):
     assert run(["aggregate", "3", "2", "--format", "json"]) == 0
     doc = json.loads(out_of(capsys))
     assert doc["sum_classes"] == 2 and doc["catalan"] == 14
+    assert run(["aggregate", "3", "3"]) == 0
+    assert run(["aggregate", "3", "100"]) == 1  # no w in S_3 has length 100
+    assert run(["aggregate", "3", "-1"]) == 1
 
 
 def test_subnet_with_prediction(capsys):
@@ -144,6 +147,38 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+def test_help(capsys, argv):
+    assert exit_code(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frob"],
+        ["words", "4321", "--format", "bogus"],
+        ["scan", "x"],
+        ["words", "4321", "--format", "dot"],  # dot is for graph and poset only
+        ["bounds", "4321", "--format", "dot"],
+        ["words", "321", "--threads", "2"],  # only scan runs in parallel
+        ["scan", "3", "--threads", "0"],
+        ["scan", "3", "--threads", "-2"],
+        ["scan", "3", "--suite", "all"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is reserved for invariant violations
+    assert exit_code(argv) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["redweave", "redweave.cli"])

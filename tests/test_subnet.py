@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import count_subnetworks_brute
 from redweave import InputError
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import (
+    TOP_212,
     WARRINGTON_X,
     complement_word,
     count_212,
@@ -90,6 +92,19 @@ def test_count_212_examples():
     assert count_212(Word((1, 2, 3, 1, 2), 4)) == 0
     assert count_212(Word((1, 2, 1, 3, 2), 4)) == 0  # same class as the line above
     assert count_212(Word((), 3)) == 0
+
+
+@st.composite
+def any_word(draw):
+    # reduced or not: letters are drawn freely, so pairs may recross
+    n = draw(st.integers(min_value=4, max_value=7))
+    letters = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=24))
+    return Word(tuple(letters), n)
+
+
+@given(any_word())
+def test_count_212_matches_count_subnetworks(word):
+    assert count_212(word) == count_subnetworks(word, TOP_212)
 
 
 def test_count_subnetworks_examples():
