@@ -14,6 +14,7 @@ from .words import (
     Word,
     _left_descents,
     _peel,
+    _sweep_tables,
     canonical_letters,
     count_reduced_words,
 )
@@ -44,13 +45,15 @@ def _canonical_words(w: Perm) -> list[Letters]:
     class) exactly when no letter exceeds its predecessor by two or
     more.  The DFS peels left descents in ascending order (see
     ``words``), offers only letters up to prev + 1, and remembers
-    (state, cap) pairs that lead nowhere.
+    (state, cap) pairs that lead nowhere, in the sweep's table if one
+    is installed.
     """
     n = len(w)
     done = identity(n)
     out: list[Letters] = []
     buf: list[int] = []
-    dead: set[tuple[Perm, int]] = set()
+    tables = _sweep_tables()
+    dead = tables.dead if tables is not None else set()
 
     def rec(q: Perm, cap: int) -> bool:
         if q == done:
@@ -70,7 +73,8 @@ def _canonical_words(w: Perm) -> list[Letters]:
         return found
 
     rec(inverse(w), n - 1)
-    dead.clear()  # rec's closure is a cycle: free the memo now, not at GC
+    if tables is None:
+        dead.clear()  # rec's closure is a cycle: free the memo now, not at GC
     return out
 
 
@@ -157,37 +161,47 @@ def _most_windows(w: Perm) -> tuple[int, Letters]:
 
     best(q, a, b) is the most windows a word can still gain from state q
     when its last two letters are a, b; a is kept only while it can
-    close a window (|a - b| = 1), which keeps the memo small.
+    close a window (|a - b| = 1), which keeps the memo small.  The DP
+    runs on an explicit stack, like the budget guard, and keeps its
+    memo in the sweep's table if one is installed.
     """
     done = identity(len(w))
-    memo: dict[tuple[Perm, int, int], int] = {}
+    tables = _sweep_tables()
+    best = tables.best if tables is not None else {}
 
-    def options(q: Perm, a: int, b: int):
-        for i in _left_descents(q):
-            yield i, _peel(q, i), (b if abs(b - i) == 1 else 0), int(a == i)
+    def options(key: tuple[Perm, int, int]):
+        """(letter, next key, windows gained) per letter, ascending."""
+        q, a, b = key
+        return [
+            (i, (_peel(q, i), b if abs(b - i) == 1 else 0, i), int(a == i))
+            for i in _left_descents(q)
+        ]
 
-    def best(q: Perm, a: int, b: int) -> int:
-        if q == done:
-            return 0
-        got = memo.get((q, a, b))
-        if got is None:
-            got = max(gain + best(nq, na, i) for i, nq, na, gain in options(q, a, b))
-            memo[q, a, b] = got
-        return got
+    key = (inverse(w), 0, 0)
+    stack: list = [(key, None)]
+    while stack:
+        k, opts = stack.pop()
+        if opts is not None:  # every key below k is solved by now
+            top = 0
+            for _, nk, gain in opts:
+                if gain + best[nk] > top:
+                    top = gain + best[nk]
+            best[k] = top
+        elif k not in best:
+            if k[0] == done:
+                best[k] = 0
+                continue
+            opts = options(k)
+            stack.append((k, opts))
+            stack += [(nk, None) for _, nk, _ in opts if nk not in best]
 
-    q, a, b = inverse(w), 0, 0
-    y = best(q, a, b)
+    y = best[key]
     word = []
-    while q != done:
-        target = best(q, a, b)
-        i, q, a, _ = next(
-            (i, nq, na, gain)
-            for i, nq, na, gain in options(q, a, b)
-            if gain + best(nq, na, i) == target
+    while key[0] != done:
+        i, key = next(
+            (i, nk) for i, nk, gain in options(key) if gain + best[nk] == best[key]
         )
-        b = i
         word.append(i)
-    memo.clear()  # best's closure is a cycle: free the memo now, not at GC
     return y, tuple(word)
 
 

@@ -59,10 +59,24 @@ def _threads(args) -> int:
     env = os.environ.get("REDWEAVE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise InputError(f"REDWEAVE_THREADS={env!r} is not an integer") from None
+        if threads < 1:
+            raise InputError(f"REDWEAVE_THREADS={env!r} is below 1")
+        return threads
     return os.cpu_count() or 1
+
+
+def _budget(text: str) -> int:
+    """--budget-words: a word count, so 0 is allowed and a negative is not."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"{budget} is negative")
+    return budget
 
 
 def _cmd_words(args) -> int:
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--budget-words", type=int, default=WORD_BUDGET_DEFAULT)
+        p.add_argument("--budget-words", type=_budget, default=WORD_BUDGET_DEFAULT)
 
     p = sub.add_parser("words", help="list the reduced words of a permutation")
     p.add_argument("perm")

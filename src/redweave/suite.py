@@ -17,7 +17,7 @@ from .structure import (
     is_freely_braided,
     is_rectangular,
 )
-from .words import Letters
+from .words import Letters, _install_tables, _SweepTables
 
 
 def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
@@ -84,22 +84,43 @@ def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
     return check_permutation(w, budget), tuple(scan(w, budget).class_sizes)
 
 
+def _init_worker() -> None:
+    _install_tables(_SweepTables())  # a pool worker lives as long as its sweep
+
+
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1,
             cap: int = 8) -> list[str]:
-    """Run the invariant suite over all of S_n; returns all violations."""
+    """Run the invariant suite over all of S_n; returns all violations.
+
+    The sweep is one job.  Its permutations share the memos of the
+    budget guard, the canonical-word DFS and the Y DP, which depend on
+    the walk state alone (each pool worker holds its own set, the serial
+    path holds one for the call).  They run longest first, lexicographic
+    among equals, so each worker starts near w0, which fills nearly all
+    of its tables at once, and the pool ends on the cheapest ones.
+    Violations are reported in lexicographic order of w either way.
+    """
     perms = list(enumerate_sn(n, cap=cap))
+    heaviest_first = sorted(perms, key=lambda w: (-inversions(w), w))
+    jobs = [(w, budget) for w in heaviest_first]
     if threads > 1:
         from multiprocessing import get_context
 
-        with get_context("spawn").Pool(threads) as pool:
-            results = pool.map(_worker, [(w, budget) for w in perms])
+        with get_context("spawn").Pool(threads, initializer=_init_worker) as pool:
+            results = list(pool.imap(_worker, jobs, chunksize=4))
     else:
-        results = [_worker((w, budget)) for w in perms]
+        _install_tables(_SweepTables())
+        try:
+            results = [_worker(job) for job in jobs]
+        finally:
+            _install_tables(None)
+    by_perm = dict(zip(heaviest_first, results))
     out: list[str] = []
-    for violations, _ in results:
+    canonicals = {}
+    for w in perms:
+        violations, canonicals[w] = by_perm[w]
         out.extend(violations)
     # aggregate bound, one check per nontrivial word length
-    canonicals = {w: canon for w, (_, canon) in zip(perms, results)}
     for rep in aggregate_reports(n, canonicals):
         if not rep.ok:
             out.append(f"aggregate bound fails for n={n}, l={rep.l}: {rep}")

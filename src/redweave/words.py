@@ -97,25 +97,62 @@ def _peel(q: Perm, i: int) -> Perm:
     return q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
 
 
+class _SweepTables:
+    """Memos keyed on the walk state q alone, so they hold for every w.
+
+    ``counts`` maps q to |R(q)| (the budget guard), ``dead`` holds the
+    (q, cap) pairs from which the canonical DFS finds no word, and
+    ``best`` maps (q, a, b) to the Y DP's value.  A sweep over S_n
+    installs one set for its whole length, so a state is expanded once
+    per sweep rather than once per w above it; outside a sweep each
+    call builds its own memo and drops it on return.
+    """
+
+    def __init__(self) -> None:
+        self.counts: dict[Perm, int] = {}
+        self.dead: set[tuple[Perm, int]] = set()
+        self.best: dict[tuple[Perm, int, int], int] = {}
+
+
+_tables: _SweepTables | None = None
+
+
+def _install_tables(tables: _SweepTables | None) -> None:
+    """Share ``tables`` with every later call in this process; None removes them."""
+    global _tables
+    _tables = tables
+
+
+def _sweep_tables() -> _SweepTables | None:
+    return _tables
+
+
 def count_reduced_words(w: Perm) -> int:
-    """|R(w)| by the descent recursion, memoized over subpermutations.
+    """|R(w)| by the descent recursion, memoized over the states below w.
+
+    The recursion runs on an explicit stack, so a long w cannot exhaust
+    the interpreter's.  Whatever is pushed while q waits for its count
+    lies below q, so each state is expanded at most once per memo.
 
     >>> count_reduced_words((4, 3, 2, 1))
     16
     """
-    memo: dict[Perm, int] = {identity(len(w)): 1}
-
-    def rec(q: Perm) -> int:
-        got = memo.get(q)
-        if got is not None:
-            return got
-        total = sum(rec(_peel(q, i)) for i in _left_descents(q))
-        memo[q] = total
-        return total
-
-    total = rec(inverse(w))
-    memo.clear()  # rec's closure is a cycle: free the memo now, not at GC
-    return total
+    memo = _tables.counts if _tables is not None else {}
+    memo[identity(len(w))] = 1
+    root = inverse(w)
+    stack: list[tuple[Perm, list[Perm] | None]] = [(root, None)]
+    while stack:
+        q, below = stack.pop()
+        if below is not None:  # every state below q is counted by now
+            total = 0
+            for p in below:
+                total += memo[p]
+            memo[q] = total
+        elif q not in memo:
+            below = [_peel(q, i) for i in _left_descents(q)]
+            stack.append((q, below))
+            stack += [(p, None) for p in below if p not in memo]
+    return memo[root]
 
 
 def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:

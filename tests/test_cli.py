@@ -134,6 +134,10 @@ def test_scan_env_threads(capsys, monkeypatch):
     assert run(["scan", "3"]) == 0
     monkeypatch.setenv("REDWEAVE_THREADS", "zig")
     assert run(["scan", "3"]) == 1  # rejected before any work
+    for value in ("0", "-2"):  # like --threads 0, not a serial run
+        monkeypatch.setenv("REDWEAVE_THREADS", value)
+        assert run(["scan", "3"]) == 1
+        assert "below 1" in capsys.readouterr().err
 
 
 def test_exit_codes(capsys):
@@ -141,6 +145,16 @@ def test_exit_codes(capsys):
     assert run(["classes", "1231"]) == 1
     assert run(["words", "7654321", "--budget-words", "100"]) == 3
     assert run(["words", "321", "--budget-words", "100"]) == 0
+    assert run(["bounds", "21", "--budget-words", "0"]) == 3  # a budget, refused
+
+
+def test_long_permutation_needs_no_deep_recursion(capsys):
+    # 2,3,...,600,1 has one reduced word of 599 letters
+    perm = ",".join(map(str, [*range(2, 601), 1]))
+    assert run(["words", perm, "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["count"] == 1
+    assert run(["classes", perm, "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["count"] == 1
 
 
 def test_version(capsys):
@@ -173,6 +187,7 @@ def test_help(capsys, argv):
         ["scan", "3", "--threads", "0"],
         ["scan", "3", "--threads", "-2"],
         ["scan", "3", "--suite", "all"],
+        ["bounds", "21", "--budget-words", "-5"],  # invalid, not a refusal
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

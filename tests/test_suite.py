@@ -1,6 +1,10 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from redweave import InvariantViolation, classes, structure, suite
+from redweave import BudgetExceeded, InvariantViolation, classes, structure, suite, words
+from redweave.perm import enumerate_sn, inverse, inversions, longest_element
 
 
 def counting(monkeypatch, name, calls):
@@ -34,3 +38,64 @@ def test_failed_poset_leaves_no_grid_label(monkeypatch):
         "poset of (3, 2, 6, 5, 1, 4) broke",
         "rectangularity pattern test and labeling disagree for (3, 2, 6, 5, 1, 4)",
     ]
+
+
+def fields(s):
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+
+
+@pytest.mark.parametrize("heaviest_first", [True, False])
+def test_sweep_tables_give_the_fresh_scans(s5, s6_scans, heaviest_first):
+    # s6_scans and the S_5 scans below run with no tables installed
+    fresh = {w: fields(classes.scan(w)) for w in s5}
+    fresh.update((w, fields(s)) for w, s in s6_scans.items())
+    perms = list(fresh)
+    if heaviest_first:
+        perms.sort(key=lambda w: (-inversions(w), w))
+    classes._scan_impl.cache_clear()
+    words._install_tables(words._SweepTables())
+    try:
+        for w in perms:
+            assert fields(classes._scan_impl(w)) == fresh[w], w
+            assert words.count_reduced_words(w) == fresh[w]["word_count"], w
+    finally:
+        words._install_tables(None)
+        classes._scan_impl.cache_clear()
+
+
+def test_no_tables_outlive_a_sweep():
+    assert words._sweep_tables() is None
+    assert suite.scan_sn(3, threads=1) == []
+    assert words._sweep_tables() is None
+    with pytest.raises(BudgetExceeded):
+        suite.scan_sn(4, budget=2, threads=1)
+    assert words._sweep_tables() is None
+    classes.scan(longest_element(5))
+    assert words._sweep_tables() is None
+
+
+def test_sweep_reports_in_lexicographic_order(monkeypatch):
+    # jobs run longest first, but the report follows enumerate_sn
+    monkeypatch.setattr(suite, "check_permutation", lambda w, budget: [str(w)])
+    assert suite.scan_sn(4, threads=1) == [str(w) for w in enumerate_sn(4)]
+
+
+def test_pool_sweep_matches_serial():
+    assert suite.scan_sn(5, threads=2) == suite.scan_sn(5, threads=1)
+
+
+def test_sweep_expands_each_guard_state_once(monkeypatch):
+    expanded = Counter()
+    real = words._left_descents
+
+    def counted(q):
+        expanded[q] += 1
+        return real(q)
+
+    # only the budget guard reads words._left_descents during a sweep
+    monkeypatch.setattr(words, "_left_descents", counted)
+    classes._word_total.cache_clear()
+    classes._scan_impl.cache_clear()
+    assert suite.scan_sn(5, threads=1) == []
+    assert set(expanded) <= {inverse(w) for w in enumerate_sn(5)}
+    assert max(expanded.values()) == 1
