@@ -15,6 +15,7 @@ from .words import (
     _left_descents,
     _peel,
     _sweep_tables,
+    _walk_words,
     canonical_letters,
     count_reduced_words,
 )
@@ -43,39 +44,12 @@ def _canonical_words(w: Perm) -> list[Letters]:
 
     A reduced word is canonical (the lexicographically greatest of its
     class) exactly when no letter exceeds its predecessor by two or
-    more.  The DFS peels left descents in ascending order (see
-    ``words``), offers only letters up to prev + 1, and remembers
-    (state, cap) pairs that lead nowhere, in the sweep's table if one
-    is installed.
+    more.  The word DFS offers only such letters and remembers (state,
+    cap) pairs that lead nowhere, in the sweep's table if one is
+    installed.
     """
-    n = len(w)
-    done = identity(n)
-    out: list[Letters] = []
-    buf: list[int] = []
     tables = _sweep_tables()
-    dead = tables.dead if tables is not None else set()
-
-    def rec(q: Perm, cap: int) -> bool:
-        if q == done:
-            out.append(tuple(buf))
-            return True
-        if (q, cap) in dead:
-            return False
-        found = False
-        for i in _left_descents(q):
-            if i > cap:
-                break
-            buf.append(i)
-            found |= rec(_peel(q, i), min(i + 1, n - 1))
-            buf.pop()
-        if not found:
-            dead.add((q, cap))
-        return found
-
-    rec(inverse(w), n - 1)
-    if tables is None:
-        dead.clear()  # rec's closure is a cycle: free the memo now, not at GC
-    return out
+    return list(_walk_words(w, True, tables.dead if tables is not None else set()))
 
 
 def _class_size(letters: Letters, n: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from itertools import combinations
 
@@ -420,6 +421,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early (`| head`) ends the run quietly, no traceback
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -12,12 +12,11 @@ from .classes import (
     WordScan,
     build_graph,
     build_poset,
-    class_members,
     scan,
 )
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, pattern_occurrences
-from .words import Letters, Word, braid_windows, canonical_letters, evaluate
+from .words import Word, braid_windows, canonical_letters
 
 # Containment of any of these makes G(w) fail to be a rectangle.  The
 # list is closed under inversion (G(w) and G(w^-1) are isomorphic via
@@ -122,11 +121,10 @@ class RectangleSpec:
     labels: dict[int, tuple[int, ...]]  # class id -> lattice point
 
 
-def _edges_commute(g: ClassGraph, v: int, v1: int, v2: int) -> bool:
-    # edges (v, v1) and (v1, v2) lie on a common 4-cycle
-    return any(
-        c != v1 and g.has_edge(c, v2) for c in g.neighbors(v)
-    )
+def _on_four_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
+    # edges (v, a) and (v, b) lie on a common 4-cycle: a and b share a
+    # neighbour other than v (G(w) is bipartite, so the 4-cycle is induced)
+    return any(c != v and g.has_edge(c, b) for c in g.neighbors(a))
 
 
 def rectangle_label(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RectangleSpec | None:
@@ -135,8 +133,9 @@ def rectangle_label(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RectangleSpec
     Walks the class poset from its top: the unique maximum gets the zero
     vector, its covers get basis vectors, and each lower class gets
     either 2*v1 - v2 across a straight (non-commuting) edge pair or the
-    sum of its covers' labels.  The result is returned only if it is a
-    bijection onto a grid matching the graph's adjacency exactly.
+    join (coordinatewise max) of its covers' labels.  The result is
+    returned only if it is a bijection onto a grid matching the graph's
+    adjacency exactly.
     """
     g = build_graph(w, budget)
     try:
@@ -172,7 +171,7 @@ def _rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
             candidates = []
             for v1 in ups:
                 for v2 in g.neighbors(v1):
-                    if rank[v2] == r + 2 and not _edges_commute(g, v, v1, v2):
+                    if rank[v2] == r + 2 and not _on_four_cycle(g, v1, v, v2):
                         candidates.append(
                             tuple(
                                 2 * a - b for a, b in zip(labels[v1], labels[v2])
@@ -183,9 +182,7 @@ def _rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
                     return None
                 labels[v] = candidates[0]
             else:
-                labels[v] = tuple(
-                    sum(labels[u][h] for u in ups) for h in range(k)
-                )
+                labels[v] = tuple(max(pt) for pt in zip(*(labels[u] for u in ups)))
     if len(labels) != len(g.vertices) or len(rows.get(0, [])) != 1:
         return None
     dims = labels[rows[0][0]]
@@ -217,59 +214,37 @@ class CycleVerdict(Enum):
     NO_INDUCED_CYCLE = "no_induced_cycle"
 
 
-def _is_w0_s4_substring(ls: Letters, lo: int, hi: int) -> bool:
-    if lo < 0 or hi > len(ls):
-        return False
-    seg = ls[lo:hi]
-    base = min(seg)
-    if max(seg) - base != 2:
-        return False
-    shifted = tuple(x - base + 1 for x in seg)
-    p, reduced = evaluate(Word(shifted, 4))
-    return reduced and p == (4, 3, 2, 1)
-
-
 def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
-    """Whether the edges (v,a) and (v,b) lie on an induced 4- or 8-cycle.
+    """The shortest induced cycle of G(w) through the edges (v,a) and (v,b).
 
-    Combinatorial route: a member word of v realizing both moves on
-    disjoint windows gives a 4-cycle; the two edges both arising from
-    braid moves inside a common 6-letter substring shaped like a reduced
-    word of the S_4 longest element give an 8-cycle (the substring's own
-    class graph is the induced 8-cycle).  Otherwise there is none.
+    A 4-cycle when a and b share a neighbour other than v.  Otherwise an
+    8-cycle when some path a -> b of 6 edges keeps its inner vertices
+    off v and its neighbours and has no chord; a DFS finds one, dropping
+    any vertex adjacent to an earlier vertex of the path.  Otherwise
+    there is none.
     """
     if a == b or not g.has_edge(v, a) or not g.has_edge(v, b):
         raise InputError(f"need two distinct edges at vertex {v}")
-    members = sorted(class_members(g.vertices[v].canonical.letters))
-    for ls in members:
-        realized: dict[int, list[int]] = {a: [], b: []}
-        for p in braid_windows(ls):
-            x, y = ls[p], ls[p + 1]
-            tid = g.class_by_canonical(
-                canonical_letters(ls[:p] + (y, x, y) + ls[p + 3 :])
-            ).id
-            if tid in realized:
-                realized[tid].append(p)
-        if any(
-            abs(p - q) >= 3 for p in realized[a] for q in realized[b]
-        ):
-            return CycleVerdict.FOUR_CYCLE
-    for ls in members:
-        for t in range(len(ls) - 5):
-            if not _is_w0_s4_substring(ls, t, t + 6):
+    if _on_four_cycle(g, v, a, b):
+        return CycleVerdict.FOUR_CYCLE
+    blocked = g.neighbors(v) | {v}
+    path = [a]
+
+    def extend() -> bool:
+        if len(path) == 6:  # a and five inner vertices: close at b
+            return g.has_edge(path[-1], b) and not any(
+                g.has_edge(u, b) for u in path[:-1]
+            )
+        for x in g.neighbors(path[-1]):
+            if x in blocked or any(g.has_edge(u, x) for u in path[:-1]):
                 continue
-            # braid moves available anywhere in the substring's own
-            # commutation class; the two that leave it are the edges of
-            # the embedded 8-cycle at this vertex
-            targets = set()
-            for seg in class_members(ls[t : t + 6]):
-                for p in braid_windows(seg):
-                    x, y = seg[p], seg[p + 1]
-                    moved = ls[:t] + seg[:p] + (y, x, y) + seg[p + 3 :] + ls[t + 6 :]
-                    targets.add(g.class_by_canonical(canonical_letters(moved)).id)
-            if a in targets and b in targets:
-                return CycleVerdict.EIGHT_CYCLE
-    return CycleVerdict.NO_INDUCED_CYCLE
+            path.append(x)
+            if extend():
+                return True
+            path.pop()
+        return False
+
+    return CycleVerdict.EIGHT_CYCLE if extend() else CycleVerdict.NO_INDUCED_CYCLE
 
 
 def edge_label_report(g: ClassGraph) -> list[str]:

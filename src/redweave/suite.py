@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bounds import aggregate_reports
-from .classes import build_graph, build_poset, graph_checks, scan
+from .classes import ClassGraph, build_graph, build_poset, graph_checks, scan
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions, pattern_count
 from .structure import (
@@ -69,13 +69,27 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(f"G({w}) is a path with {actual} != N321+1 = {n321 + 1} vertices")
 
     if avoids(w, (4, 3, 2, 1)):
+        # an induced 8-cycle of a 4321-avoider is a grid's rim, as in
+        # G(436512), so its two edges at v also lie on a 6-cycle through the
+        # grid's centre (true on S_5, S_6 and the 4321-avoiders of S_7)
         for c in g.vertices:
             for a, b in combinations(sorted(g.neighbors(c.id)), 2):
-                if classify_edge_pair(g, c.id, a, b) is CycleVerdict.EIGHT_CYCLE:
+                eight = classify_edge_pair(g, c.id, a, b) is CycleVerdict.EIGHT_CYCLE
+                if eight and not _on_six_cycle(g, c.id, a, b):
                     out.append(
-                        f"4321-avoiding {w} has an induced 8-cycle at vertex {c.id}"
+                        f"4321-avoiding {w} has an induced 8-cycle at vertex "
+                        f"{c.id} on no 6-cycle"
                     )
     return out
+
+
+def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
+    """Whether a and b are at most 4 apart in G(w) - v."""
+    seen = frontier = {a}
+    for _ in range(4):
+        frontier = {y for x in frontier for y in g.neighbors(x)} - seen - {v}
+        seen = seen | frontier
+    return b in seen
 
 
 def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:

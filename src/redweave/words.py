@@ -162,20 +162,45 @@ def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
     (the value i+1 precedes the value i); the rest is a reduced word of
     s_i * w.  Ascending choice of i gives lexicographic order.
     """
+    return _walk_words(w, canonical=False, dead=set())
+
+
+def _walk_words(w: Perm, canonical: bool, dead: set[tuple[Perm, int]]) -> Iterator[Letters]:
+    """The reduced words of w in lexicographic order, by DFS over left descents.
+
+    With ``canonical``, a letter may exceed its predecessor by at most
+    one, so exactly the canonical word of each class is yielded (see
+    ``classes``).  A frame is skipped when (state, cap) is in ``dead``,
+    and added to it when it yields no word.  Frames live on an explicit
+    stack, one per letter, so a long w cannot exhaust the interpreter's.
+    """
     n = len(w)
-    ident = identity(n)
-    buf: list[int] = []
-
-    def rec(q: Perm) -> Iterator[Letters]:
-        if q == ident:
-            yield tuple(buf)
-            return
-        for i in _left_descents(q):
+    done = identity(n)
+    q = inverse(w)
+    if q == done:
+        yield ()
+        return
+    buf: list[int] = []  # the letters leading to each frame but the first
+    frames = [[q, n - 1, iter(_left_descents(q)), False]]  # state, cap, descents, found
+    while frames:
+        frame = frames[-1]
+        q, cap, descents, found = frame
+        i = next(descents, n)
+        if i > cap:
+            frames.pop()
+            if not found:
+                dead.add((q, cap))
+            if frames:
+                buf.pop()
+                frames[-1][3] |= found
+            continue
+        p, pcap = _peel(q, i), min(i + 1, n - 1) if canonical else n - 1
+        if p == done:
+            frame[3] = True
+            yield (*buf, i)
+        elif (p, pcap) not in dead:
             buf.append(i)
-            yield from rec(_peel(q, i))
-            buf.pop()
-
-    return rec(inverse(w))
+            frames.append([p, pcap, iter(_left_descents(p)), False])
 
 
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:

@@ -281,9 +281,9 @@ def test_criterion_10_aggregate_catalan_bound():
     report("criterion 10 aggregate Catalan bound (n <= 5, l >= 1)", ok)
 
 
-def test_criterion_11_cycle_trichotomy_s5(s5):
+def test_criterion_11_cycle_trichotomy_s6(s6):
     ok = True
-    for w in s5:
+    for w in s6:
         g = build_graph(w)
         h = to_nx(g)
         for c in g.vertices:
@@ -296,7 +296,7 @@ def test_criterion_11_cycle_trichotomy_s5(s5):
                     ok &= lengths == {8}
                 else:
                     ok &= not lengths
-    report("criterion 11 induced-cycle trichotomy over S_5", ok)
+    report("criterion 11 induced-cycle trichotomy over S_6", ok)
 
 
 def test_criterion_12_oracle_equivalence(s5):

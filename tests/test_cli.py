@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -149,12 +150,13 @@ def test_exit_codes(capsys):
 
 
 def test_long_permutation_needs_no_deep_recursion(capsys):
-    # 2,3,...,600,1 has one reduced word of 599 letters
-    perm = ",".join(map(str, [*range(2, 601), 1]))
-    assert run(["words", perm, "--format", "json"]) == 0
-    assert json.loads(out_of(capsys))["count"] == 1
-    assert run(["classes", perm, "--format", "json"]) == 0
-    assert json.loads(out_of(capsys))["count"] == 1
+    for top in (600, 1100):
+        # 2,3,...,top,1 has one reduced word of top - 1 letters
+        perm = ",".join(map(str, [*range(2, top + 1), 1]))
+        assert run(["words", perm, "--format", "json"]) == 0
+        assert json.loads(out_of(capsys))["count"] == 1
+        assert run(["classes", perm, "--format", "json"]) == 0
+        assert json.loads(out_of(capsys))["count"] == 1
 
 
 def test_version(capsys):
@@ -196,14 +198,31 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["redweave", "redweave.cli"])
-def test_python_dash_m(module):
+def src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("module", ["redweave", "redweave.cli"])
+def test_python_dash_m(module):
     out = subprocess.run(
         [sys.executable, "-m", module, "words", "321", "--format", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["count"] == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_quietly():
+    # w0 of S_6 has 292,864 words: far more than one pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "redweave", "words", "654321"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+    )
+    assert proc.stdout.readline() == b"1,2,1,3,2,1,4,3,2,1,5,4,3,2,1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""

@@ -1,4 +1,5 @@
 import pytest
+from collections import Counter
 from itertools import combinations
 
 from oracles import induced_cycle_lengths
@@ -107,6 +108,18 @@ def test_rectangle_label_matches_pattern_route_s5(s5):
         assert is_rectangular(w) == (rectangle_label(w) is not None)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [(3, 2, 5, 4, 7, 6, 1), (3, 2, 7, 4, 1, 6, 5), (5, 2, 1, 4, 7, 6, 3), (7, 2, 1, 4, 3, 6, 5)],
+)
+def test_rectangle_label_3_cubes(w):
+    # the bottom class takes the join of its covers' labels: their sum
+    # would double-count the axes two covers share
+    assert is_rectangular(w)
+    spec = rectangle_label(w)
+    assert spec is not None and spec.dims == (1, 1, 1)
+
+
 def test_classify_edge_pair_examples():
     # two disjoint braid windows: 4-cycle
     w = evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]
@@ -119,6 +132,16 @@ def test_classify_edge_pair_examples():
     g = build_graph(longest_element(4))
     a, b = sorted(g.neighbors(0))
     assert classify_edge_pair(g, 0, a, b) is CycleVerdict.EIGHT_CYCLE
+
+    # G(436512) is a 3x3 grid: at the middle of a side, the two rim edges
+    # lie on its rim, an induced 8-cycle
+    g = build_graph((4, 3, 6, 5, 1, 2))
+    corners = {c.id for c in g.vertices if len(g.neighbors(c.id)) == 2}
+    sides = [c.id for c in g.vertices if len(g.neighbors(c.id)) == 3]
+    assert len(g) == 9 and len(corners) == len(sides) == 4
+    for v in sides:
+        a, b = sorted(g.neighbors(v) & corners)
+        assert classify_edge_pair(g, v, a, b) is CycleVerdict.EIGHT_CYCLE
 
     # middle vertex of the 3421 path
     g = build_graph((3, 4, 2, 1))
@@ -143,6 +166,26 @@ def test_classify_matches_cycle_oracle_s4():
                     assert lengths == {8}
                 else:
                     assert not lengths
+
+
+def test_verdicts_by_shared_wires_s6(s6):
+    # data over S_6, not a theorem: edges whose wire triples share at most
+    # one wire always meet on a 4-cycle; sharing two does not decide
+    tally = Counter()
+    for w in s6:
+        g = build_graph(w)
+        wires = {}
+        for e in g.edges:
+            wires[e.u, e.v] = wires[e.v, e.u] = set(e.labels[0][1])
+        for c in g.vertices:
+            for a, b in combinations(sorted(g.neighbors(c.id)), 2):
+                shared = len(wires[c.id, a] & wires[c.id, b])
+                tally[shared >= 2, classify_edge_pair(g, c.id, a, b)] += 1
+    assert tally == {
+        (False, CycleVerdict.FOUR_CYCLE): 28404,
+        (True, CycleVerdict.EIGHT_CYCLE): 11878,
+        (True, CycleVerdict.NO_INDUCED_CYCLE): 3006,
+    }
 
 
 def test_edge_labels_unique_s5(s5):

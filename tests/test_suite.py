@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +29,31 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
         counting(monkeypatch, name, calls)
     assert suite.check_permutation(w) == []
     assert calls == {"build_graph": 1, "build_poset": 1}
+
+
+def test_grid_octagons_pass_the_eight_cycle_check():
+    # G(436512) is a 3x3 grid: 4321-avoiding, yet its rim is an induced 8-cycle
+    w = (4, 3, 6, 5, 1, 2)
+    assert suite.avoids(w, (4, 3, 2, 1))
+    g = classes.build_graph(w)
+    verdicts = Counter(
+        structure.classify_edge_pair(g, c.id, a, b)
+        for c in g.vertices
+        for a, b in combinations(sorted(g.neighbors(c.id)), 2)
+    )
+    assert verdicts[structure.CycleVerdict.EIGHT_CYCLE] == 4
+    assert suite.check_permutation(w) == []
+
+
+def test_eight_cycle_check_fires_on_an_overreport(monkeypatch):
+    # 352641 avoids 4321 and has an edge pair 6 apart in G(w) - v, on no
+    # induced cycle; a classifier calling it an 8-cycle must be caught
+    w = (3, 5, 2, 6, 4, 1)
+    assert suite.check_permutation(w) == []
+    monkeypatch.setattr(
+        suite, "classify_edge_pair", lambda *args: structure.CycleVerdict.EIGHT_CYCLE
+    )
+    assert any("on no 6-cycle" in v for v in suite.check_permutation(w))
 
 
 def test_failed_poset_leaves_no_grid_label(monkeypatch):
@@ -87,12 +114,13 @@ def test_pool_sweep_matches_serial():
 def test_sweep_expands_each_guard_state_once(monkeypatch):
     expanded = Counter()
     real = words._left_descents
+    guard = words.count_reduced_words.__code__
 
     def counted(q):
-        expanded[q] += 1
+        if sys._getframe(1).f_code is guard:  # the word DFS reads it too
+            expanded[q] += 1
         return real(q)
 
-    # only the budget guard reads words._left_descents during a sweep
     monkeypatch.setattr(words, "_left_descents", counted)
     classes._word_total.cache_clear()
     classes._scan_impl.cache_clear()
