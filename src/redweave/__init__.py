@@ -18,16 +18,12 @@ from .perm import (
 )
 from .words import (
     Letters,
-    Move,
-    MoveKind,
     Word,
-    apply_move,
     canonical_form,
     count_reduced_words,
     enumerate_reduced_words,
     evaluate,
     index_sum,
-    list_moves,
     parse_word,
     word_of,
 )

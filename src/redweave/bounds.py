@@ -19,14 +19,6 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def catalan_recurrence(m: int) -> int:
-    """Same number by the convolution recurrence; cross-check for catalan()."""
-    c = [1]
-    for k in range(1, m + 1):
-        c.append(sum(c[j] * c[k - 1 - j] for j in range(k)))
-    return c[m]
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     w: Perm

@@ -372,46 +372,3 @@ def graph_checks(g: ClassGraph) -> GraphReport:
     bipartite = all(parity[e.u] != parity[e.v] for e in g.edges)
     return GraphReport(len(seen) == len(g.vertices), bipartite)
 
-
-def graph_json(g: ClassGraph, poset: RankedPoset | None = None) -> dict:
-    rank = poset.rank if poset is not None else None
-    return {
-        "schema": "redweave/1",
-        "n": g.n,
-        "w": list(g.w),
-        "vertices": [
-            {
-                "id": c.id,
-                "canonical": list(c.canonical.letters),
-                "index_sum": sum(c.canonical.letters),
-                "rank": rank[c.id] if rank is not None else None,
-            }
-            for c in g.vertices
-        ],
-        "edges": [
-            {
-                "u": e.u,
-                "v": e.v,
-                "labels": [{"letter": i, "wires": list(wires)} for i, wires in e.labels],
-            }
-            for e in g.edges
-        ],
-    }
-
-
-def graph_dot(g: ClassGraph, poset: RankedPoset | None = None) -> str:
-    lines = ["graph G {"]
-    for c in g.vertices:
-        label = ",".join(map(str, c.canonical.letters)) or "e"
-        lines.append(f'  n{c.id} [label="{label}"];')
-    if poset is not None:
-        levels: dict[int, list[int]] = {}
-        for cid, r in poset.rank.items():
-            levels.setdefault(r, []).append(cid)
-        for r in sorted(levels):
-            ids = "; ".join(f"n{i}" for i in sorted(levels[r]))
-            lines.append(f"  {{ rank=same; {ids}; }}")
-    for e in g.edges:
-        lines.append(f"  n{e.u} -- n{e.v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,11 @@
-"""Command-line front door: every computation with text/JSON/DOT output.
+"""Command-line front door: a table of commands over library calls.
+
+A command parses its arguments, calls the library and returns an
+``_Output``: its payload (the JSON document without ``"schema"``) and,
+where the default does not fit, its text lines, DOT lines and a failed
+invariant.  ``run`` is the only code that prints: JSON with the schema
+first, DOT, or text (``key: value`` lines of the payload unless the
+command has its own), and then it raises the failed invariant.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation,
 3 enumeration budget refused.
@@ -11,16 +18,18 @@ import json
 import os
 import signal
 import sys
-from itertools import combinations
+from dataclasses import asdict
+from itertools import chain, combinations
+from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import aggregate_bound_check, size_bounds
 from .classes import (
+    ClassGraph,
+    RankedPoset,
     build_graph,
     build_poset,
     enumerate_classes,
     graph_checks,
-    graph_dot,
-    graph_json,
 )
 from .errors import BudgetExceeded, InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import longest_element, parse_perm, pattern_count
@@ -41,15 +50,23 @@ from .subnet import (
     _top_class,
 )
 from .suite import scan_sn
-from .words import enumerate_reduced_words, parse_word
+from .words import count_reduced_words, enumerate_reduced_words, parse_word
 from . import __version__
 
 SCHEMA = "redweave/1"
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, indent=2, sort_keys=False))
+class _Output(NamedTuple):
+    """What a command computed, for ``run`` to print."""
+
+    payload: dict                      # the JSON document without "schema"
+    text: Iterable[str] | None = None  # None: "key: value" lines of the payload
+    dot: Iterable[str] | None = None   # graph and poset only
+    violation: str | None = None       # a failed invariant, raised after printing
+
+
+def _csv(letters) -> str:
+    return ",".join(map(str, letters))
 
 
 def _threads(args) -> int:
@@ -80,85 +97,110 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _cmd_words(args) -> int:
+def _cmd_words(args) -> _Output:
     w = parse_perm(args.perm)
-    words = [list(word.letters) for word in enumerate_reduced_words(w, args.budget_words)]
-    if args.format == "json":
-        _emit_json({"w": list(w), "count": len(words), "words": words})
-    else:
-        for ls in words:
-            print(",".join(map(str, ls)) or "(empty)")
-        print(f"count {len(words)}")
-    return 0
+    words = enumerate_reduced_words(w, args.budget_words)  # refused before any word
+    # the words stream: text prints each as the DFS yields it
+    payload = {"w": list(w), "count": count_reduced_words(w),
+               "words": (list(word.letters) for word in words)}
+    lines = (_csv(ls) or "(empty)" for ls in payload["words"])
+    return _Output(payload, chain(lines, [f"count {payload['count']}"]))
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> _Output:
     w = parse_perm(args.perm)
     cls = enumerate_classes(w, args.budget_words)
-    if args.format == "json":
-        _emit_json(
+    payload = {
+        "w": list(w),
+        "count": len(cls),
+        "classes": [
+            {"id": c.id, "canonical": list(c.canonical.letters), "size": c.size}
+            for c in cls
+        ],
+    }
+    lines = (f"{c.id}: {_csv(c.canonical.letters) or '(empty)'}  size {c.size}" for c in cls)
+    return _Output(payload, chain(lines, [f"count {len(cls)}"]))
+
+
+def _graph_payload(g: ClassGraph, poset: RankedPoset) -> dict:
+    return {
+        "n": g.n,
+        "w": list(g.w),
+        "vertices": [
             {
-                "w": list(w),
-                "count": len(cls),
-                "classes": [
-                    {"id": c.id, "canonical": list(c.canonical.letters), "size": c.size}
-                    for c in cls
-                ],
+                "id": c.id,
+                "canonical": list(c.canonical.letters),
+                "index_sum": sum(c.canonical.letters),
+                "rank": poset.rank[c.id],
             }
-        )
-    else:
-        for c in cls:
-            canon = ",".join(map(str, c.canonical.letters)) or "(empty)"
-            print(f"{c.id}: {canon}  size {c.size}")
-        print(f"count {len(cls)}")
-    return 0
+            for c in g.vertices
+        ],
+        "edges": [
+            {
+                "u": e.u,
+                "v": e.v,
+                "labels": [{"letter": i, "wires": list(wires)} for i, wires in e.labels],
+            }
+            for e in g.edges
+        ],
+    }
 
 
-def _cmd_graph(args) -> int:
+def _graph_text(g: ClassGraph) -> Iterator[str]:
+    rep = graph_checks(g)
+    yield f"G({_csv(g.w)}): {len(g)} vertices, {len(g.edges)} edges"
+    yield f"connected {rep.connected}, bipartite {rep.bipartite}"
+    for e in g.edges:
+        labels = "; ".join(f"letter {i} wires {list(ws)}" for i, ws in e.labels)
+        yield f"  {e.u} -- {e.v}  [{labels}]"
+
+
+def _dot(g: ClassGraph, poset: RankedPoset) -> Iterator[str]:
+    """G(w) for graphviz, one row per rank of P(w)."""
+    yield "graph G {"
+    for c in g.vertices:
+        yield f'  n{c.id} [label="{_csv(c.canonical.letters) or "e"}"];'
+    levels: dict[int, list[int]] = {}
+    for cid, r in poset.rank.items():
+        levels.setdefault(r, []).append(cid)
+    for r in sorted(levels):
+        ids = "; ".join(f"n{i}" for i in sorted(levels[r]))
+        yield f"  {{ rank=same; {ids}; }}"
+    for e in g.edges:
+        yield f"  n{e.u} -- n{e.v};"
+    yield "}"
+
+
+def _cmd_graph(args) -> _Output:
+    g = build_graph(parse_perm(args.perm), args.budget_words)
+    poset = build_poset(g)
+    return _Output(_graph_payload(g, poset), _graph_text(g), _dot(g, poset))
+
+
+def _cmd_poset(args) -> _Output:
     w = parse_perm(args.perm)
     g = build_graph(w, args.budget_words)
     poset = build_poset(g)
-    if args.format == "dot":
-        print(graph_dot(g, poset), end="")
-    elif args.format == "json":
-        _emit_json(graph_json(g, poset))
-    else:
-        rep = graph_checks(g)
-        print(f"G({','.join(map(str, w))}): {len(g)} vertices, {len(g.edges)} edges")
-        print(f"connected {rep.connected}, bipartite {rep.bipartite}")
-        for e in g.edges:
-            labels = "; ".join(f"letter {i} wires {list(ws)}" for i, ws in e.labels)
-            print(f"  {e.u} -- {e.v}  [{labels}]")
-    return 0
+    payload = {
+        "w": list(w),
+        "ranks": {str(cid): r for cid, r in sorted(poset.rank.items())},
+        "covers": [list(c) for c in poset.covers],
+    }
+    lines = chain(
+        (
+            f"{cid}: rank {poset.rank[cid]}  "
+            f"{_csv(g.vertices[cid].canonical.letters) or '(empty)'}"
+            for cid in poset.elements
+        ),
+        (f"  {upper} covers {lower}" for upper, lower in poset.covers),
+    )
+    return _Output(payload, lines, _dot(g, poset))
 
 
-def _cmd_poset(args) -> int:
-    w = parse_perm(args.perm)
-    g = build_graph(w, args.budget_words)
-    poset = build_poset(g)
-    if args.format == "dot":
-        print(graph_dot(g, poset), end="")
-    elif args.format == "json":
-        _emit_json(
-            {
-                "w": list(w),
-                "ranks": {str(cid): r for cid, r in sorted(poset.rank.items())},
-                "covers": [list(c) for c in poset.covers],
-            }
-        )
-    else:
-        for cid in poset.elements:
-            canon = ",".join(map(str, g.vertices[cid].canonical.letters)) or "(empty)"
-            print(f"{cid}: rank {poset.rank[cid]}  {canon}")
-        for upper, lower in poset.covers:
-            print(f"  {upper} covers {lower}")
-    return 0
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Output:
     w = parse_perm(args.perm)
     rep = size_bounds(w, compute_actual=args.actual, budget=args.budget_words)
-    payload = {
+    return _Output({
         "w": list(w),
         "Y": rep.y,
         "n321": rep.n321,
@@ -167,64 +209,36 @@ def _cmd_bounds(args) -> int:
         "alt_upper": rep.alt_upper,
         "actual": rep.actual,
         "notice": rep.notice,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
+    })
 
 
-def _cmd_aggregate(args) -> int:
+def _cmd_aggregate(args) -> _Output:
     rep = aggregate_bound_check(args.n, args.l, args.budget_words, cap=max(args.n, 8))
-    payload = {
-        "n": rep.n,
-        "l": rep.l,
-        "count_perms": rep.count_perms,
-        "sum_classes": rep.sum_classes,
-        "catalan": rep.catalan,
-        "four_power": rep.four_power,
-        "injective": rep.injective,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    if not rep.ok:
-        raise InvariantViolation(f"aggregate bound fails for n={args.n}, l={args.l}")
-    return 0
+    failed = None if rep.ok else f"aggregate bound fails for n={args.n}, l={args.l}"
+    return _Output(asdict(rep), violation=failed)
 
 
-def _cmd_subnet(args) -> int:
+def _cmd_subnet(args) -> _Output:
     w = parse_perm(args.perm)
     word = parse_word(args.word, len(w))
     x = parse_word_set(args.set, args.m)
-    actual = count_subnetworks(word, x)
     payload: dict = {
         "w": list(w),
         "word": list(word.letters),
         "m": x.m,
-        "count": actual,
+        "count": count_subnetworks(word, x),
     }
     if args.predict:
         if x == WARRINGTON_X and w == longest_element(len(w)):
             payload["predicted"] = predicted_count_w0_s4(word, len(w))
         elif x.perm is not None and pattern_count(x.perm, (3, 2, 1)) == 1 and x == _top_class(x.perm):
-            pred = predicted_count_friendly(w, word, x.perm)
-            payload["predicted"] = pred.predicted
+            payload["predicted"] = predicted_count_friendly(w, word, x.perm).predicted
         else:
             raise InputError("no applicable prediction formula for this word set")
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
+    return _Output(payload)
 
 
-def _cmd_warrington(args) -> int:
+def _cmd_warrington(args) -> _Output:
     w = longest_element(args.n)
     if args.classes:
         count = count_x_avoiding_classes(w, WARRINGTON_X, args.budget_words)
@@ -232,14 +246,10 @@ def _cmd_warrington(args) -> int:
     else:
         count = count_x_avoiding_words(w, WARRINGTON_X, args.budget_words)
         kind = "words"
-    if args.format == "json":
-        _emit_json({"n": args.n, "kind": kind, "count": count})
-    else:
-        print(count)
-    return 0
+    return _Output({"n": args.n, "kind": kind, "count": count}, [str(count)])
 
 
-def _cmd_rect(args) -> int:
+def _cmd_rect(args) -> _Output:
     w = parse_perm(args.perm)
     witness = rectangular_witness(w)
     spec = rectangle_label(w, args.budget_words)
@@ -251,17 +261,12 @@ def _cmd_rect(args) -> int:
         if spec
         else None,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    if (witness is None) != (spec is not None):
-        raise InvariantViolation(f"pattern test and labeling disagree for {w}")
-    return 0
+    agree = (witness is None) == (spec is not None)
+    failed = None if agree else f"pattern test and labeling disagree for {w}"
+    return _Output(payload, violation=failed)
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args) -> _Output:
     w = parse_perm(args.perm)
     g = build_graph(w, args.budget_words)
     rows = []
@@ -269,49 +274,39 @@ def _cmd_cycles(args) -> int:
         for a, b in combinations(sorted(g.neighbors(c.id)), 2):
             verdict = classify_edge_pair(g, c.id, a, b)
             rows.append({"v": c.id, "a": a, "b": b, "verdict": verdict.value})
-    if args.format == "json":
-        _emit_json({"w": list(w), "pairs": rows})
-    else:
-        for row in rows:
-            print(f"v={row['v']} edges ({row['v']},{row['a']}),({row['v']},{row['b']}): {row['verdict']}")
-    return 0
+    lines = (
+        f"v={r['v']} edges ({r['v']},{r['a']}),({r['v']},{r['b']}): {r['verdict']}"
+        for r in rows
+    )
+    return _Output({"w": list(w), "pairs": rows}, lines)
 
 
-def _cmd_cube(args) -> int:
+def _cmd_cube(args) -> _Output:
     w = parse_perm(args.perm)
     witness = embed_hypercube(w, args.budget_words)
+    classes = {
+        "".join(map(str, bits)) or "-": cid for bits, cid in sorted(witness.classes.items())
+    }
     payload = {
         "w": list(w),
         "dimension": witness.dimension,
         "base_word": list(witness.base_word.letters),
-        "classes": {
-            "".join(map(str, bits)) or "-": cid
-            for bits, cid in sorted(witness.classes.items())
-        },
+        "classes": classes,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"dimension {witness.dimension}")
-        print(f"base word {','.join(map(str, witness.base_word.letters))}")
-        for bits, cid in sorted(witness.classes.items()):
-            print(f"  {''.join(map(str, bits)) or '-'} -> class {cid}")
-    return 0
+    lines = chain(
+        [f"dimension {witness.dimension}", f"base word {_csv(witness.base_word.letters)}"],
+        (f"  {bits} -> class {cid}" for bits, cid in classes.items()),
+    )
+    return _Output(payload, lines)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> _Output:
     violations = scan_sn(
         args.n, args.budget_words, threads=_threads(args), cap=max(args.n, 8)
     )
-    if args.format == "json":
-        _emit_json({"n": args.n, "violations": violations})
-    else:
-        for v in violations:
-            print(v)
-        print(f"S_{args.n}: {len(violations)} violation(s)")
-    if violations:
-        raise InvariantViolation(f"{len(violations)} invariant violation(s) in S_{args.n}")
-    return 0
+    lines = [*violations, f"S_{args.n}: {len(violations)} violation(s)"]
+    failed = f"{len(violations)} invariant violation(s) in S_{args.n}" if violations else None
+    return _Output({"n": args.n, "violations": violations}, lines, violation=failed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,78 +324,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"redweave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
+    def add(name, handler, help, positionals=("perm",), options=None,
+            formats=("text", "json")):
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:  # a permutation is parsed by its command
+            p.add_argument(arg, type=str if arg == "perm" else int)
+        for flag, kwargs in (options or {}).items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--budget-words", type=_budget, default=WORD_BUDGET_DEFAULT)
+        p.set_defaults(func=handler)
 
-    p = sub.add_parser("words", help="list the reduced words of a permutation")
-    p.add_argument("perm")
-    common(p)
-    p.set_defaults(func=_cmd_words)
-
-    p = sub.add_parser("classes", help="canonical class representatives and sizes")
-    p.add_argument("perm")
-    common(p)
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("graph", help="the braid-move graph of the classes")
-    p.add_argument("perm")
-    common(p, ("text", "json", "dot"))
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("poset", help="the ranked class poset with covers")
-    p.add_argument("perm")
-    common(p, ("text", "json", "dot"))
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("bounds", help="class-count bounds for a permutation")
-    p.add_argument("perm")
-    p.add_argument("--actual", action="store_true", help="also count the classes")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("aggregate", help="summed class-count bound at fixed length")
-    p.add_argument("n", type=int)
-    p.add_argument("l", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_aggregate)
-
-    p = sub.add_parser("subnet", help="count subnetworks of a word")
-    p.add_argument("perm")
-    p.add_argument("--word", required=True)
-    p.add_argument("--set", required=True, help='"2,1,2" list, "warrington-x", ...')
-    p.add_argument("-m", type=int, default=None, help="pattern size for an empty set")
-    p.add_argument("--predict", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_subnet)
-
-    p = sub.add_parser("warrington", help="X-avoiding word count for n,n-1,...,1")
-    p.add_argument("n", type=int)
-    p.add_argument("--classes", action="store_true", help="count classes instead")
-    common(p)
-    p.set_defaults(func=_cmd_warrington)
-
-    p = sub.add_parser("rect", help="rectangularity report with grid labels")
-    p.add_argument("perm")
-    common(p)
-    p.set_defaults(func=_cmd_rect)
-
-    p = sub.add_parser("cycles", help="classify incident edge pairs of the graph")
-    p.add_argument("perm")
-    common(p)
-    p.set_defaults(func=_cmd_cycles)
-
-    p = sub.add_parser("cube", help="hypercube witness embedded in the graph")
-    p.add_argument("perm")
-    common(p)
-    p.set_defaults(func=_cmd_cube)
-
-    p = sub.add_parser("scan", help="run the invariant suite over all of S_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--threads", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_scan)
-
+    add("words", _cmd_words, "list the reduced words of a permutation")
+    add("classes", _cmd_classes, "canonical class representatives and sizes")
+    add("graph", _cmd_graph, "the braid-move graph of the classes",
+        formats=("text", "json", "dot"))
+    add("poset", _cmd_poset, "the ranked class poset with covers",
+        formats=("text", "json", "dot"))
+    add("bounds", _cmd_bounds, "class-count bounds for a permutation",
+        options={"--actual": {"action": "store_true", "help": "also count the classes"}})
+    add("aggregate", _cmd_aggregate, "summed class-count bound at fixed length", ("n", "l"))
+    add("subnet", _cmd_subnet, "count subnetworks of a word", options={
+        "--word": {"required": True},
+        "--set": {"required": True, "help": '"2,1,2" list, "warrington-x", ...'},
+        "-m": {"type": int, "default": None, "help": "pattern size for an empty set"},
+        "--predict": {"action": "store_true"},
+    })
+    add("warrington", _cmd_warrington, "X-avoiding word count for n,n-1,...,1", ("n",),
+        {"--classes": {"action": "store_true", "help": "count classes instead"}})
+    add("rect", _cmd_rect, "rectangularity report with grid labels")
+    add("cycles", _cmd_cycles, "classify incident edge pairs of the graph")
+    add("cube", _cmd_cube, "hypercube witness embedded in the graph")
+    add("scan", _cmd_scan, "run the invariant suite over all of S_n", ("n",),
+        {"--threads": {"type": int, "default": None}})
     return parser
 
 
@@ -408,7 +364,21 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if args.format == "json":
+            # default=list writes an iterator in a payload (the words of `words`) as a list
+            lines = [json.dumps({"schema": SCHEMA, **out.payload}, indent=2, default=list)]
+        elif args.format == "dot":
+            lines = out.dot
+        elif out.text is None:
+            lines = (f"{key}: {value}" for key, value in out.payload.items())
+        else:
+            lines = out.text
+        for line in lines:
+            print(line)
+        if out.violation is not None:
+            raise InvariantViolation(out.violation)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

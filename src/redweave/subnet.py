@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .classes import class_members, scan
 from .errors import InputError, WORD_BUDGET_DEFAULT
@@ -126,28 +126,25 @@ def induced_word(word: Word, subset: Iterable[int]) -> Word:
     return Word(_induced(crossing_events(word), sub), len(sub))
 
 
+def _subnetworks(word: Word, x: WordSet) -> Iterator[tuple[int, ...]]:
+    """The m-value subsets whose induced word lies in x, one at a time."""
+    if x.m > word.n or not x.words:
+        return
+    events = crossing_events(word)
+    members = x.words
+    for sub in combinations(range(1, word.n + 1), x.m):
+        if _induced(events, sub) in members:
+            yield sub
+
+
+def _avoids(word: Word, x: WordSet) -> bool:
+    """No X-subnetwork; stops at the first one found."""
+    return next(_subnetworks(word, x), None) is None
+
+
 def count_subnetworks(word: Word, x: WordSet) -> int:
     """Number of m-value subsets whose induced word lies in x."""
-    if x.m > word.n or not x.words:
-        return 0
-    events = crossing_events(word)
-    members = x.words
-    return sum(
-        1
-        for sub in combinations(range(1, word.n + 1), x.m)
-        if _induced(events, sub) in members
-    )
-
-
-def has_subnetwork(word: Word, x: WordSet) -> bool:
-    if x.m > word.n or not x.words:
-        return False
-    events = crossing_events(word)
-    members = x.words
-    return any(
-        _induced(events, sub) in members
-        for sub in combinations(range(1, word.n + 1), x.m)
-    )
+    return sum(1 for _ in _subnetworks(word, x))
 
 
 def count_212(word: Word) -> int:
@@ -187,13 +184,13 @@ def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAUL
         return sum(
             size
             for canon, size in s.class_sizes.items()
-            if not has_subnetwork(Word(canon, n), x)
+            if _avoids(Word(canon, n), x)
         )
     return sum(
         1
         for canon in s.class_sizes
         for ls in class_members(canon)
-        if not has_subnetwork(Word(ls, n), x)
+        if _avoids(Word(ls, n), x)
     )
 
 
@@ -205,7 +202,7 @@ def count_x_avoiding_classes(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFA
     """
     s = scan(w, budget)
     n = len(s.w)
-    return sum(1 for canon in s.class_sizes if not has_subnetwork(Word(canon, n), x))
+    return sum(1 for canon in s.class_sizes if _avoids(Word(canon, n), x))
 
 
 @dataclass(frozen=True)

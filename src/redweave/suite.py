@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bounds import aggregate_reports
+from .bounds import aggregate_reports, size_bounds
 from .classes import ClassGraph, build_graph, build_poset, graph_checks, scan
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, avoids, enumerate_sn, inversions, pattern_count
+from .perm import Perm, avoids, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     _embed_hypercube,
@@ -38,14 +38,11 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(str(exc))
         poset = None
 
-    l = inversions(w)
-    n321 = pattern_count(w, (3, 2, 1))
-    y = s.max_windows
+    bounds = size_bounds(w, compute_actual=False, budget=budget)
     actual = len(g)
-    half = (y + 1) // 2
-    if not (2**half + n321 - half <= actual):
+    if actual < bounds.lower:
         out.append(f"lower bound fails for {w}")
-    if l >= 1 and not actual < 3**l:
+    if inversions(w) >= 1 and actual >= bounds.upper:
         out.append(f"upper bound fails for {w}")
 
     try:
@@ -53,8 +50,8 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
     except InvariantViolation as exc:
         out.append(str(exc))
 
-    if is_freely_braided(w) and actual != 2**y:
-        out.append(f"freely braided {w} has {actual} classes, expected 2^{y}")
+    if is_freely_braided(w) and actual != 2**bounds.y:
+        out.append(f"freely braided {w} has {actual} classes, expected 2^{bounds.y}")
 
     label = _rectangle_label(g, poset) if poset is not None else None
     if is_rectangular(w) != (label is not None):
@@ -65,8 +62,10 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         and len(g.edges) == actual - 1
         and all(len(g.neighbors(c.id)) <= 2 for c in g.vertices)
     )
-    if is_path and actual != n321 + 1:
-        out.append(f"G({w}) is a path with {actual} != N321+1 = {n321 + 1} vertices")
+    if is_path and actual != bounds.n321 + 1:
+        out.append(
+            f"G({w}) is a path with {actual} != N321+1 = {bounds.n321 + 1} vertices"
+        )
 
     if avoids(w, (4, 3, 2, 1)):
         # an induced 8-cycle of a 4321-avoider is a grid's rim, as in

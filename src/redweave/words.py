@@ -7,7 +7,6 @@ length equals the inversion number of the permutation it evaluates to.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
@@ -19,17 +18,6 @@ Letters = tuple[int, ...]
 class Word(NamedTuple):
     letters: Letters
     n: int  # ambient size: letters range over 1..n-1
-
-
-class MoveKind(Enum):
-    COMMUTATION = "commutation"
-    BRAID_UP = "braid_up"      # window (i, i+1, i); raises the index sum by 1
-    BRAID_DOWN = "braid_down"  # window (i+1, i, i+1); lowers the index sum by 1
-
-
-class Move(NamedTuple):
-    kind: MoveKind
-    pos: int  # 1-based index of the leftmost letter of the affected window
 
 
 def word_of(letters, n: int) -> Word:
@@ -219,48 +207,6 @@ def braid_windows(letters: Letters) -> list[int]:
         for p in range(len(letters) - 2)
         if letters[p] == letters[p + 2] and abs(letters[p + 1] - letters[p]) == 1
     ]
-
-
-def list_moves(word: Word) -> list[Move]:
-    """All commutation positions and long-braid windows of a reduced word.
-
-    Overlapping windows are each reported.
-
-    >>> [(m.kind.value, m.pos) for m in list_moves(Word((2, 1, 2, 3, 2), 4))]
-    [('braid_down', 1), ('braid_up', 3)]
-    """
-    ls = word.letters
-    out = []
-    for p in range(len(ls) - 1):
-        if abs(ls[p] - ls[p + 1]) >= 2:
-            out.append(Move(MoveKind.COMMUTATION, p + 1))
-    for p in braid_windows(ls):
-        kind = MoveKind.BRAID_UP if ls[p + 1] > ls[p] else MoveKind.BRAID_DOWN
-        out.append(Move(kind, p + 1))
-    out.sort(key=lambda m: (m.pos, m.kind.value))
-    return out
-
-
-def apply_move(word: Word, move: Move) -> Word:
-    """Rewrite the word under the given move; the evaluation is unchanged."""
-    ls = list(word.letters)
-    p = move.pos - 1
-    if move.kind is MoveKind.COMMUTATION:
-        if not (0 <= p < len(ls) - 1) or abs(ls[p] - ls[p + 1]) < 2:
-            raise InputError(f"no commutation at position {move.pos} of {word.letters}")
-        ls[p], ls[p + 1] = ls[p + 1], ls[p]
-    else:
-        if not (0 <= p < len(ls) - 2):
-            raise InputError(f"no 3-letter window at position {move.pos}")
-        a, b, c = ls[p : p + 3]
-        want_up = move.kind is MoveKind.BRAID_UP
-        if a != c or b != (a + 1 if want_up else a - 1):
-            raise InputError(
-                f"window {ls[p:p + 3]} at position {move.pos} is not a "
-                f"{move.kind.value} window"
-            )
-        ls[p : p + 3] = [b, a, b]
-    return Word(tuple(ls), word.n)
 
 
 def canonical_letters(letters: Letters) -> Letters:

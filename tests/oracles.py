@@ -6,13 +6,17 @@ everything from the raw rewriting relations so the fast paths can be
 checked against them.  ``word_walk_scan`` is the word-by-word sweep that
 the class-level ``scan`` replaced; it rests only on the word-level
 enumeration and canonical form, which the closures here check.
+``list_moves`` and ``apply_move`` name and apply the single rewrites of
+one word, as ``rewrite_neighbors`` does without naming them.
 """
 
+from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
-from redweave import Word
+from redweave import InputError, Word
 from redweave.perm import Perm, identity
-from redweave.words import canonical_letters, reduced_letter_seqs
+from redweave.words import braid_windows, canonical_letters, reduced_letter_seqs
 
 
 def one_reduced_word(w: Perm) -> tuple[int, ...]:
@@ -169,3 +173,56 @@ def word_walk_scan(w: Perm) -> dict:
         "max_windows": best,
         "max_window_word": best_word,
     }
+
+
+class MoveKind(Enum):
+    COMMUTATION = "commutation"
+    BRAID_UP = "braid_up"      # window (i, i+1, i); raises the index sum by 1
+    BRAID_DOWN = "braid_down"  # window (i+1, i, i+1); lowers the index sum by 1
+
+
+class Move(NamedTuple):
+    kind: MoveKind
+    pos: int  # 1-based index of the leftmost letter of the affected window
+
+
+def list_moves(word: Word) -> list[Move]:
+    """All commutation positions and long-braid windows of a reduced word.
+
+    Overlapping windows are each reported.
+
+    >>> [(m.kind.value, m.pos) for m in list_moves(Word((2, 1, 2, 3, 2), 4))]
+    [('braid_down', 1), ('braid_up', 3)]
+    """
+    ls = word.letters
+    out = []
+    for p in range(len(ls) - 1):
+        if abs(ls[p] - ls[p + 1]) >= 2:
+            out.append(Move(MoveKind.COMMUTATION, p + 1))
+    for p in braid_windows(ls):
+        kind = MoveKind.BRAID_UP if ls[p + 1] > ls[p] else MoveKind.BRAID_DOWN
+        out.append(Move(kind, p + 1))
+    out.sort(key=lambda m: (m.pos, m.kind.value))
+    return out
+
+
+def apply_move(word: Word, move: Move) -> Word:
+    """Rewrite the word under the given move; the evaluation is unchanged."""
+    ls = list(word.letters)
+    p = move.pos - 1
+    if move.kind is MoveKind.COMMUTATION:
+        if not (0 <= p < len(ls) - 1) or abs(ls[p] - ls[p + 1]) < 2:
+            raise InputError(f"no commutation at position {move.pos} of {word.letters}")
+        ls[p], ls[p + 1] = ls[p + 1], ls[p]
+    else:
+        if not (0 <= p < len(ls) - 2):
+            raise InputError(f"no 3-letter window at position {move.pos}")
+        a, b, c = ls[p : p + 3]
+        want_up = move.kind is MoveKind.BRAID_UP
+        if a != c or b != (a + 1 if want_up else a - 1):
+            raise InputError(
+                f"window {ls[p:p + 3]} at position {move.pos} is not a "
+                f"{move.kind.value} window"
+            )
+        ls[p : p + 3] = [b, a, b]
+    return Word(tuple(ls), word.n)

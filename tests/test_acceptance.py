@@ -9,7 +9,14 @@ from itertools import combinations
 
 import networkx as nx
 
-from oracles import all_words_bfs, classes_bfs, induced_cycle_lengths
+from oracles import (
+    MoveKind,
+    all_words_bfs,
+    apply_move,
+    classes_bfs,
+    induced_cycle_lengths,
+    list_moves,
+)
 from redweave.bounds import aggregate_bound_check, paren_encoding
 from redweave.classes import build_graph, build_poset, graph_checks, scan
 from redweave.perm import (
@@ -34,14 +41,7 @@ from redweave.subnet import (
     predicted_count_w0_s4,
     _induced,
 )
-from redweave.words import (
-    MoveKind,
-    Word,
-    apply_move,
-    canonical_letters,
-    enumerate_reduced_words,
-    list_moves,
-)
+from redweave.words import Word, canonical_letters, enumerate_reduced_words
 
 
 def report(criterion: str, ok: bool) -> None:

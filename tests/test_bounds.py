@@ -5,13 +5,20 @@ from redweave.bounds import (
     aggregate_bound_check,
     aggregate_reports,
     catalan,
-    catalan_recurrence,
     paren_encoding,
     size_bounds,
 )
 from redweave.classes import scan
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.suite import _worker
+
+
+def catalan_recurrence(m: int) -> int:
+    """The m-th Catalan number by the convolution recurrence."""
+    c = [1]
+    for k in range(1, m + 1):
+        c.append(sum(c[j] * c[k - 1 - j] for j in range(k)))
+    return c[m]
 
 
 def test_catalan_values():

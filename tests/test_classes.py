@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -12,8 +11,6 @@ from redweave.classes import (
     class_members,
     enumerate_classes,
     graph_checks,
-    graph_dot,
-    graph_json,
     scan,
 )
 from redweave.perm import enumerate_sn, identity, longest_element
@@ -165,25 +162,6 @@ def test_rank_constant_on_class_members(s5):
                 count_212(Word(ls, len(w))) for ls in class_members(c.canonical.letters)
             }
             assert len(counts) == 1
-
-
-def test_graph_json_shape():
-    g = build_graph((3, 4, 2, 1))
-    doc = graph_json(g, build_poset(g))
-    assert doc["schema"] == "redweave/1"
-    assert doc["w"] == [3, 4, 2, 1]
-    assert [v["rank"] for v in doc["vertices"]] == [0, 1, 2]
-    assert doc["edges"][0]["labels"] == [{"letter": 1, "wires": [1, 2, 3]}]
-    json.dumps(doc)  # serializable
-
-
-def test_graph_dot_deterministic():
-    g = build_graph((3, 4, 2, 1))
-    out = graph_dot(g, build_poset(g))
-    fresh = build_graph((3, 4, 2, 1))
-    assert out == graph_dot(fresh, build_poset(fresh))
-    assert out.startswith("graph G {")
-    assert "n0 -- n1;" in out and "rank=same" in out
 
 
 def test_index_sum_parity_splits_edges(s5):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from redweave import cli
+from redweave.bounds import aggregate_bound_check
 from redweave.cli import run
+from redweave.words import Word
 
 
 def out_of(capsys):
@@ -17,6 +21,17 @@ def out_of(capsys):
 def test_words_text(capsys):
     assert run(["words", "321"]) == 0
     assert out_of(capsys) == "1,2,1\n2,1,2\ncount 2\n"
+
+
+def test_words_text_streams(capsys, monkeypatch):
+    def one_word_then_fail(w, budget):
+        yield Word((1, 2, 1), 3)
+        raise RuntimeError("the word source failed after one word")
+
+    monkeypatch.setattr(cli, "enumerate_reduced_words", one_word_then_fail)
+    with pytest.raises(RuntimeError):
+        run(["words", "321"])
+    assert out_of(capsys) == "1,2,1\n"  # printed before the next word was asked for
 
 
 def test_words_identity(capsys):
@@ -43,6 +58,24 @@ def test_graph_json_and_dot(capsys):
     assert first.startswith("graph G {")
 
 
+def test_graph_json_shape(capsys):
+    assert run(["graph", "3421", "--format", "json"]) == 0
+    doc = json.loads(out_of(capsys))
+    assert doc["schema"] == "redweave/1"
+    assert doc["w"] == [3, 4, 2, 1]
+    assert [v["rank"] for v in doc["vertices"]] == [0, 1, 2]
+    assert doc["edges"][0]["labels"] == [{"letter": 1, "wires": [1, 2, 3]}]
+
+
+def test_graph_dot_deterministic(capsys):
+    assert run(["graph", "3421", "--format", "dot"]) == 0
+    out = out_of(capsys)
+    assert run(["graph", "3421", "--format", "dot"]) == 0
+    assert out == out_of(capsys)
+    assert out.startswith("graph G {")
+    assert "n0 -- n1;" in out and "rank=same" in out
+
+
 def test_poset_json(capsys):
     assert run(["poset", "3421", "--format", "json"]) == 0
     doc = json.loads(out_of(capsys))
@@ -63,6 +96,15 @@ def test_aggregate(capsys):
     assert run(["aggregate", "3", "3"]) == 0
     assert run(["aggregate", "3", "100"]) == 1  # no w in S_3 has length 100
     assert run(["aggregate", "3", "-1"]) == 1
+
+
+def test_violation_is_raised_after_printing(capsys, monkeypatch):
+    failing = dataclasses.replace(aggregate_bound_check(3, 2), injective=False)
+    monkeypatch.setattr(cli, "aggregate_bound_check", lambda *args, **kwargs: failing)
+    assert run(["aggregate", "3", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out.endswith("injective: False\n")
+    assert err == "invariant violation: aggregate bound fails for n=3, l=2\n"
 
 
 def test_subnet_with_prediction(capsys):

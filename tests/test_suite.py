@@ -31,6 +31,17 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
     assert calls == {"build_graph": 1, "build_poset": 1}
 
 
+def test_bound_checks_use_size_bounds(monkeypatch):
+    w = (3, 4, 2, 1)  # 3 classes
+    real = suite.size_bounds(w, compute_actual=False)
+    wrong = dataclasses.replace(real, lower=4, upper=3)
+    monkeypatch.setattr(suite, "size_bounds", lambda *args, **kwargs: wrong)
+    assert suite.check_permutation(w) == [
+        f"lower bound fails for {w}",
+        f"upper bound fails for {w}",
+    ]
+
+
 def test_grid_octagons_pass_the_eight_cycle_check():
     # G(436512) is a 3x3 grid: 4321-avoiding, yet its rim is an induced 8-cycle
     w = (4, 3, 6, 5, 1, 2)

@@ -3,14 +3,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import all_words_bfs, commutation_class_bfs
+from oracles import (
+    Move,
+    MoveKind,
+    all_words_bfs,
+    apply_move,
+    commutation_class_bfs,
+    list_moves,
+)
 from redweave import InputError, BudgetExceeded
 from redweave.perm import enumerate_sn, identity, inversions, longest_element
 from redweave.words import (
-    Move,
-    MoveKind,
     Word,
-    apply_move,
     canonical_form,
     canonical_letters,
     count_reduced_words,
@@ -18,7 +22,6 @@ from redweave.words import (
     evaluate,
     index_sum,
     is_reduced,
-    list_moves,
     parse_word,
     word_of,
 )
