@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
-from .classes import scan
+from .classes import build_graph
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, enumerate_sn, inversions, pattern_count
 from .words import Letters
@@ -43,7 +43,7 @@ def size_bounds(w: Perm, compute_actual: bool = True,
     notice = None
     if compute_actual:
         try:
-            actual = len(scan(w, budget).class_sizes)
+            actual = len(build_graph(w, budget))
         except BudgetExceeded as exc:
             notice = str(exc)
     return BoundsReport(w, y, n321, lower, 3**l, 2.487**l, actual, notice)
@@ -116,7 +116,7 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     if not 0 <= l <= n * (n - 1) // 2:
         raise InputError(f"length {l} is outside 0..{n * (n - 1) // 2} for S_{n}")
     groups = [
-        scan(w, budget).class_sizes
+        [c.canonical.letters for c in build_graph(w, budget).vertices]
         for w in enumerate_sn(n, cap=cap)
         if inversions(w) == l
     ]

@@ -1,11 +1,16 @@
-"""Commutation classes, the braid-move graph G(w), and its ranked poset P(w)."""
+"""Commutation classes, the braid-move graph G(w), and its ranked poset P(w).
+
+``build_graph(w, budget)`` is G(w), cached and guarded by the word budget:
+``g.vertices`` are the classes (id, canonical word, size) in lexicographic
+order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, check_perm, identity, inverse, pattern_count
@@ -22,21 +27,6 @@ from .words import (
 
 Wires = tuple[int, int, int]
 EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
-
-
-@dataclass(frozen=True)
-class WordScan:
-    """Everything the reduced words of w tell us, computed class by class.
-
-    The mappings are read-only: the result is cached and shared.
-    """
-
-    w: Perm
-    word_count: int
-    class_sizes: Mapping[Letters, int]  # canonical letters -> member count
-    edges: Mapping[tuple[Letters, Letters], frozenset[EdgeLabel]]
-    max_windows: int           # Y: most long-braid windows in a single word
-    max_window_word: Letters   # lexicographically least word attaining it
 
 
 def _canonical_words(w: Perm) -> list[Letters]:
@@ -179,42 +169,6 @@ def _most_windows(w: Perm) -> tuple[int, Letters]:
     return y, tuple(word)
 
 
-@lru_cache(maxsize=4096)
-def _scan_impl(w: Perm) -> WordScan:
-    n = len(w)
-    sizes: dict[Letters, int] = {}
-    edges: dict[tuple[Letters, Letters], set[EdgeLabel]] = {}
-    for canon in _canonical_words(w):
-        sizes[canon] = _class_size(canon, n)
-        # each edge is recorded from its downward side only
-        for target, label in _down_braids(canon, n):
-            key = (canon, target) if canon < target else (target, canon)
-            edges.setdefault(key, set()).add(label)
-    y, y_word = _most_windows(w)
-    return WordScan(
-        w=w,
-        word_count=sum(sizes.values()),
-        class_sizes=MappingProxyType(sizes),
-        edges=MappingProxyType({k: frozenset(v) for k, v in edges.items()}),
-        max_windows=y,
-        max_window_word=y_word,
-    )
-
-
-@lru_cache(maxsize=4096)
-def _word_total(w: Perm) -> int:
-    return count_reduced_words(w)
-
-
-def scan(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> WordScan:
-    """The cached class-level scan of w; refused when |R(w)| exceeds budget."""
-    w = check_perm(w)
-    total = _word_total(w)
-    if total > budget:
-        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
-    return _scan_impl(w)
-
-
 @dataclass(frozen=True)
 class CommClass:
     id: int
@@ -232,31 +186,62 @@ class ClassGraph:
     """G(w): one vertex per commutation class, edges labeled by braid moves.
 
     Vertex ids are dense integers in lexicographic order of the
-    canonical words, so output is reproducible.
+    canonical words, so output is reproducible.  Y and the least word
+    attaining it ride along.  The graph is cached and shared: read-only.
     """
 
-    def __init__(self, w: Perm, vertices: tuple[CommClass, ...], edges: tuple[Edge, ...]):
+    def __init__(self, w: Perm, vertices: tuple[CommClass, ...], edges: tuple[Edge, ...],
+                 max_windows: int, max_window_word: Letters):
         self.w = w
         self.n = len(w)
         self.vertices = vertices
         self.edges = edges
-        self._index: dict[Letters, int] = {c.canonical.letters: c.id for c in vertices}
-        self._adj: dict[int, set[int]] = {c.id: set() for c in vertices}
-        for e in edges:
-            self._adj[e.u].add(e.v)
-            self._adj[e.v].add(e.u)
+        self.max_windows = max_windows
+        self.max_window_word = max_window_word
+        adj: list[list[int]] = [[] for _ in vertices]
+        for u, v, _ in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(map(frozenset, adj))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, cid: int) -> set[int]:
+    def neighbors(self, cid: int) -> frozenset[int]:
         return self._adj[cid]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
     def class_by_canonical(self, letters: Letters) -> CommClass:
-        return self.vertices[self._index[letters]]
+        i = bisect_left(self.vertices, letters, key=lambda c: c.canonical.letters)
+        if i == len(self.vertices) or self.vertices[i].canonical.letters != letters:
+            raise KeyError(letters)
+        return self.vertices[i]
+
+
+@lru_cache(maxsize=4096)
+def _scan_impl(w: Perm) -> ClassGraph:
+    """G(w): the DFS yields canonical words in lexicographic order, so a
+    class's id is its position.  Each edge is found from its downward side."""
+    n = len(w)
+    canons = _canonical_words(w)
+    ids = {canon: i for i, canon in enumerate(canons)}
+    vertices = []
+    labels: dict[tuple[int, int], set[EdgeLabel]] = {}
+    for u, canon in enumerate(canons):
+        vertices.append(CommClass(u, Word(canon, n), _class_size(canon, n)))
+        for target, label in _down_braids(canon, n):
+            v = ids[target]
+            labels.setdefault((u, v) if u < v else (v, u), set()).add(label)
+    edges = tuple(Edge(u, v, tuple(sorted(ls))) for (u, v), ls in sorted(labels.items()))
+    del canons, ids, labels  # before the adjacency is built, to keep the peak down
+    return ClassGraph(w, tuple(vertices), edges, *_most_windows(w))
+
+
+@lru_cache(maxsize=4096)
+def _word_total(w: Perm) -> int:
+    return count_reduced_words(w)
 
 
 def class_members(letters: Letters) -> set[Letters]:
@@ -278,28 +263,16 @@ def class_members(letters: Letters) -> set[Letters]:
 
 def enumerate_classes(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[CommClass]:
     """The commutation classes of w, ordered by canonical word."""
-    s = scan(w, budget)
-    n = len(s.w)
-    return [
-        CommClass(i, Word(c, n), s.class_sizes[c])
-        for i, c in enumerate(sorted(s.class_sizes))
-    ]
+    return list(build_graph(w, budget).vertices)
 
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
-    s = scan(w, budget)
-    n = len(s.w)
-    canon_order = sorted(s.class_sizes)
-    ids = {c: i for i, c in enumerate(canon_order)}
-    vertices = tuple(
-        CommClass(i, Word(c, n), s.class_sizes[c]) for i, c in enumerate(canon_order)
-    )
-    edges = []
-    for (a, b), labels in s.edges.items():
-        u, v = sorted((ids[a], ids[b]))
-        edges.append(Edge(u, v, tuple(sorted(labels))))
-    edges.sort(key=lambda e: (e.u, e.v))
-    return ClassGraph(s.w, vertices, tuple(edges))
+    """The cached G(w); refused when |R(w)| exceeds budget."""
+    w = check_perm(w)
+    total = _word_total(w)
+    if total > budget:
+        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+    return _scan_impl(w)
 
 
 @dataclass(frozen=True)
@@ -317,7 +290,7 @@ def build_poset(g: ClassGraph) -> RankedPoset:
     Raises ``InvariantViolation`` unless every edge joins index sums one
     apart, every cover drops the rank by one, and the ranks fill 0..N321.
     """
-    from .subnet import count_212  # subnet imports this module for scan
+    from .subnet import count_212  # subnet imports this module for build_graph
 
     ranks = {c.id: count_212(c.canonical) for c in g.vertices}
     sums = {c.id: sum(c.canonical.letters) for c in g.vertices}

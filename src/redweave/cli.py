@@ -47,6 +47,7 @@ from .subnet import (
     parse_word_set,
     predicted_count_friendly,
     predicted_count_w0_s4,
+    _check_word_of,
     _top_class,
 )
 from .suite import scan_sn
@@ -221,6 +222,7 @@ def _cmd_aggregate(args) -> _Output:
 def _cmd_subnet(args) -> _Output:
     w = parse_perm(args.perm)
     word = parse_word(args.word, len(w))
+    _check_word_of(w, word)
     x = parse_word_set(args.set, args.m)
     payload: dict = {
         "w": list(w),
@@ -301,9 +303,7 @@ def _cmd_cube(args) -> _Output:
 
 
 def _cmd_scan(args) -> _Output:
-    violations = scan_sn(
-        args.n, args.budget_words, threads=_threads(args), cap=max(args.n, 8)
-    )
+    violations = scan_sn(args.n, args.budget_words, threads=_threads(args))
     lines = [*violations, f"S_{args.n}: {len(violations)} violation(s)"]
     failed = f"{len(violations)} invariant violation(s) in S_{args.n}" if violations else None
     return _Output({"n": args.n, "violations": violations}, lines, violation=failed)

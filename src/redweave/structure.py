@@ -6,14 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 
-from .classes import (
-    ClassGraph,
-    RankedPoset,
-    WordScan,
-    build_graph,
-    build_poset,
-    scan,
-)
+from .classes import ClassGraph, RankedPoset, build_graph, build_poset
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, pattern_occurrences
 from .words import Word, braid_windows, canonical_letters
@@ -37,7 +30,7 @@ RECT_PATTERNS: tuple[Perm, ...] = (
 
 def max_braid_moves(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> int:
     """Y: the most long-braid windows any single reduced word of w has."""
-    return scan(w, budget).max_windows
+    return build_graph(w, budget).max_windows
 
 
 def is_freely_braided(w: Perm) -> bool:
@@ -67,17 +60,14 @@ def embed_hypercube(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> HypercubeWitn
     every subset of its same-direction braid moves (those are pairwise
     disjoint), and verifies the resulting classes form a hypercube.
     """
-    return _embed_hypercube(build_graph(w, budget), scan(w, budget))
-
-
-def _embed_hypercube(g: ClassGraph, s: WordScan) -> HypercubeWitness:
-    ls = s.max_window_word
+    g = build_graph(w, budget)
+    ls = g.max_window_word
     windows = braid_windows(ls)
     down = [p for p in windows if ls[p + 1] == ls[p] - 1]
     up = [p for p in windows if ls[p + 1] == ls[p] + 1]
     chosen = down if len(down) >= len(up) else up
     k = len(chosen)
-    need = (s.max_windows + 1) // 2
+    need = (g.max_windows + 1) // 2
     if k < need or any(q - p < 3 for p, q in zip(chosen, chosen[1:])):
         raise InvariantViolation(
             f"same-direction moves of {ls} are not {need} disjoint windows"

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .classes import class_members, scan
+from .classes import build_graph, class_members
 from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, longest_element, pattern_count, pattern_occurrences
 from .words import Letters, Word, evaluate, index_sum
@@ -52,7 +52,8 @@ TOP_212 = word_set([(2, 1, 2)], 3)
 
 def s4_longest_classes() -> list[WordSet]:
     """The commutation classes of the longest word of S_4, each as a WordSet."""
-    return [word_set(class_members(c), 4) for c in sorted(scan((4, 3, 2, 1)).class_sizes)]
+    g = build_graph((4, 3, 2, 1))
+    return [word_set(class_members(c.canonical.letters), 4) for c in g.vertices]
 
 
 def parse_word_set(text: str, m: int | None = None) -> WordSet:
@@ -178,19 +179,14 @@ def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAUL
     canonical word and counted with its size.  Otherwise every member
     word is tested.
     """
-    s = scan(w, budget)
-    n = len(s.w)
+    g = build_graph(w, budget)
     if all(class_members(ls) <= x.words for ls in x.words):
-        return sum(
-            size
-            for canon, size in s.class_sizes.items()
-            if _avoids(Word(canon, n), x)
-        )
+        return sum(c.size for c in g.vertices if _avoids(c.canonical, x))
     return sum(
         1
-        for canon in s.class_sizes
-        for ls in class_members(canon)
-        if _avoids(Word(ls, n), x)
+        for c in g.vertices
+        for ls in class_members(c.canonical.letters)
+        if _avoids(Word(ls, g.n), x)
     )
 
 
@@ -200,9 +196,7 @@ def count_x_avoiding_classes(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFA
     The subnetwork count is constant on a class, so testing each
     canonical representative once suffices.
     """
-    s = scan(w, budget)
-    n = len(s.w)
-    return sum(1 for canon in s.class_sizes if _avoids(Word(canon, n), x))
+    return sum(1 for c in build_graph(w, budget).vertices if _avoids(c.canonical, x))
 
 
 @dataclass(frozen=True)
@@ -235,10 +229,15 @@ class FriendlyPrediction:
     x: WordSet
 
 
+def _check_word_of(w: Perm, word: Word) -> None:
+    if evaluate(word) != (w, True):
+        raise InputError(f"{word.letters} is not a reduced word of {w}")
+
+
 def _top_class(p: Perm) -> WordSet:
     """The commutation class of p with the highest index sum, as a WordSet."""
-    top = max(scan(p).class_sizes, key=lambda c: (sum(c), c))
-    return word_set(class_members(top), len(p))
+    top = max(build_graph(p).vertices, key=lambda c: (index_sum(c.canonical), c.canonical))
+    return word_set(class_members(top.canonical.letters), len(p))
 
 
 def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction:
@@ -253,11 +252,9 @@ def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction
     fr = friendliness(w, p)
     if fr.k is None:
         raise InputError(f"{w} is not {p}-friendly")
-    wp, reduced = evaluate(word)
-    if wp != w or not reduced:
-        raise InputError(f"{word.letters} is not a reduced word of {w}")
+    _check_word_of(w, word)
     x = _top_class(p)
-    c = min(sum(canon) for canon in scan(w).class_sizes)  # index sum is a class invariant
+    c = min(index_sum(v.canonical) for v in build_graph(w).vertices)  # a class invariant
     predicted = fr.k * index_sum(word) - c
     return FriendlyPrediction(predicted, count_subnetworks(word, x), fr.k, c, x)
 

@@ -5,15 +5,15 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bounds import aggregate_reports, size_bounds
-from .classes import ClassGraph, build_graph, build_poset, graph_checks, scan
+from .classes import ClassGraph, build_graph, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
-    _embed_hypercube,
     _rectangle_label,
     classify_edge_pair,
     edge_label_report,
+    embed_hypercube,
     is_freely_braided,
     is_rectangular,
 )
@@ -23,7 +23,6 @@ from .words import Letters, _install_tables, _SweepTables
 def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
     """All per-permutation invariants; returns human-readable violations."""
     out: list[str] = []
-    s = scan(w, budget)
     g = build_graph(w, budget)
     rep = graph_checks(g)
     if not rep.connected:
@@ -46,7 +45,7 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(f"upper bound fails for {w}")
 
     try:
-        _embed_hypercube(g, s)
+        embed_hypercube(w, budget)
     except InvariantViolation as exc:
         out.append(str(exc))
 
@@ -94,15 +93,15 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
 def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
     """The violations of w and its canonical words, for the aggregate bound."""
     w, budget = args
-    return check_permutation(w, budget), tuple(scan(w, budget).class_sizes)
+    canonicals = tuple(c.canonical.letters for c in build_graph(w, budget).vertices)
+    return check_permutation(w, budget), canonicals
 
 
 def _init_worker() -> None:
     _install_tables(_SweepTables())  # a pool worker lives as long as its sweep
 
 
-def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1,
-            cap: int = 8) -> list[str]:
+def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
     The sweep is one job.  Its permutations share the memos of the
@@ -113,7 +112,7 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1,
     of its tables at once, and the pool ends on the cheapest ones.
     Violations are reported in lexicographic order of w either way.
     """
-    perms = list(enumerate_sn(n, cap=cap))
+    perms = list(enumerate_sn(n))
     heaviest_first = sorted(perms, key=lambda w: (-inversions(w), w))
     jobs = [(w, budget) for w in heaviest_first]
     if threads > 1:

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from redweave import enumerate_sn
-from redweave.classes import scan
+from redweave.classes import build_graph
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,6 @@ def s6():
 
 
 @pytest.fixture(scope="session")
-def s6_scans(s6):
-    # one sweep over all reduced words of S_6, shared by the heavy criteria
-    return {w: scan(w) for w in s6}
+def s6_graphs(s6):
+    # G(w) for all of S_6, shared by the heavy criteria
+    return {w: build_graph(w) for w in s6}

@@ -3,9 +3,10 @@
 Apart from ``word_walk_scan``, nothing here uses the library's
 canonicalization, descent recursion, or cycle classifier; these re-derive
 everything from the raw rewriting relations so the fast paths can be
-checked against them.  ``word_walk_scan`` is the word-by-word sweep that
-the class-level ``scan`` replaced; it rests only on the word-level
+checked against them.  ``word_walk_scan`` is a word-by-word sweep that
+the class-level ``build_graph`` replaced; it rests only on the word-level
 enumeration and canonical form, which the closures here check.
+``graph_as_scan`` puts a ``ClassGraph`` in the shape it returns.
 ``list_moves`` and ``apply_move`` name and apply the single rewrites of
 one word, as ``rewrite_neighbors`` does without naming them.
 """
@@ -136,7 +137,10 @@ def count_subnetworks_brute(word: Word, members: set, m: int) -> int:
 
 
 def word_walk_scan(w: Perm) -> dict:
-    """Every ``WordScan`` field of w, by visiting each reduced word in turn."""
+    """Class sizes, edge labels and Y of w, by visiting each reduced word in turn.
+
+    Classes and edges are keyed by canonical words.
+    """
     n = len(w)
     sizes: dict[tuple[int, ...], int] = {}
     edges: dict[tuple, set] = {}
@@ -172,6 +176,19 @@ def word_walk_scan(w: Perm) -> dict:
         "edges": {k: frozenset(v) for k, v in edges.items()},
         "max_windows": best,
         "max_window_word": best_word,
+    }
+
+
+def graph_as_scan(g) -> dict:
+    """A ``ClassGraph`` in the shape ``word_walk_scan`` returns."""
+    canon = [c.canonical.letters for c in g.vertices]
+    return {
+        "w": g.w,
+        "word_count": sum(c.size for c in g.vertices),
+        "class_sizes": {c.canonical.letters: c.size for c in g.vertices},
+        "edges": {(canon[e.u], canon[e.v]): frozenset(e.labels) for e in g.edges},
+        "max_windows": g.max_windows,
+        "max_window_word": g.max_window_word,
     }
 
 

@@ -1,7 +1,7 @@
 """Acceptance gate: the full battery of required end-to-end checks.
 
 Each test prints a single pass/fail line for its criterion.  The heavy
-sweeps share one cached scan per permutation through the session fixtures.
+sweeps share one cached G(w) per permutation through the session fixtures.
 """
 
 import time
@@ -18,7 +18,7 @@ from oracles import (
     list_moves,
 )
 from redweave.bounds import aggregate_bound_check, paren_encoding
-from redweave.classes import build_graph, build_poset, graph_checks, scan
+from redweave.classes import build_graph, build_poset, graph_checks
 from redweave.perm import (
     enumerate_sn,
     inversions,
@@ -123,16 +123,16 @@ def up_to_sn(top):
         yield from enumerate_sn(n)
 
 
-def test_criterion_03_size_bounds_s6(s6_scans):
+def test_criterion_03_size_bounds_s6(s6_graphs):
     start = time.perf_counter()
     ok = True
     for w in up_to_sn(6):
         l = inversions(w)
         if l < 1:
             continue
-        s = s6_scans[w] if len(w) == 6 else scan(w)
-        actual = len(s.class_sizes)
-        half = (s.max_windows + 1) // 2
+        g = s6_graphs[w] if len(w) == 6 else build_graph(w)
+        actual = len(g)
+        half = (g.max_windows + 1) // 2
         lower = 2**half + pattern_count(w, (3, 2, 1)) - half
         if not lower <= actual < 3**l:
             ok = False
@@ -178,11 +178,11 @@ def test_criterion_06_rectangular_iff_labeling():
     report("criterion 06 rectangularity iff grid labeling over S_6", ok)
 
 
-def test_criterion_07_freely_braided_s6(s6_scans):
+def test_criterion_07_freely_braided_s6(s6_graphs):
     ok = True
     for w in up_to_sn(6):
-        s = s6_scans[w] if len(w) == 6 else scan(w)
-        if is_freely_braided(w) and len(s.class_sizes) != 2**s.max_windows:
+        g = s6_graphs[w] if len(w) == 6 else build_graph(w)
+        if is_freely_braided(w) and len(g) != 2**g.max_windows:
             ok = False
     report("criterion 07 freely braided class counts over S_6", ok)
 
@@ -272,7 +272,8 @@ def test_criterion_10_aggregate_catalan_bound():
             for w in enumerate_sn(n):
                 if inversions(w) != l:
                     continue
-                for canon in scan(w).class_sizes:
+                for c in build_graph(w).vertices:
+                    canon = c.canonical.letters
                     enc = paren_encoding(canon)
                     if enc.count("(") != enc.count(")"):
                         ok = False
@@ -308,7 +309,7 @@ def test_criterion_12_oracle_equivalence(s5):
             frozenset(cls)
             for cls in (
                 {ls for ls in words if canonical_letters(ls) == canon}
-                for canon in scan(w).class_sizes
+                for canon in (c.canonical.letters for c in build_graph(w).vertices)
             )
         }
         ok &= ours == {frozenset(c) for c in classes_bfs(w)}

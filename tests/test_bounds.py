@@ -8,7 +8,7 @@ from redweave.bounds import (
     paren_encoding,
     size_bounds,
 )
-from redweave.classes import scan
+from redweave.classes import build_graph
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.suite import _worker
 
@@ -75,7 +75,8 @@ def test_paren_encoding_injective_at_fixed_length():
     # injectivity is only promised among representatives of equal length
     seen = {}
     for w in [(4, 3, 2, 1), (3, 4, 2, 1), (4, 2, 3, 1), (2, 4, 3, 1)]:
-        for canon in scan(w).class_sizes:
+        for c in build_graph(w).vertices:
+            canon = c.canonical.letters
             key = (len(canon), paren_encoding(canon))
             assert seen.setdefault(key, canon) == canon
 

@@ -1,9 +1,7 @@
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import classes_bfs, word_walk_scan
+from oracles import classes_bfs, graph_as_scan, word_walk_scan
 from redweave import BudgetExceeded
 from redweave.classes import (
     build_graph,
@@ -11,7 +9,6 @@ from redweave.classes import (
     class_members,
     enumerate_classes,
     graph_checks,
-    scan,
 )
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import count_212
@@ -37,8 +34,7 @@ def test_classes_identity_and_simple():
 
 def test_class_sizes_sum_to_word_count(s5):
     for w in s5:
-        s = scan(w)
-        assert sum(s.class_sizes.values()) == s.word_count
+        assert sum(c.size for c in build_graph(w).vertices) == count_reduced_words(w)
 
 
 def test_class_members():
@@ -82,35 +78,43 @@ def test_graph_checks_all_s5(s5):
 
 def test_scan_budget():
     with pytest.raises(BudgetExceeded):
-        scan(longest_element(5), budget=100)
+        build_graph(longest_element(5), budget=100)
     # the word count is cached per permutation, the verdict is not
     w = (3, 4, 2, 1)
-    assert scan(w).word_count == 5
+    assert sum(c.size for c in build_graph(w, budget=5).vertices) == 5
     with pytest.raises(BudgetExceeded):
-        scan(w, budget=1)
+        build_graph(w, budget=1)
 
 
 def test_scan_result_is_read_only():
-    s = scan((3, 4, 2, 1))
+    g = build_graph((3, 4, 2, 1))
+    assert type(g.vertices) is tuple and type(g.edges) is tuple
+    assert all(type(g.neighbors(c.id)) is frozenset for c in g.vertices)
+    with pytest.raises(TypeError):
+        g.vertices[0] = g.vertices[1]
     with pytest.raises(AttributeError):
-        s.class_sizes.clear()
-    with pytest.raises(TypeError):
-        del s.class_sizes[(1, 2, 3, 1, 2)]
-    with pytest.raises(TypeError):
-        s.edges[((), ())] = frozenset()
-    again = scan((3, 4, 2, 1))
-    assert len(again.class_sizes) == 3 and len(again.edges) == 2
+        g.neighbors(0).add(2)
+    again = build_graph((3, 4, 2, 1))
+    assert again is g
+    assert len(again) == 3 and len(again.edges) == 2
 
 
-def scan_fields(w):
-    s = scan(w)
-    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+def test_ids_are_positions_in_lexicographic_order(s5, s6):
+    # ids are DFS positions and edges are not re-sorted: this pins the order
+    for w in s5 + s6:
+        g = build_graph(w)
+        assert [c.id for c in g.vertices] == list(range(len(g))), w
+        canons = [c.canonical.letters for c in g.vertices]
+        assert all(a < b for a, b in zip(canons, canons[1:])), w
+        assert all(e.u < e.v for e in g.edges), w
+        pairs = [(e.u, e.v) for e in g.edges]
+        assert pairs == sorted(pairs), w
 
 
 def test_scan_matches_word_walk_s5_s6(s5, s6):
-    # every field of the class-level scan against the word-by-word sweep
+    # every field of the cached G(w) against the word-by-word sweep
     for w in s5 + s6:
-        assert scan_fields(w) == word_walk_scan(w), w
+        assert graph_as_scan(build_graph(w)) == word_walk_scan(w), w
 
 
 @st.composite
@@ -124,7 +128,7 @@ def s7_s8_perm(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(s7_s8_perm())
 def test_scan_matches_word_walk_s7_s8(w):
-    assert scan_fields(w) == word_walk_scan(w)
+    assert graph_as_scan(build_graph(w)) == word_walk_scan(w)
 
 
 def test_poset_3421_is_a_chain():

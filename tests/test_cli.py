@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redweave import cli
+from redweave import cli, suite
 from redweave.bounds import aggregate_bound_check
 from redweave.cli import run
 from redweave.words import Word
@@ -181,6 +181,23 @@ def test_scan_env_threads(capsys, monkeypatch):
         monkeypatch.setenv("REDWEAVE_THREADS", value)
         assert run(["scan", "3"]) == 1
         assert "below 1" in capsys.readouterr().err
+
+
+def test_scan_refuses_past_the_cap_before_any_work(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("check_permutation ran")
+
+    monkeypatch.setattr(suite, "check_permutation", fail)
+    assert run(["scan", "9", "--threads", "1"]) == 3
+    assert capsys.readouterr().err == "budget refusal: refusing to enumerate S_9 (cap is 8)\n"
+
+
+def test_subnet_rejects_a_word_of_another_permutation(capsys):
+    for perm, word in (("4321", "1"), ("321", "1,2,1,2")):
+        assert run(["subnet", perm, "--word", word, "--set", "121"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "is not a reduced word of" in out.err
+    assert run(["subnet", "4321", "--word", "123121", "--set", "121"]) == 0
 
 
 def test_exit_codes(capsys):

@@ -76,6 +76,7 @@ ARGVS = [
     ["subnet", "4321", "--word", "123121", "--set", ""],
     ["subnet", "4321", "--word", "123121", "--set", "", "-m", "3", "--format", "json"],
     ["subnet", "4321", "--word", "1,2,9", "--set", "121"],
+    ["subnet", "4321", "--word", "1", "--set", "121"],
     ["subnet", "4321", "--word", "123121"],
     ["subnet", "--help"],
     ["warrington", "4"],
@@ -102,6 +103,7 @@ ARGVS = [
     ["scan", "3", "--threads", "0"],
     ["scan", "x"],
     ["scan", "3", "--suite", "all"],
+    ["scan", "9"],
     ["scan", "--help"],
 ]
 

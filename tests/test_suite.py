@@ -5,30 +5,27 @@ from itertools import combinations
 
 import pytest
 
+from oracles import graph_as_scan
 from redweave import BudgetExceeded, InvariantViolation, classes, structure, suite, words
 from redweave.perm import enumerate_sn, inverse, inversions, longest_element
 
 
-def counting(monkeypatch, name, calls):
-    """Count calls to classes.<name> in every module that binds it."""
-    real = getattr(classes, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return real(*args, **kwargs)
-
-    for mod in (classes, structure, suite):
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, counted)
-
-
 @pytest.mark.parametrize("w", [(1, 2, 3), (3, 4, 2, 1), (4, 3, 2, 1), (3, 2, 6, 5, 1, 4)])
 def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
-    calls = {"build_graph": 0, "build_poset": 0}
-    for name in calls:
-        counting(monkeypatch, name, calls)
+    # G(w) is built on the one cache miss; every later build_graph is a hit
+    posets = []
+    real = classes.build_poset
+
+    def counted(g):
+        posets.append(g)
+        return real(g)
+
+    for mod in (classes, structure, suite):
+        monkeypatch.setattr(mod, "build_poset", counted)
+    classes._scan_impl.cache_clear()
     assert suite.check_permutation(w) == []
-    assert calls == {"build_graph": 1, "build_poset": 1}
+    assert classes._scan_impl.cache_info().misses == 1
+    assert len(posets) == 1
 
 
 def test_bound_checks_use_size_bounds(monkeypatch):
@@ -78,15 +75,11 @@ def test_failed_poset_leaves_no_grid_label(monkeypatch):
     ]
 
 
-def fields(s):
-    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
-
-
 @pytest.mark.parametrize("heaviest_first", [True, False])
-def test_sweep_tables_give_the_fresh_scans(s5, s6_scans, heaviest_first):
-    # s6_scans and the S_5 scans below run with no tables installed
-    fresh = {w: fields(classes.scan(w)) for w in s5}
-    fresh.update((w, fields(s)) for w, s in s6_scans.items())
+def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
+    # s6_graphs and the S_5 graphs below are built with no tables installed
+    fresh = {w: graph_as_scan(classes.build_graph(w)) for w in s5}
+    fresh.update((w, graph_as_scan(g)) for w, g in s6_graphs.items())
     perms = list(fresh)
     if heaviest_first:
         perms.sort(key=lambda w: (-inversions(w), w))
@@ -94,7 +87,7 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_scans, heaviest_first):
     words._install_tables(words._SweepTables())
     try:
         for w in perms:
-            assert fields(classes._scan_impl(w)) == fresh[w], w
+            assert graph_as_scan(classes._scan_impl(w)) == fresh[w], w
             assert words.count_reduced_words(w) == fresh[w]["word_count"], w
     finally:
         words._install_tables(None)
@@ -108,7 +101,7 @@ def test_no_tables_outlive_a_sweep():
     with pytest.raises(BudgetExceeded):
         suite.scan_sn(4, budget=2, threads=1)
     assert words._sweep_tables() is None
-    classes.scan(longest_element(5))
+    classes.build_graph(longest_element(5))
     assert words._sweep_tables() is None
 
 
