@@ -111,10 +111,11 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     """Sum |G(w)| over all w in S_n with l(w) = l against C_{l+n-1} < 4^(l+n).
 
     Also checks that the parenthesis encodings of all canonical
-    representatives across those w are pairwise distinct.
+    representatives across those w are pairwise distinct.  Stated for
+    l >= 1: at l = 0 the one empty class meets C_{n-1} = 1 for n <= 2.
     """
-    if not 0 <= l <= n * (n - 1) // 2:
-        raise InputError(f"length {l} is outside 0..{n * (n - 1) // 2} for S_{n}")
+    if not 1 <= l <= n * (n - 1) // 2:
+        raise InputError(f"length {l} is outside 1..{n * (n - 1) // 2} for S_{n}")
     groups = [
         [c.canonical.letters for c in build_graph(w, budget).vertices]
         for w in enumerate_sn(n, cap=cap)

@@ -3,13 +3,15 @@
 ``build_graph(w, budget)`` is G(w), cached and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
+G(w) is built in layers: canonical words up front; class sizes, edges and Y
+computed on first read and kept on the shared graph, so callers pay for what they read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
@@ -173,7 +175,10 @@ def _most_windows(w: Perm) -> tuple[int, Letters]:
 class CommClass:
     id: int
     canonical: Word
-    size: int
+
+    @cached_property
+    def size(self) -> int:
+        return _class_size(self.canonical.letters, self.canonical.n)
 
 
 class Edge(NamedTuple):
@@ -188,21 +193,40 @@ class ClassGraph:
     Vertex ids are dense integers in lexicographic order of the
     canonical words, so output is reproducible.  Y and the least word
     attaining it ride along.  The graph is cached and shared: read-only.
+    Only the vertices are built with it; each other layer is kept on first read.
     """
 
-    def __init__(self, w: Perm, vertices: tuple[CommClass, ...], edges: tuple[Edge, ...],
-                 max_windows: int, max_window_word: Letters):
+    def __init__(self, w: Perm, vertices: tuple[CommClass, ...]):
         self.w = w
         self.n = len(w)
         self.vertices = vertices
-        self.edges = edges
-        self.max_windows = max_windows
-        self.max_window_word = max_window_word
-        adj: list[list[int]] = [[] for _ in vertices]
-        for u, v, _ in edges:
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each edge found from its downward side; ids through one dict."""
+        ids = {c.canonical.letters: c.id for c in self.vertices}
+        labels: dict[tuple[int, int], set[EdgeLabel]] = {}
+        for u, c in enumerate(self.vertices):
+            for target, label in _down_braids(c.canonical.letters, self.n):
+                v = ids[target]
+                labels.setdefault((u, v) if u < v else (v, u), set()).add(label)
+        del ids  # before the edge tuples are made, to keep the peak down
+        return tuple(Edge(u, v, tuple(sorted(ls))) for (u, v), ls in sorted(labels.items()))
+
+    @cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        for u, v, _ in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(map(frozenset, adj))
+        return tuple(map(frozenset, adj))
+
+    @cached_property
+    def _y(self) -> tuple[int, Letters]:
+        return _most_windows(self.w)
+
+    max_windows = property(lambda self: self._y[0])  # Y
+    max_window_word = property(lambda self: self._y[1])  # the least word with Y windows
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -222,21 +246,10 @@ class ClassGraph:
 
 @lru_cache(maxsize=4096)
 def _scan_impl(w: Perm) -> ClassGraph:
-    """G(w): the DFS yields canonical words in lexicographic order, so a
-    class's id is its position.  Each edge is found from its downward side."""
+    """G(w) with its canonical words: the DFS yields them in lexicographic
+    order, so a class's id is its position."""
     n = len(w)
-    canons = _canonical_words(w)
-    ids = {canon: i for i, canon in enumerate(canons)}
-    vertices = []
-    labels: dict[tuple[int, int], set[EdgeLabel]] = {}
-    for u, canon in enumerate(canons):
-        vertices.append(CommClass(u, Word(canon, n), _class_size(canon, n)))
-        for target, label in _down_braids(canon, n):
-            v = ids[target]
-            labels.setdefault((u, v) if u < v else (v, u), set()).add(label)
-    edges = tuple(Edge(u, v, tuple(sorted(ls))) for (u, v), ls in sorted(labels.items()))
-    del canons, ids, labels  # before the adjacency is built, to keep the peak down
-    return ClassGraph(w, tuple(vertices), edges, *_most_windows(w))
+    return ClassGraph(w, tuple(CommClass(i, Word(c, n)) for i, c in enumerate(_canonical_words(w))))
 
 
 @lru_cache(maxsize=4096)

@@ -67,11 +67,11 @@ def parse_word_set(text: str, m: int | None = None) -> WordSet:
     if text.startswith("s4-longest-classes"):
         _, _, k = text.partition(":")
         try:
-            return s4_longest_classes()[int(k)]
+            if int(k) >= 0:  # a negative index would count from the end
+                return s4_longest_classes()[int(k)]
         except (ValueError, IndexError):
-            raise InputError(
-                "expected s4-longest-classes:K with K in 0..7"
-            ) from None
+            pass
+        raise InputError("expected s4-longest-classes:K with K in 0..7")
     words = []
     for chunk in text.split(";"):
         chunk = chunk.strip()

@@ -96,6 +96,14 @@ def test_aggregate_bound_small():
     assert rep.injective
 
 
+def test_aggregate_bound_is_stated_for_length_at_least_1():
+    # at l = 0 the one empty class would meet C_{n-1} = 1 for n <= 2
+    for n in range(1, 5):
+        with pytest.raises(InputError, match=f"length 0 is outside 1..{n * (n - 1) // 2}"):
+            aggregate_bound_check(n, 0)
+    assert aggregate_bound_check(2, 1).ok
+
+
 def test_aggregate_reports_match_per_length_checks():
     # the one-pass reports scan_sn builds from its workers' results
     for n in range(2, 6):

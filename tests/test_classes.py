@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import classes_bfs, graph_as_scan, word_walk_scan
-from redweave import BudgetExceeded
+from redweave import BudgetExceeded, classes, suite
+from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import (
     build_graph,
     build_poset,
@@ -11,7 +14,7 @@ from redweave.classes import (
     graph_checks,
 )
 from redweave.perm import enumerate_sn, identity, longest_element
-from redweave.subnet import count_212
+from redweave.subnet import WARRINGTON_X, count_212, count_x_avoiding_words
 from redweave.words import Word, count_reduced_words, index_sum
 
 
@@ -115,6 +118,45 @@ def test_scan_matches_word_walk_s5_s6(s5, s6):
     # every field of the cached G(w) against the word-by-word sweep
     for w in s5 + s6:
         assert graph_as_scan(build_graph(w)) == word_walk_scan(w), w
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Calls of each layer G(w) computes on first read, from a cleared cache."""
+    calls = Counter()
+    for name in ("_class_size", "_down_braids", "_most_windows"):
+        def counted(*args, _name=name, _real=getattr(classes, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(classes, name, counted)
+    classes._scan_impl.cache_clear()
+    yield calls
+    classes._scan_impl.cache_clear()
+
+
+def test_bounds_read_neither_sizes_nor_edges(layer_calls):
+    rep = size_bounds(longest_element(6), compute_actual=True)
+    assert (rep.actual, rep.y) == (908, 6)
+    assert layer_calls == {"_most_windows": 1}
+
+
+def test_warrington_reads_sizes_of_avoiding_classes_only(layer_calls):
+    assert count_x_avoiding_words(longest_element(6), WARRINGTON_X) == 54520
+    assert layer_calls == {"_class_size": 16}
+
+
+def test_aggregate_reads_canonical_words_only(layer_calls):
+    assert aggregate_bound_check(5, 6).ok
+    assert layer_calls == {}
+
+
+def test_suite_reads_no_sizes_and_each_layer_once(layer_calls, s5):
+    for w in s5:
+        assert suite.check_permutation(w) == []
+    assert layer_calls["_class_size"] == 0
+    assert layer_calls["_most_windows"] == len(s5)
+    assert layer_calls["_down_braids"] == sum(len(build_graph(w)) for w in s5)
 
 
 @st.composite

@@ -57,6 +57,7 @@ ARGVS = [
     ["bounds", "3421"],
     ["bounds", "3421", "--actual", "--format", "json"],
     ["bounds", "4321", "--actual"],
+    ["bounds", "654321", "--actual", "--format", "json"],
     ["bounds", "21", "--budget-words", "0"],
     ["bounds", "4321", "--format", "dot"],
     ["bounds", "21", "--budget-words", "-5"],
@@ -64,6 +65,7 @@ ARGVS = [
     ["aggregate", "3", "2"],
     ["aggregate", "4", "3", "--format", "json"],
     ["aggregate", "4", "0"],
+    ["aggregate", "2", "0"],
     ["aggregate", "3", "100"],
     ["aggregate", "3", "-1"],
     ["aggregate", "--help"],
@@ -73,6 +75,7 @@ ARGVS = [
     ["subnet", "3421", "--word", "21323", "--set", "121", "--predict"],
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:3"],
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:9"],
+    ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:-1"],
     ["subnet", "4321", "--word", "123121", "--set", ""],
     ["subnet", "4321", "--word", "123121", "--set", "", "-m", "3", "--format", "json"],
     ["subnet", "4321", "--word", "1,2,9", "--set", "121"],
@@ -82,6 +85,7 @@ ARGVS = [
     ["warrington", "4"],
     ["warrington", "4", "--classes", "--format", "json"],
     ["warrington", "5", "--format", "json"],
+    ["warrington", "6", "--format", "json"],
     ["warrington", "6", "--budget-words", "1000"],
     ["warrington", "x"],
     ["warrington", "--help"],

@@ -59,6 +59,8 @@ def test_parse_word_set():
     assert parse_word_set("2,1,2").words == {(2, 1, 2)}
     with pytest.raises(InputError):
         parse_word_set("s4-longest-classes:9")
+    with pytest.raises(InputError):  # not read as an index from the end
+        parse_word_set("s4-longest-classes:-1")
     with pytest.raises(InputError):
         parse_word_set("")
 

@@ -94,6 +94,25 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
         classes._scan_impl.cache_clear()
 
 
+@pytest.mark.parametrize("suite_reads", [True, False])
+def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
+    # the sweep builds G(w) with its tables installed; sizes (and, with the
+    # suite stubbed out, edges and Y too) are first read once they are gone
+    if not suite_reads:
+        monkeypatch.setattr(suite, "check_permutation", lambda w, budget: [])
+    classes._scan_impl.cache_clear()
+    assert suite.scan_sn(5, threads=1) == []
+    assert words._sweep_tables() is None
+    misses = classes._scan_impl.cache_info().misses
+    unread = {"edges", "_y"} if not suite_reads else set()
+    for w in s5:
+        g = classes._scan_impl(w)
+        assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), w
+        assert graph_as_scan(g) == graph_as_scan(classes._scan_impl.__wrapped__(w)), w
+    assert classes._scan_impl.cache_info().misses == misses  # each graph is the sweep's
+    classes._scan_impl.cache_clear()
+
+
 def test_no_tables_outlive_a_sweep():
     assert words._sweep_tables() is None
     assert suite.scan_sn(3, threads=1) == []
