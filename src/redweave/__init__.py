@@ -34,7 +34,6 @@ from .classes import (
     build_graph,
     build_poset,
     class_members,
-    enumerate_classes,
     graph_checks,
 )
 from .subnet import (
@@ -61,7 +60,6 @@ from .structure import (
     embed_hypercube,
     is_freely_braided,
     is_rectangular,
-    max_braid_moves,
     rectangle_label,
 )
 from .bounds import aggregate_bound_check, catalan, paren_encoding, size_bounds

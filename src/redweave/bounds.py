@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
-from .classes import build_graph
-from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
+from .classes import ClassGraph, build_graph
+from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, enumerate_sn, inversions, pattern_count
 from .words import Letters
-from .structure import max_braid_moves
 
 
 def catalan(m: int) -> int:
@@ -27,26 +26,17 @@ class BoundsReport:
     lower: int
     upper: int              # 3^l(w); strict for l(w) >= 1
     alt_upper: float        # 2.487^l(w), informational only
-    actual: int | None      # |G(w)| when computed
-    notice: str | None = None
+    actual: int             # |G(w)|
 
 
-def size_bounds(w: Perm, compute_actual: bool = True,
-                budget: int = WORD_BUDGET_DEFAULT) -> BoundsReport:
+def size_bounds(g: ClassGraph) -> BoundsReport:
     """2^ceil(Y/2) + N_321(w) - ceil(Y/2) <= |G(w)| < 3^l(w)."""
+    w = g.w
     l = inversions(w)
-    y = max_braid_moves(w, budget)
     n321 = pattern_count(w, (3, 2, 1))
-    half = (y + 1) // 2
+    half = (g.max_windows + 1) // 2
     lower = 2**half + n321 - half
-    actual = None
-    notice = None
-    if compute_actual:
-        try:
-            actual = len(build_graph(w, budget))
-        except BudgetExceeded as exc:
-            notice = str(exc)
-    return BoundsReport(w, y, n321, lower, 3**l, 2.487**l, actual, notice)
+    return BoundsReport(w, g.max_windows, n321, lower, 3**l, 2.487**l, len(g))
 
 
 def paren_encoding(letters: Letters) -> str:
@@ -114,11 +104,14 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     representatives across those w are pairwise distinct.  Stated for
     l >= 1: at l = 0 the one empty class meets C_{n-1} = 1 for n <= 2.
     """
+    perms = enumerate_sn(n, cap=cap)  # refuses n < 1 before the checks below
+    if n == 1:
+        raise InputError("S_1 has no nontrivial length: its only permutation has length 0")
     if not 1 <= l <= n * (n - 1) // 2:
         raise InputError(f"length {l} is outside 1..{n * (n - 1) // 2} for S_{n}")
     groups = [
         [c.canonical.letters for c in build_graph(w, budget).vertices]
-        for w in enumerate_sn(n, cap=cap)
+        for w in perms
         if inversions(w) == l
     ]
     return _aggregate(n, l, groups)

@@ -5,6 +5,8 @@
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers: canonical words up front; class sizes, edges and Y
 computed on first read and kept on the shared graph, so callers pay for what they read.
+Every function of G(w), here and in ``subnet``, ``structure``, ``bounds`` and
+``suite``, takes the graph; ``build_graph`` alone checks the budget.
 """
 
 from __future__ import annotations
@@ -272,11 +274,6 @@ def class_members(letters: Letters) -> set[Letters]:
                         nxt.append(other)
         frontier = nxt
     return seen
-
-
-def enumerate_classes(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[CommClass]:
-    """The commutation classes of w, ordered by canonical word."""
-    return list(build_graph(w, budget).vertices)
 
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:

@@ -23,14 +23,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import aggregate_bound_check, size_bounds
-from .classes import (
-    ClassGraph,
-    RankedPoset,
-    build_graph,
-    build_poset,
-    enumerate_classes,
-    graph_checks,
-)
+from .classes import ClassGraph, RankedPoset, build_graph, build_poset, graph_checks
 from .errors import BudgetExceeded, InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import longest_element, parse_perm, pattern_count
 from .structure import (
@@ -110,7 +103,7 @@ def _cmd_words(args) -> _Output:
 
 def _cmd_classes(args) -> _Output:
     w = parse_perm(args.perm)
-    cls = enumerate_classes(w, args.budget_words)
+    cls = build_graph(w, args.budget_words).vertices
     payload = {
         "w": list(w),
         "count": len(cls),
@@ -200,7 +193,7 @@ def _cmd_poset(args) -> _Output:
 
 def _cmd_bounds(args) -> _Output:
     w = parse_perm(args.perm)
-    rep = size_bounds(w, compute_actual=args.actual, budget=args.budget_words)
+    rep = size_bounds(build_graph(w, args.budget_words))
     return _Output({
         "w": list(w),
         "Y": rep.y,
@@ -208,8 +201,7 @@ def _cmd_bounds(args) -> _Output:
         "lower": rep.lower,
         "upper": rep.upper,
         "alt_upper": rep.alt_upper,
-        "actual": rep.actual,
-        "notice": rep.notice,
+        "actual": rep.actual if args.actual else None,
     })
 
 
@@ -234,19 +226,20 @@ def _cmd_subnet(args) -> _Output:
         if x == WARRINGTON_X and w == longest_element(len(w)):
             payload["predicted"] = predicted_count_w0_s4(word, len(w))
         elif x.perm is not None and pattern_count(x.perm, (3, 2, 1)) == 1 and x == _top_class(x.perm):
-            payload["predicted"] = predicted_count_friendly(w, word, x.perm).predicted
+            g = build_graph(w, args.budget_words)
+            payload["predicted"] = predicted_count_friendly(g, word, x.perm).predicted
         else:
             raise InputError("no applicable prediction formula for this word set")
     return _Output(payload)
 
 
 def _cmd_warrington(args) -> _Output:
-    w = longest_element(args.n)
+    g = build_graph(longest_element(args.n), args.budget_words)
     if args.classes:
-        count = count_x_avoiding_classes(w, WARRINGTON_X, args.budget_words)
+        count = count_x_avoiding_classes(g, WARRINGTON_X)
         kind = "classes"
     else:
-        count = count_x_avoiding_words(w, WARRINGTON_X, args.budget_words)
+        count = count_x_avoiding_words(g, WARRINGTON_X)
         kind = "words"
     return _Output({"n": args.n, "kind": kind, "count": count}, [str(count)])
 
@@ -254,7 +247,8 @@ def _cmd_warrington(args) -> _Output:
 def _cmd_rect(args) -> _Output:
     w = parse_perm(args.perm)
     witness = rectangular_witness(w)
-    spec = rectangle_label(w, args.budget_words)
+    g = build_graph(w, args.budget_words)
+    spec = rectangle_label(g, build_poset(g))  # a poset that fails to rank exits 2
     payload = {
         "rectangular": witness is None,
         "dims": list(spec.dims) if spec else None,
@@ -285,7 +279,7 @@ def _cmd_cycles(args) -> _Output:
 
 def _cmd_cube(args) -> _Output:
     w = parse_perm(args.perm)
-    witness = embed_hypercube(w, args.budget_words)
+    witness = embed_hypercube(build_graph(w, args.budget_words))
     classes = {
         "".join(map(str, bits)) or "-": cid for bits, cid in sorted(witness.classes.items())
     }

@@ -1,4 +1,4 @@
-"""Structural analysis of G(w): braid maxima, hypercubes, rectangles, cycles."""
+"""Structural analysis of G(w): free braiding, hypercubes, rectangles, cycles."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 
-from .classes import ClassGraph, RankedPoset, build_graph, build_poset
-from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
+from .classes import ClassGraph, RankedPoset
+from .errors import InputError, InvariantViolation
 from .perm import Perm, avoids, pattern_occurrences
 from .words import Word, braid_windows, canonical_letters
 
@@ -28,11 +28,6 @@ RECT_PATTERNS: tuple[Perm, ...] = (
 )
 
 
-def max_braid_moves(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> int:
-    """Y: the most long-braid windows any single reduced word of w has."""
-    return build_graph(w, budget).max_windows
-
-
 def is_freely_braided(w: Perm) -> bool:
     """True iff the 321-patterns of w occupy pairwise disjoint position sets.
 
@@ -49,18 +44,17 @@ def is_freely_braided(w: Perm) -> bool:
 class HypercubeWitness:
     dimension: int
     base_word: Word
-    # bit vector over the chosen disjoint moves -> class id in build_graph(w)
+    # bit vector over the chosen disjoint moves -> class id in G(w)
     classes: dict[tuple[int, ...], int]
 
 
-def embed_hypercube(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> HypercubeWitness:
+def embed_hypercube(g: ClassGraph) -> HypercubeWitness:
     """A hypercube of dimension >= ceil(Y/2) realized inside G(w).
 
     Starts from the lexicographically least word attaining Y, applies
     every subset of its same-direction braid moves (those are pairwise
     disjoint), and verifies the resulting classes form a hypercube.
     """
-    g = build_graph(w, budget)
     ls = g.max_window_word
     windows = braid_windows(ls)
     down = [p for p in windows if ls[p + 1] == ls[p] - 1]
@@ -117,7 +111,7 @@ def _on_four_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return any(c != v and g.has_edge(c, b) for c in g.neighbors(a))
 
 
-def rectangle_label(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RectangleSpec | None:
+def rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
     """Grid labeling of G(w), or None when it fails to validate.
 
     Walks the class poset from its top: the unique maximum gets the zero
@@ -127,15 +121,6 @@ def rectangle_label(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> RectangleSpec
     returned only if it is a bijection onto a grid matching the graph's
     adjacency exactly.
     """
-    g = build_graph(w, budget)
-    try:
-        poset = build_poset(g)
-    except InvariantViolation:
-        return None
-    return _rectangle_label(g, poset)
-
-
-def _rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
     rank = poset.rank
     maxr = max(rank.values())
     rows: dict[int, list[int]] = {}

@@ -12,8 +12,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .classes import build_graph, class_members
-from .errors import InputError, WORD_BUDGET_DEFAULT
+from .classes import ClassGraph, build_graph, class_members
+from .errors import InputError
 from .perm import Perm, longest_element, pattern_count, pattern_occurrences
 from .words import Letters, Word, evaluate, index_sum
 
@@ -171,7 +171,7 @@ def count_212(word: Word) -> int:
     )
 
 
-def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAULT) -> int:
+def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
     """How many reduced words of w induce no X-subnetwork at all.
 
     When X is a union of commutation classes, the subnetwork count is
@@ -179,7 +179,6 @@ def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAUL
     canonical word and counted with its size.  Otherwise every member
     word is tested.
     """
-    g = build_graph(w, budget)
     if all(class_members(ls) <= x.words for ls in x.words):
         return sum(c.size for c in g.vertices if _avoids(c.canonical, x))
     return sum(
@@ -190,13 +189,13 @@ def count_x_avoiding_words(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAUL
     )
 
 
-def count_x_avoiding_classes(w: Perm, x: WordSet, budget: int = WORD_BUDGET_DEFAULT) -> int:
+def count_x_avoiding_classes(g: ClassGraph, x: WordSet) -> int:
     """How many commutation classes of w are X-avoiding.
 
     The subnetwork count is constant on a class, so testing each
     canonical representative once suffices.
     """
-    return sum(1 for c in build_graph(w, budget).vertices if _avoids(c.canonical, x))
+    return sum(1 for c in g.vertices if _avoids(c.canonical, x))
 
 
 @dataclass(frozen=True)
@@ -240,13 +239,14 @@ def _top_class(p: Perm) -> WordSet:
     return word_set(class_members(top.canonical.letters), len(p))
 
 
-def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction:
+def predicted_count_friendly(g: ClassGraph, word: Word, p: Perm) -> FriendlyPrediction:
     """k * index_sum(word) - c, alongside the directly counted value.
 
     Applies when p has exactly one 321-pattern, w is p-friendly with
     constant k, X is the top commutation class of p, and c is the index
     sum of the lowest commutation class of w.
     """
+    w = g.w
     if pattern_count(p, (3, 2, 1)) != 1:
         raise InputError(f"pattern {p} must contain exactly one 321-pattern")
     fr = friendliness(w, p)
@@ -254,7 +254,7 @@ def predicted_count_friendly(w: Perm, word: Word, p: Perm) -> FriendlyPrediction
         raise InputError(f"{w} is not {p}-friendly")
     _check_word_of(w, word)
     x = _top_class(p)
-    c = min(index_sum(v.canonical) for v in build_graph(w).vertices)  # a class invariant
+    c = min(index_sum(v.canonical) for v in g.vertices)  # a class invariant
     predicted = fr.k * index_sum(word) - c
     return FriendlyPrediction(predicted, count_subnetworks(word, x), fr.k, c, x)
 

@@ -10,20 +10,20 @@ from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
-    _rectangle_label,
     classify_edge_pair,
     edge_label_report,
     embed_hypercube,
     is_freely_braided,
     is_rectangular,
+    rectangle_label,
 )
 from .words import Letters, _install_tables, _SweepTables
 
 
-def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
-    """All per-permutation invariants; returns human-readable violations."""
+def check_permutation(g: ClassGraph) -> list[str]:
+    """All invariants of w, read off G(w); returns human-readable violations."""
+    w = g.w
     out: list[str] = []
-    g = build_graph(w, budget)
     rep = graph_checks(g)
     if not rep.connected:
         out.append(f"G({w}) is not connected")
@@ -37,7 +37,7 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(str(exc))
         poset = None
 
-    bounds = size_bounds(w, compute_actual=False, budget=budget)
+    bounds = size_bounds(g)
     actual = len(g)
     if actual < bounds.lower:
         out.append(f"lower bound fails for {w}")
@@ -45,14 +45,14 @@ def check_permutation(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> list[str]:
         out.append(f"upper bound fails for {w}")
 
     try:
-        embed_hypercube(w, budget)
+        embed_hypercube(g)
     except InvariantViolation as exc:
         out.append(str(exc))
 
     if is_freely_braided(w) and actual != 2**bounds.y:
         out.append(f"freely braided {w} has {actual} classes, expected 2^{bounds.y}")
 
-    label = _rectangle_label(g, poset) if poset is not None else None
+    label = rectangle_label(g, poset) if poset is not None else None
     if is_rectangular(w) != (label is not None):
         out.append(f"rectangularity pattern test and labeling disagree for {w}")
 
@@ -92,9 +92,8 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
 
 def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
     """The violations of w and its canonical words, for the aggregate bound."""
-    w, budget = args
-    canonicals = tuple(c.canonical.letters for c in build_graph(w, budget).vertices)
-    return check_permutation(w, budget), canonicals
+    g = build_graph(*args)
+    return check_permutation(g), tuple(c.canonical.letters for c in g.vertices)
 
 
 def _init_worker() -> None:

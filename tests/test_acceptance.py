@@ -49,6 +49,11 @@ def report(criterion: str, ok: bool) -> None:
     assert ok, criterion
 
 
+def grid_label(w):
+    g = build_graph(w)
+    return rectangle_label(g, build_poset(g))
+
+
 def to_nx(g) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(c.id for c in g.vertices)
@@ -68,7 +73,7 @@ def test_criterion_01_named_examples():
 
     w = (3, 2, 6, 5, 1, 4)
     g = build_graph(w)
-    spec = rectangle_label(w)
+    spec = rectangle_label(g, build_poset(g))
     ok &= len(g) == 6 and spec is not None and spec.dims == (1, 2)
     figure = {
         (2, 1, 2, 5, 4, 5, 3, 4): (0, 0),
@@ -96,7 +101,7 @@ def test_criterion_02_warrington_counts():
     start = time.perf_counter()
     expected = {3: 2, 4: 12, 5: 328, 6: 54520}
     got = {
-        n: count_x_avoiding_words(longest_element(n), WARRINGTON_X)
+        n: count_x_avoiding_words(build_graph(longest_element(n)), WARRINGTON_X)
         for n in expected
     }
     elapsed = time.perf_counter() - start
@@ -109,7 +114,7 @@ def test_criterion_02_warrington_counts():
 def test_criterion_02b_warrington_n7():
     start = time.perf_counter()
     got = count_x_avoiding_words(
-        longest_element(7), WARRINGTON_X, budget=2 * 10**9
+        build_graph(longest_element(7), budget=2 * 10**9), WARRINGTON_X
     )
     elapsed = time.perf_counter() - start
     report(
@@ -173,7 +178,7 @@ def test_criterion_05_w0_s4_formula():
 
 def test_criterion_06_rectangular_iff_labeling():
     ok = all(
-        is_rectangular(w) == (rectangle_label(w) is not None) for w in up_to_sn(6)
+        is_rectangular(w) == (grid_label(w) is not None) for w in up_to_sn(6)
     )
     report("criterion 06 rectangularity iff grid labeling over S_6", ok)
 

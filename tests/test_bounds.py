@@ -28,7 +28,7 @@ def test_catalan_values():
 
 
 def test_size_bounds_3421():
-    rep = size_bounds((3, 4, 2, 1))
+    rep = size_bounds(build_graph((3, 4, 2, 1)))
     assert rep.y == 2 and rep.n321 == 2
     assert rep.lower == 3 and rep.actual == 3
     assert rep.upper == 3**5
@@ -36,14 +36,14 @@ def test_size_bounds_3421():
 
 
 def test_size_bounds_identity():
-    rep = size_bounds(identity(4))
+    rep = size_bounds(build_graph(identity(4)))
     assert rep.y == 0 and rep.lower == 1 and rep.actual == 1
     assert rep.upper == 1  # 3^0; equality allowed only in this trivial case
 
 
-def test_size_bounds_without_actual():
-    rep = size_bounds(longest_element(4), compute_actual=False)
-    assert rep.actual is None
+def test_size_bounds_w0_s4():
+    rep = size_bounds(build_graph(longest_element(4)))
+    assert rep.y == 2 and rep.actual == 8
     assert rep.lower == 2**1 + 4 - 1
 
 
@@ -98,10 +98,13 @@ def test_aggregate_bound_small():
 
 def test_aggregate_bound_is_stated_for_length_at_least_1():
     # at l = 0 the one empty class would meet C_{n-1} = 1 for n <= 2
-    for n in range(1, 5):
+    for n in range(2, 5):
         with pytest.raises(InputError, match=f"length 0 is outside 1..{n * (n - 1) // 2}"):
             aggregate_bound_check(n, 0)
     assert aggregate_bound_check(2, 1).ok
+    for l in (0, 1):  # S_1 has no length to state it for
+        with pytest.raises(InputError, match="S_1 has no nontrivial length"):
+            aggregate_bound_check(1, l)
 
 
 def test_aggregate_reports_match_per_length_checks():

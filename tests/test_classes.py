@@ -1,25 +1,37 @@
+import inspect
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import classes_bfs, graph_as_scan, word_walk_scan
-from redweave import BudgetExceeded, classes, suite
+from redweave import BudgetExceeded, bounds, classes, structure, subnet, suite, words
 from redweave.bounds import aggregate_bound_check, size_bounds
-from redweave.classes import (
-    build_graph,
-    build_poset,
-    class_members,
-    enumerate_classes,
-    graph_checks,
-)
+from redweave.classes import build_graph, build_poset, class_members, graph_checks
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import WARRINGTON_X, count_212, count_x_avoiding_words
 from redweave.words import Word, count_reduced_words, index_sum
 
 
+def test_only_the_enumerating_entry_points_take_a_budget():
+    # every other function of G(w) takes the graph, so the budget is
+    # checked once, where G(w) (or a word list) is built
+    takes_budget = {
+        name
+        for mod in (words, classes, structure, bounds, subnet, suite)
+        for name, fn in vars(mod).items()
+        if not name.startswith("_")
+        and inspect.isfunction(fn)
+        and fn.__module__ == mod.__name__
+        and "budget" in inspect.signature(fn).parameters
+    }
+    assert takes_budget == {
+        "build_graph", "enumerate_reduced_words", "aggregate_bound_check", "scan_sn"
+    }
+
+
 def test_classes_3421():
-    cls = enumerate_classes((3, 4, 2, 1))
+    cls = build_graph((3, 4, 2, 1)).vertices
     assert [(c.canonical.letters, c.size) for c in cls] == [
         ((1, 2, 3, 1, 2), 2),
         ((2, 1, 2, 3, 2), 1),
@@ -28,11 +40,11 @@ def test_classes_3421():
 
 
 def test_classes_identity_and_simple():
-    cls = enumerate_classes(identity(3))
+    cls = build_graph(identity(3)).vertices
     assert len(cls) == 1 and cls[0].canonical.letters == ()
-    assert len(enumerate_classes((2, 1, 3))) == 1
-    assert len(enumerate_classes(longest_element(4))) == 8
-    assert len(enumerate_classes(longest_element(5))) == 62
+    assert len(build_graph((2, 1, 3))) == 1
+    assert len(build_graph(longest_element(4))) == 8
+    assert len(build_graph(longest_element(5))) == 62
 
 
 def test_class_sizes_sum_to_word_count(s5):
@@ -48,7 +60,7 @@ def test_class_members():
 
 def test_classes_match_bfs_components():
     for w in enumerate_sn(4):
-        ours = {frozenset(class_members(c.canonical.letters)) for c in enumerate_classes(w)}
+        ours = {frozenset(class_members(c.canonical.letters)) for c in build_graph(w).vertices}
         theirs = {frozenset(c) for c in classes_bfs(w)}
         assert ours == theirs
 
@@ -136,13 +148,13 @@ def layer_calls(monkeypatch):
 
 
 def test_bounds_read_neither_sizes_nor_edges(layer_calls):
-    rep = size_bounds(longest_element(6), compute_actual=True)
+    rep = size_bounds(build_graph(longest_element(6)))
     assert (rep.actual, rep.y) == (908, 6)
     assert layer_calls == {"_most_windows": 1}
 
 
 def test_warrington_reads_sizes_of_avoiding_classes_only(layer_calls):
-    assert count_x_avoiding_words(longest_element(6), WARRINGTON_X) == 54520
+    assert count_x_avoiding_words(build_graph(longest_element(6)), WARRINGTON_X) == 54520
     assert layer_calls == {"_class_size": 16}
 
 
@@ -153,7 +165,7 @@ def test_aggregate_reads_canonical_words_only(layer_calls):
 
 def test_suite_reads_no_sizes_and_each_layer_once(layer_calls, s5):
     for w in s5:
-        assert suite.check_permutation(w) == []
+        assert suite.check_permutation(build_graph(w)) == []
     assert layer_calls["_class_size"] == 0
     assert layer_calls["_most_windows"] == len(s5)
     assert layer_calls["_down_braids"] == sum(len(build_graph(w)) for w in s5)
@@ -203,7 +215,7 @@ def test_poset_builds_for_all_s4():
 def test_rank_constant_on_class_members(s5):
     # the 212-count is a class invariant, so ranking by canonicals is sound
     for w in s5[:40]:
-        for c in enumerate_classes(w):
+        for c in build_graph(w).vertices:
             counts = {
                 count_212(Word(ls, len(w))) for ls in class_members(c.canonical.letters)
             }

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redweave import cli, suite
+from redweave import InvariantViolation, cli, suite
 from redweave.bounds import aggregate_bound_check
 from redweave.cli import run
 from redweave.words import Word
@@ -153,6 +153,17 @@ def test_rect(capsys):
     assert run(["rect", "4321", "--format", "json"]) == 0
     doc = json.loads(out_of(capsys))
     assert not doc["rectangular"] and doc["witness_pattern"] == "4321"
+
+
+def test_rect_exits_2_when_the_poset_fails(capsys, monkeypatch):
+    def broken(g):
+        raise InvariantViolation(f"poset of {g.w} broke")
+
+    monkeypatch.setattr(cli, "build_poset", broken)
+    assert run(["rect", "326514"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation:")
 
 
 def test_cycles(capsys):

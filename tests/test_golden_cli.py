@@ -68,6 +68,7 @@ ARGVS = [
     ["aggregate", "2", "0"],
     ["aggregate", "3", "100"],
     ["aggregate", "3", "-1"],
+    ["aggregate", "1", "1"],
     ["aggregate", "--help"],
     ["subnet", "4321", "--word", "2,3,2,1,2,3", "--set", "warrington-x",
      "--predict", "--format", "json"],
@@ -81,6 +82,7 @@ ARGVS = [
     ["subnet", "4321", "--word", "1,2,9", "--set", "121"],
     ["subnet", "4321", "--word", "1", "--set", "121"],
     ["subnet", "4321", "--word", "123121"],
+    ["subnet", "4321", "--word", "123121", "--set", "212", "--predict", "--budget-words", "0"],
     ["subnet", "--help"],
     ["warrington", "4"],
     ["warrington", "4", "--classes", "--format", "json"],

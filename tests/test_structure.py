@@ -4,7 +4,7 @@ from itertools import combinations
 
 from oracles import induced_cycle_lengths
 from redweave import InputError
-from redweave.classes import build_graph
+from redweave.classes import build_graph, build_poset
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.structure import (
     CycleVerdict,
@@ -13,21 +13,30 @@ from redweave.structure import (
     embed_hypercube,
     is_freely_braided,
     is_rectangular,
-    max_braid_moves,
     rectangle_label,
     rectangular_witness,
 )
 from redweave.words import Word, canonical_letters, evaluate
 
 
+def max_windows(w):
+    """Y: the most long-braid windows any single reduced word of w has."""
+    return build_graph(w).max_windows
+
+
+def grid_label(w):
+    g = build_graph(w)
+    return rectangle_label(g, build_poset(g))
+
+
 def test_max_braid_moves_examples():
-    assert max_braid_moves((3, 4, 2, 1)) == 2
-    assert max_braid_moves(longest_element(3)) == 1
-    assert max_braid_moves(longest_element(4)) == 2
-    assert max_braid_moves(identity(4)) == 0
-    assert max_braid_moves((2, 1, 4, 3)) == 0
+    assert max_windows((3, 4, 2, 1)) == 2
+    assert max_windows(longest_element(3)) == 1
+    assert max_windows(longest_element(4)) == 2
+    assert max_windows(identity(4)) == 0
+    assert max_windows((2, 1, 4, 3)) == 0
     w = evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]
-    assert max_braid_moves(w) == 2
+    assert max_windows(w) == 2
 
 
 def test_freely_braided_examples():
@@ -41,25 +50,28 @@ def test_freely_braided_examples():
 
 def test_freely_braided_class_count():
     w = evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]
-    y = max_braid_moves(w)
+    y = max_windows(w)
     assert len(build_graph(w)) == 2**y == 4
 
 
 def test_embed_hypercube_dimensions():
-    assert embed_hypercube(identity(3)).dimension == 0
-    assert embed_hypercube(longest_element(3)).dimension == 1
-    assert embed_hypercube((3, 4, 2, 1)).dimension == 1
-    assert embed_hypercube(longest_element(4)).dimension == 1
+    def dimension(w):
+        return embed_hypercube(build_graph(w)).dimension
+
+    assert dimension(identity(3)) == 0
+    assert dimension(longest_element(3)) == 1
+    assert dimension((3, 4, 2, 1)) == 1
+    assert dimension(longest_element(4)) == 1
     w5 = longest_element(5)
-    assert embed_hypercube(w5).dimension >= (max_braid_moves(w5) + 1) // 2
-    assert embed_hypercube(evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]).dimension == 2
+    assert dimension(w5) >= (max_windows(w5) + 1) // 2
+    assert dimension(evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]) == 2
 
 
 def test_embed_hypercube_large_example():
     w = evaluate(Word((3, 2, 1, 2, 5, 4, 5, 3, 7, 6, 7), 8))[0]
-    wit = embed_hypercube(w)
-    assert wit.dimension >= 3  # Y >= 5 here, so at least ceil(5/2)
     g = build_graph(w)
+    wit = embed_hypercube(g)
+    assert wit.dimension >= 3  # Y >= 5 here, so at least ceil(5/2)
     for bits, cid in wit.classes.items():
         for j in range(wit.dimension):
             flip = bits[:j] + (1 - bits[j],) + bits[j + 1 :]
@@ -77,7 +89,7 @@ def test_rectangular_pattern_route():
 
 
 def test_rectangle_label_326514():
-    spec = rectangle_label((3, 2, 6, 5, 1, 4))
+    spec = grid_label((3, 2, 6, 5, 1, 4))
     assert spec is not None
     assert spec.dims == (1, 2)
     g = build_graph((3, 2, 6, 5, 1, 4))
@@ -96,16 +108,16 @@ def test_rectangle_label_326514():
 
 
 def test_rectangle_label_path_and_point():
-    spec = rectangle_label((3, 4, 2, 1))
+    spec = grid_label((3, 4, 2, 1))
     assert spec is not None and spec.dims == (2,)
-    spec = rectangle_label(identity(3))
+    spec = grid_label(identity(3))
     assert spec is not None and spec.dims == ()
-    assert rectangle_label(longest_element(4)) is None
+    assert grid_label(longest_element(4)) is None
 
 
 def test_rectangle_label_matches_pattern_route_s5(s5):
     for w in s5:
-        assert is_rectangular(w) == (rectangle_label(w) is not None)
+        assert is_rectangular(w) == (grid_label(w) is not None)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +128,7 @@ def test_rectangle_label_3_cubes(w):
     # the bottom class takes the join of its covers' labels: their sum
     # would double-count the axes two covers share
     assert is_rectangular(w)
-    spec = rectangle_label(w)
+    spec = grid_label(w)
     assert spec is not None and spec.dims == (1, 1, 1)
 
 

@@ -22,7 +22,7 @@ from redweave.subnet import (
     s4_longest_classes,
     word_set,
 )
-from redweave.classes import class_members, enumerate_classes
+from redweave.classes import build_graph, class_members
 from redweave.words import Word, enumerate_reduced_words
 
 
@@ -130,7 +130,7 @@ def test_count_subnetworks_matches_brute_oracle():
 def test_count_constant_on_classes():
     w = longest_element(4)
     top = word_set([(2, 1, 2)], 3)
-    for c in enumerate_classes(w):
+    for c in build_graph(w).vertices:
         counts = {
             count_subnetworks(Word(ls, 4), top)
             for ls in class_members(c.canonical.letters)
@@ -139,21 +139,24 @@ def test_count_constant_on_classes():
 
 
 def test_x_avoiding_counts():
-    assert count_x_avoiding_words(longest_element(3), WARRINGTON_X) == 2
-    assert count_x_avoiding_words(longest_element(4), WARRINGTON_X) == 12
+    w0_3, w0_4 = build_graph(longest_element(3)), build_graph(longest_element(4))
+    assert count_x_avoiding_words(w0_3, WARRINGTON_X) == 2
+    assert count_x_avoiding_words(w0_4, WARRINGTON_X) == 12
     # the four X-words are each singleton classes, so 8 - 4 remain
-    assert count_x_avoiding_classes(longest_element(4), WARRINGTON_X) == 4
+    assert count_x_avoiding_classes(w0_4, WARRINGTON_X) == 4
     top = word_set([(2, 1, 2)], 3)
-    assert count_x_avoiding_words((3, 4, 2, 1), top) == 2
-    assert count_x_avoiding_classes((3, 4, 2, 1), top) == 1
+    g = build_graph((3, 4, 2, 1))
+    assert count_x_avoiding_words(g, top) == 2
+    assert count_x_avoiding_classes(g, top) == 1
 
 
 def test_x_avoiding_words_when_x_is_not_a_class_union():
     # 121321 shares its class with 123121 and 121231; summing class sizes
     # would wrongly count all three as containing X
     w0 = longest_element(5)
-    assert count_x_avoiding_words(w0, word_set([(1, 2, 1, 3, 2, 1)], 4)) == 590
-    assert count_x_avoiding_words(w0, WARRINGTON_X) == 328
+    g = build_graph(w0)
+    assert count_x_avoiding_words(g, word_set([(1, 2, 1, 3, 2, 1)], 4)) == 590
+    assert count_x_avoiding_words(g, WARRINGTON_X) == 328
     direct = sum(
         1
         for word in enumerate_reduced_words(w0)
@@ -177,18 +180,17 @@ def test_friendliness_examples():
 
 
 def test_predicted_count_friendly():
-    res = predicted_count_friendly(
-        (3, 4, 2, 1), Word((2, 1, 3, 2, 3), 4), (3, 2, 1)
-    )
+    g = build_graph((3, 4, 2, 1))
+    res = predicted_count_friendly(g, Word((2, 1, 3, 2, 3), 4), (3, 2, 1))
     assert res.k == 1 and res.c == 9
     assert res.predicted == 2 and res.actual == 2
     for word in enumerate_reduced_words((3, 4, 2, 1)):
-        res = predicted_count_friendly((3, 4, 2, 1), word, (3, 2, 1))
+        res = predicted_count_friendly(g, word, (3, 2, 1))
         assert res.predicted == res.actual
     with pytest.raises(InputError):
-        predicted_count_friendly((3, 4, 2, 1), Word((1, 2, 1), 4), (3, 2, 1))
+        predicted_count_friendly(g, Word((1, 2, 1), 4), (3, 2, 1))
     with pytest.raises(InputError):
-        predicted_count_friendly((3, 4, 2, 1), Word((2, 1, 3, 2, 3), 4), (3, 4, 1, 2))
+        predicted_count_friendly(g, Word((2, 1, 3, 2, 3), 4), (3, 4, 1, 2))
 
 
 def test_predicted_count_w0_s4_examples():

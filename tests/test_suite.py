@@ -6,13 +6,23 @@ from itertools import combinations
 import pytest
 
 from oracles import graph_as_scan
-from redweave import BudgetExceeded, InvariantViolation, classes, structure, suite, words
+from redweave import (
+    BudgetExceeded,
+    InvariantViolation,
+    bounds,
+    classes,
+    structure,
+    subnet,
+    suite,
+    words,
+)
 from redweave.perm import enumerate_sn, inverse, inversions, longest_element
 
 
 @pytest.mark.parametrize("w", [(1, 2, 3), (3, 4, 2, 1), (4, 3, 2, 1), (3, 2, 6, 5, 1, 4)])
 def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
-    # G(w) is built on the one cache miss; every later build_graph is a hit
+    # G(w) is built here, once; the suite reads only the graph it is given
+    g = classes.build_graph(w)
     posets = []
     real = classes.build_poset
 
@@ -20,20 +30,24 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
         posets.append(g)
         return real(g)
 
-    for mod in (classes, structure, suite):
+    def no_build(*args):
+        raise AssertionError("G(w) built again")
+
+    monkeypatch.setattr(classes, "_scan_impl", no_build)
+    for mod in (classes, bounds, subnet, suite):
+        monkeypatch.setattr(mod, "build_graph", no_build)
+    for mod in (classes, suite):
         monkeypatch.setattr(mod, "build_poset", counted)
-    classes._scan_impl.cache_clear()
-    assert suite.check_permutation(w) == []
-    assert classes._scan_impl.cache_info().misses == 1
-    assert len(posets) == 1
+    assert suite.check_permutation(g) == []
+    assert posets == [g]
 
 
 def test_bound_checks_use_size_bounds(monkeypatch):
     w = (3, 4, 2, 1)  # 3 classes
-    real = suite.size_bounds(w, compute_actual=False)
-    wrong = dataclasses.replace(real, lower=4, upper=3)
-    monkeypatch.setattr(suite, "size_bounds", lambda *args, **kwargs: wrong)
-    assert suite.check_permutation(w) == [
+    g = classes.build_graph(w)
+    wrong = dataclasses.replace(suite.size_bounds(g), lower=4, upper=3)
+    monkeypatch.setattr(suite, "size_bounds", lambda g: wrong)
+    assert suite.check_permutation(g) == [
         f"lower bound fails for {w}",
         f"upper bound fails for {w}",
     ]
@@ -50,18 +64,18 @@ def test_grid_octagons_pass_the_eight_cycle_check():
         for a, b in combinations(sorted(g.neighbors(c.id)), 2)
     )
     assert verdicts[structure.CycleVerdict.EIGHT_CYCLE] == 4
-    assert suite.check_permutation(w) == []
+    assert suite.check_permutation(g) == []
 
 
 def test_eight_cycle_check_fires_on_an_overreport(monkeypatch):
     # 352641 avoids 4321 and has an edge pair 6 apart in G(w) - v, on no
     # induced cycle; a classifier calling it an 8-cycle must be caught
-    w = (3, 5, 2, 6, 4, 1)
-    assert suite.check_permutation(w) == []
+    g = classes.build_graph((3, 5, 2, 6, 4, 1))
+    assert suite.check_permutation(g) == []
     monkeypatch.setattr(
         suite, "classify_edge_pair", lambda *args: structure.CycleVerdict.EIGHT_CYCLE
     )
-    assert any("on no 6-cycle" in v for v in suite.check_permutation(w))
+    assert any("on no 6-cycle" in v for v in suite.check_permutation(g))
 
 
 def test_failed_poset_leaves_no_grid_label(monkeypatch):
@@ -69,7 +83,7 @@ def test_failed_poset_leaves_no_grid_label(monkeypatch):
         raise InvariantViolation(f"poset of {g.w} broke")
 
     monkeypatch.setattr(suite, "build_poset", broken)
-    assert suite.check_permutation((3, 2, 6, 5, 1, 4)) == [
+    assert suite.check_permutation(classes.build_graph((3, 2, 6, 5, 1, 4))) == [
         "poset of (3, 2, 6, 5, 1, 4) broke",
         "rectangularity pattern test and labeling disagree for (3, 2, 6, 5, 1, 4)",
     ]
@@ -99,7 +113,7 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
     # the sweep builds G(w) with its tables installed; sizes (and, with the
     # suite stubbed out, edges and Y too) are first read once they are gone
     if not suite_reads:
-        monkeypatch.setattr(suite, "check_permutation", lambda w, budget: [])
+        monkeypatch.setattr(suite, "check_permutation", lambda g: [])
     classes._scan_impl.cache_clear()
     assert suite.scan_sn(5, threads=1) == []
     assert words._sweep_tables() is None
@@ -126,7 +140,7 @@ def test_no_tables_outlive_a_sweep():
 
 def test_sweep_reports_in_lexicographic_order(monkeypatch):
     # jobs run longest first, but the report follows enumerate_sn
-    monkeypatch.setattr(suite, "check_permutation", lambda w, budget: [str(w)])
+    monkeypatch.setattr(suite, "check_permutation", lambda g: [str(g.w)])
     assert suite.scan_sn(4, threads=1) == [str(w) for w in enumerate_sn(4)]
 
 
