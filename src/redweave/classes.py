@@ -5,6 +5,8 @@
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers: canonical words up front; class sizes, edges and Y
 computed on first read and kept on the shared graph, so callers pay for what they read.
+Edges and ranks read one int per class, its ``_triple_masks`` bitmask over the 321-triples
+of w: a braid move flips one bit, and the popcount is the class's rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds`` and
 ``suite``, takes the graph; ``build_graph`` alone checks the budget.
 """
@@ -14,10 +16,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, identity, inverse, pattern_count
+from .perm import Perm, check_perm, identity, inverse, pattern_count, pattern_occurrences
 from .words import (
     Letters,
     Word,
@@ -25,8 +27,8 @@ from .words import (
     _peel,
     _sweep_tables,
     _walk_words,
-    canonical_letters,
     count_reduced_words,
+    crossing_events,
 )
 
 Wires = tuple[int, int, int]
@@ -83,44 +85,27 @@ def _class_size(letters: Letters, n: int) -> int:
     return sum(layer.values())
 
 
-def _down_braids(canon: Letters, n: int) -> list[tuple[Letters, EdgeLabel]]:
-    """The braid moves (x, x-1, x) available in the class of canon.
+def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> list[int]:
+    """The triple mask of each reduced word of w, in one crossing pass each.
 
-    Such a window exists exactly when two consecutive pieces of letter x
-    have a single piece of x-1 or x+1 between them, and it is x-1.  A
-    member word realizing it lists first every piece not above the first
-    x, then the window, then the rest; the move's target class and the
-    three wires it re-crosses are read off that word.
+    Bit j is set when (b, c) crosses before (a, b) for the j-th 321-triple
+    a < b < c of w.  The mask fixes the commutation class, and a braid move
+    flips one bit (the higher Bruhat order; Ziegler 1993, Elnitsky 1997).
+    Crossing the pair (u, v) marks the triples it is the (b, c) of, in
+    ``bc[u][v]``, and sets the bits of the marked ones it is the (a, b) of.
     """
+    ab = [[0] * (n + 1) for _ in range(n + 1)]
+    bc = [[0] * (n + 1) for _ in range(n + 1)]
+    for j, (a, b, c) in enumerate(triples):
+        ab[a][b] |= 1 << j
+        bc[b][c] |= 1 << j
     out = []
-    for a, x in enumerate(canon):
-        between = []
-        for b in range(a + 1, len(canon)):
-            if canon[b] == x:
-                break
-            if abs(canon[b] - x) == 1:
-                between.append(b)
-        else:
-            continue  # a holds the last x
-        if len(between) != 1 or canon[between[0]] != x - 1:
-            continue
-        y = x - 1
-        above = {x}  # letters of the pieces above the first x seen so far
-        prefix: list[int] = []
-        rest: list[int] = []
-        for k, z in enumerate(canon):
-            if k > a and not above.isdisjoint((z - 1, z, z + 1)):
-                above.add(z)
-                if k not in (between[0], b):
-                    rest.append(z)
-            elif k != a:
-                prefix.append(z)
-        seq = list(range(1, n + 1))
-        for z in prefix:
-            seq[z - 1], seq[z] = seq[z], seq[z - 1]
-        wires = tuple(sorted(seq[y - 1 : y + 2]))
-        target = canonical_letters((*prefix, y, x, y, *rest))
-        out.append((target, (y, wires)))
+    for word in words:
+        mask = crossed = 0
+        for u, v in crossing_events(word):
+            mask |= ab[u][v] & crossed
+            crossed |= bc[u][v]
+        out.append(mask)
     return out
 
 
@@ -204,16 +189,37 @@ class ClassGraph:
         self.vertices = vertices
 
     @cached_property
+    def _triples(self) -> tuple[Wires, ...]:
+        """The 321-triples a < b < c of w, by bit of the triple masks."""
+        w = self.w
+        return tuple(sorted((w[k], w[j], w[i]) for i, j, k in pattern_occurrences(w, (3, 2, 1))))
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The triple mask of each class, by id."""
+        return tuple(_triple_masks(self._triples, self.n, (c.canonical for c in self.vertices)))
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """Each edge found from its downward side; ids through one dict."""
-        ids = {c.canonical.letters: c.id for c in self.vertices}
-        labels: dict[tuple[int, int], set[EdgeLabel]] = {}
-        for u, c in enumerate(self.vertices):
-            for target, label in _down_braids(c.canonical.letters, self.n):
-                v = ids[target]
-                labels.setdefault((u, v) if u < v else (v, u), set()).add(label)
+        """Pairs of classes whose masks differ in one bit, through one dict; the
+        move re-crosses that bit's triple at the letter where its (a, b) crosses
+        in the lower class."""
+        ids = {m: v for v, m in enumerate(self._masks)}
+        if len(ids) != len(self.vertices):
+            raise InvariantViolation(f"two classes of {self.w} share a triple mask")
+        found = []
+        for u, m in enumerate(self._masks):
+            ups = [(t, ids[m | 1 << j]) for j, t in enumerate(self._triples)
+                   if not m >> j & 1 and m | 1 << j in ids]
+            if not ups:
+                continue
+            word = self.vertices[u].canonical
+            at = dict(zip(crossing_events(word), word.letters))  # (a, b) -> its letter
+            for t, v in ups:
+                label = ((at[t[:2]], t),)
+                found.append((u, v, label) if u < v else (v, u, label))
         del ids  # before the edge tuples are made, to keep the peak down
-        return tuple(Edge(u, v, tuple(sorted(ls))) for (u, v), ls in sorted(labels.items()))
+        return tuple(Edge(*e) for e in sorted(found))
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
@@ -297,12 +303,11 @@ class RankedPoset:
 def build_poset(g: ClassGraph) -> RankedPoset:
     """Rank the classes of G(w) by 212-count and orient its edges as covers.
 
-    Raises ``InvariantViolation`` unless every edge joins index sums one
-    apart, every cover drops the rank by one, and the ranks fill 0..N321.
+    A class's 212-count is the popcount of its triple mask.  Raises
+    ``InvariantViolation`` unless every edge joins index sums one apart,
+    every cover drops the rank by one, and the ranks fill 0..N321.
     """
-    from .subnet import count_212  # subnet imports this module for build_graph
-
-    ranks = {c.id: count_212(c.canonical) for c in g.vertices}
+    ranks = {c.id: m.bit_count() for c, m in zip(g.vertices, g._masks)}
     sums = {c.id: sum(c.canonical.letters) for c in g.vertices}
     covers = []
     for e in g.edges:

@@ -81,14 +81,19 @@ def _threads(args) -> int:
 
 
 def _budget(text: str) -> int:
-    """--budget-words: a word count, so 0 is allowed and a negative is not."""
+    """--budget-words: a word count in any decimal notation ("100", "1e8"), so 0
+    is allowed and a negative, a fraction, inf, nan or over 4300 digits is not."""
+    from decimal import Decimal, InvalidOperation  # loaded only when the flag is given
+
     try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"{budget} is negative")
-    return budget
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("nan")
+    if not value.is_finite() or value.adjusted() >= 4300 or value != int(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{int(value)} is negative")
+    return int(value)
 
 
 def _cmd_words(args) -> _Output:

@@ -7,7 +7,7 @@ A permutation of {1..n} is a plain tuple of its one-line notation
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, InputError, SN_CAP_DEFAULT
 
@@ -71,18 +71,14 @@ def inversions(w: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def _standardize(vals: Sequence[int]) -> Perm:
-    rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
-    return tuple(rank[v] for v in vals)
-
-
 def pattern_occurrences(w: Perm, p: Perm) -> Iterator[tuple[int, ...]]:
-    """Yield the 0-based index tuples of w that carry a p-pattern."""
+    """Yield the 0-based index tuples of w that carry a p-pattern: those whose
+    values sort their positions in the same order as p does (equal argsorts)."""
     k = len(p)
-    if k > len(w):
-        return
-    for idx in combinations(range(len(w)), k):
-        if _standardize([w[i] for i in idx]) == p:
+    order = sorted(range(k), key=p.__getitem__)
+    positions = range(k)
+    for idx, vals in zip(combinations(range(len(w)), k), combinations(w, k)):
+        if sorted(positions, key=vals.__getitem__) == order:
             yield idx
 
 

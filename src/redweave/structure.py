@@ -221,12 +221,3 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
 
     return CycleVerdict.EIGHT_CYCLE if extend() else CycleVerdict.NO_INDUCED_CYCLE
 
-
-def edge_label_report(g: ClassGraph) -> list[str]:
-    """Edges whose realizing moves disagree on the wire triple (expected none)."""
-    out = []
-    for e in g.edges:
-        wires = {ws for _, ws in e.labels}
-        if len(wires) != 1:
-            out.append(f"edge {e.u}-{e.v} of G({g.w}) carries wire triples {sorted(wires)}")
-    return out

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
 from .perm import Perm, longest_element, pattern_count, pattern_occurrences
-from .words import Letters, Word, evaluate, index_sum
+from .words import Letters, Word, crossing_events, evaluate, index_sum
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,6 @@ def parse_word_set(text: str, m: int | None = None) -> WordSet:
     if m is None:
         m = max(max(w) for w in words) + 1
     return word_set(words, m)
-
-
-def crossing_events(word: Word) -> list[tuple[int, int]]:
-    """The value pairs swapped by each letter, in order (left value first)."""
-    seq = list(range(1, word.n + 1))
-    events = []
-    for i in word.letters:
-        u, v = seq[i - 1], seq[i]
-        seq[i - 1], seq[i] = v, u
-        events.append((u, v))
-    return events
 
 
 def _induced(events: list[tuple[int, int]], subset: tuple[int, ...]) -> Letters:

@@ -11,7 +11,6 @@ from .perm import Perm, avoids, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     classify_edge_pair,
-    edge_label_report,
     embed_hypercube,
     is_freely_braided,
     is_rectangular,
@@ -29,7 +28,6 @@ def check_permutation(g: ClassGraph) -> list[str]:
         out.append(f"G({w}) is not connected")
     if not rep.bipartite:
         out.append(f"G({w}) is not bipartite by index-sum parity")
-    out.extend(edge_label_report(g))
 
     try:
         poset = build_poset(g)  # validates rank interval and cover drops
@@ -110,14 +108,18 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list
     among equals, so each worker starts near w0, which fills nearly all
     of its tables at once, and the pool ends on the cheapest ones.
     Violations are reported in lexicographic order of w either way.
+    The pool's start method is the platform's default, not pinned: under
+    fork (Linux, Python <= 3.13) a worker is a copy of this process (its
+    calling thread only), redweave imported, so no interpreter, import or
+    resource tracker starts.  ``_init_worker`` gives it tables of its own.
     """
     perms = list(enumerate_sn(n))
     heaviest_first = sorted(perms, key=lambda w: (-inversions(w), w))
     jobs = [(w, budget) for w in heaviest_first]
     if threads > 1:
-        from multiprocessing import get_context
+        from multiprocessing import Pool
 
-        with get_context("spawn").Pool(threads, initializer=_init_worker) as pool:
+        with Pool(threads, initializer=_init_worker) as pool:
             results = list(pool.imap(_worker, jobs, chunksize=4))
     else:
         _install_tables(_SweepTables())

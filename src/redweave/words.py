@@ -71,6 +71,17 @@ def index_sum(word: Word) -> int:
     return sum(word.letters)
 
 
+def crossing_events(word: Word) -> list[tuple[int, int]]:
+    """The value pairs swapped by each letter, in order (left value first)."""
+    seq = list(range(1, word.n + 1))
+    events = []
+    for i in word.letters:
+        u, v = seq[i - 1], seq[i]
+        seq[i - 1], seq[i] = v, u
+        events.append((u, v))
+    return events
+
+
 # Reduced words are walked on the inverse permutation q, where q[v-1] is the
 # position of the value v.  The first letter of a reduced word may be any
 # left descent i (the value i+1 sits left of the value i, so q[i] < q[i-1]);

@@ -9,9 +9,14 @@ enumeration and canonical form, which the closures here check.
 ``graph_as_scan`` puts a ``ClassGraph`` in the shape it returns.
 ``list_moves`` and ``apply_move`` name and apply the single rewrites of
 one word, as ``rewrite_neighbors`` does without naming them.
+``local_rule_sets`` finds the classes of w as the sets of 321-triples
+that a local rule on every 4 values allows (the higher Bruhat order), with
+the rule read off ``classes_bfs`` of the 4-patterns; ``triple_set`` gives
+a word's set by replaying its wires.
 """
 
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -83,6 +88,66 @@ def classes_bfs(w: Perm) -> list[set[tuple[int, ...]]]:
         out.append(cls)
         remaining -= cls
     out.sort(key=min)
+    return out
+
+
+def triple_set(ls: tuple[int, ...], n: int) -> frozenset[tuple[int, int, int]]:
+    """The triples a < b < c whose three pairs all cross in the word ls, with
+    (b, c) crossing before (a, b): its 212-subnetworks, by replaying the wires."""
+    seq = list(range(1, n + 1))
+    when = {}  # (smaller, larger) value pair -> step at which it crosses
+    for t, i in enumerate(ls):
+        u, v = seq[i - 1], seq[i]
+        when[min(u, v), max(u, v)] = t
+        seq[i - 1], seq[i] = v, u
+    return frozenset(
+        (a, b, c)
+        for a, c in when
+        for b in range(a + 1, c)
+        if (a, b) in when and (b, c) in when and when[b, c] < when[a, b]
+    )
+
+
+@cache
+def _restrictions(p: Perm) -> set[frozenset]:
+    """The triple sets of the commutation classes of a 4-pattern p."""
+    return {triple_set(min(c), len(p)) for c in classes_bfs(p)}
+
+
+def local_rule_sets(w: Perm) -> list[frozenset]:
+    """Every set of 321-triples of w that, on each 4 values of w, restricts to
+    the triple set of a class of their standardized pattern.
+
+    Backtracking over the triples in order: each 4-value check runs as soon
+    as the last of its triples is decided, so no 2^k enumeration happens.
+    """
+    n = len(w)
+    pos = {v: i for i, v in enumerate(w)}
+    triples = [t for t in combinations(range(1, n + 1), 3) if pos[t[2]] < pos[t[1]] < pos[t[0]]]
+    index = {t: j for j, t in enumerate(triples)}
+    checks: dict[int, list] = {}  # last triple index -> [(triple indices, allowed subsets)]
+    for quad in combinations(range(1, n + 1), 4):
+        inside = sorted(index[t] for t in combinations(quad, 3) if t in index)
+        if not inside:
+            continue
+        rank = {v: k + 1 for k, v in enumerate(quad)}
+        pattern = tuple(rank[v] for v in sorted(quad, key=pos.get))
+        allowed = {
+            frozenset(index[tuple(quad[x - 1] for x in t)] for t in s)
+            for s in _restrictions(pattern)
+        }
+        checks.setdefault(inside[-1], []).append((inside, allowed))
+    out = []
+
+    def extend(j: int, chosen: frozenset) -> None:
+        if j == len(triples):
+            out.append(frozenset(triples[k] for k in chosen))
+            return
+        for nxt in (chosen, chosen | {j}):
+            if all(nxt.intersection(js) in allowed for js, allowed in checks.get(j, ())):
+                extend(j + 1, nxt)
+
+    extend(0, frozenset())
     return out
 
 

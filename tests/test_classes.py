@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import classes_bfs, graph_as_scan, word_walk_scan
-from redweave import BudgetExceeded, bounds, classes, structure, subnet, suite, words
+from oracles import classes_bfs, graph_as_scan, local_rule_sets, triple_set, word_walk_scan
+from redweave import (
+    BudgetExceeded, InvariantViolation, bounds, classes, structure, subnet, suite, words
+)
 from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import build_graph, build_poset, class_members, graph_checks
 from redweave.perm import enumerate_sn, identity, longest_element
@@ -136,7 +138,7 @@ def test_scan_matches_word_walk_s5_s6(s5, s6):
 def layer_calls(monkeypatch):
     """Calls of each layer G(w) computes on first read, from a cleared cache."""
     calls = Counter()
-    for name in ("_class_size", "_down_braids", "_most_windows"):
+    for name in ("_class_size", "_triple_masks", "_most_windows"):
         def counted(*args, _name=name, _real=getattr(classes, name)):
             calls[_name] += 1
             return _real(*args)
@@ -168,7 +170,7 @@ def test_suite_reads_no_sizes_and_each_layer_once(layer_calls, s5):
         assert suite.check_permutation(build_graph(w)) == []
     assert layer_calls["_class_size"] == 0
     assert layer_calls["_most_windows"] == len(s5)
-    assert layer_calls["_down_braids"] == sum(len(build_graph(w)) for w in s5)
+    assert layer_calls["_triple_masks"] == len(s5)  # one pass over each graph's classes
 
 
 @st.composite
@@ -229,3 +231,29 @@ def test_index_sum_parity_splits_edges(s5):
             su = index_sum(g.vertices[e.u].canonical)
             sv = index_sum(g.vertices[e.v].canonical)
             assert abs(su - sv) == 1
+
+
+def test_local_rule_sets_are_the_classes_s5_s6(s5, s6):
+    # the engine's classes and masks against the 4-value local rule, which
+    # shares no code with src/
+    for w in s5 + s6:
+        g = build_graph(w)
+        sets = [triple_set(c.canonical.letters, len(w)) for c in g.vertices]
+        assert Counter(sets) == Counter(local_rule_sets(w)), w
+        masks = [{t for j, t in enumerate(g._triples) if m >> j & 1} for m in g._masks]
+        assert masks == sets, w
+
+
+def test_two_classes_with_one_mask_are_refused():
+    # a mask fixes its class, so a repeated canonical word cannot pass as two
+    g = build_graph((3, 4, 2, 1))
+    twice = classes.ClassGraph(g.w, (g.vertices[0], classes.CommClass(1, g.vertices[0].canonical)))
+    with pytest.raises(InvariantViolation, match="share a triple mask"):
+        twice.edges
+
+
+def test_rank_is_the_212_count_s5_s6(s5, s6):
+    for w in s5 + s6:
+        g = build_graph(w)
+        rank = build_poset(g).rank
+        assert all(rank[c.id] == count_212(c.canonical) for c in g.vertices), w

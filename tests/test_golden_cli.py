@@ -61,6 +61,14 @@ ARGVS = [
     ["bounds", "21", "--budget-words", "0"],
     ["bounds", "4321", "--format", "dot"],
     ["bounds", "21", "--budget-words", "-5"],
+    ["words", "4321", "--budget-words", "1.6e1"],
+    ["words", "4321", "--budget-words", "1.5e1"],
+    ["classes", "4321", "--budget-words", "1e12"],
+    ["bounds", "21", "--budget-words", "1.5"],
+    ["bounds", "21", "--budget-words", "1e-3"],
+    ["bounds", "21", "--budget-words", "inf"],
+    ["bounds", "21", "--budget-words", "nan"],
+    ["bounds", "21", "--budget-words=-1e3"],  # argparse reads a bare -1e3 as an option
     ["bounds", "--help"],
     ["aggregate", "3", "2"],
     ["aggregate", "4", "3", "--format", "json"],

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from redweave import InputError, BudgetExceeded
@@ -13,6 +15,7 @@ from redweave.perm import (
     pattern_count,
     pattern_occurrences,
 )
+from redweave.structure import RECT_PATTERNS
 
 
 def test_check_perm_accepts_and_normalizes():
@@ -58,6 +61,21 @@ def test_pattern_count_examples():
 def test_pattern_occurrences_are_index_tuples():
     occs = list(pattern_occurrences((3, 4, 2, 1), (3, 2, 1)))
     assert occs == [(0, 2, 3), (1, 2, 3)]
+
+
+def test_pattern_occurrences_match_pairwise_order(s6):
+    # an index tuple carries p when each pair of its values is ordered as
+    # the same pair of entries of p
+    patterns = [p for k in (3, 4) for p in permutations(range(1, k + 1))]
+    for w in s6:
+        for p in patterns + list(RECT_PATTERNS):
+            pairs = list(combinations(range(len(p)), 2))
+            brute = [
+                idx
+                for idx in combinations(range(len(w)), len(p))
+                if all((w[idx[s]] < w[idx[t]]) == (p[s] < p[t]) for s, t in pairs)
+            ]
+            assert list(pattern_occurrences(w, p)) == brute, (w, p)
 
 
 def test_avoids_matches_count():
