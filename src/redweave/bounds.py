@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 
 from .classes import ClassGraph, build_graph
 from .errors import InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, enumerate_sn, inversions, pattern_count
+from .perm import Perm, enumerate_sn, inversions
 from .words import Letters
 
 
@@ -31,12 +31,10 @@ class BoundsReport:
 
 def size_bounds(g: ClassGraph) -> BoundsReport:
     """2^ceil(Y/2) + N_321(w) - ceil(Y/2) <= |G(w)| < 3^l(w)."""
-    w = g.w
-    l = inversions(w)
-    n321 = pattern_count(w, (3, 2, 1))
+    l = inversions(g.w)
     half = (g.max_windows + 1) // 2
-    lower = 2**half + n321 - half
-    return BoundsReport(w, g.max_windows, n321, lower, 3**l, 2.487**l, len(g))
+    lower = 2**half + g.n321 - half
+    return BoundsReport(g.w, g.max_windows, g.n321, lower, 3**l, 2.487**l, len(g))
 
 
 def paren_encoding(letters: Letters) -> str:

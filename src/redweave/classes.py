@@ -3,12 +3,14 @@
 ``build_graph(w, budget)`` is G(w), cached and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
-G(w) is built in layers: canonical words up front; class sizes, edges and Y
-computed on first read and kept on the shared graph, so callers pay for what they read.
-Edges and ranks read one int per class, its ``_triple_masks`` bitmask over the 321-triples
-of w: a braid move flips one bit, and the popcount is the class's rank in P(w).
-Every function of G(w), here and in ``subnet``, ``structure``, ``bounds`` and
-``suite``, takes the graph; ``build_graph`` alone checks the budget.
+G(w) is built in layers: canonical words up front, as the paths over the
+live runs of the weak-order DAG in ``words``, which the word count and Y
+read too; class sizes, edges and Y are computed on first read and kept on
+the shared graph.  Edges and ranks read one int per class, its
+``_triple_masks`` bitmask over the 321-triples of w: a braid move flips
+one bit, and the popcount is the class's rank in P(w).  Every function of
+G(w), here and in ``subnet``, ``structure``, ``bounds`` and ``suite``,
+takes the graph; ``build_graph`` alone checks the budget.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, identity, inverse, pattern_count, pattern_occurrences
+from .perm import Perm, check_perm, inverse, pattern_occurrences
 from .words import (
     Letters,
     Word,
-    _left_descents,
-    _peel,
-    _sweep_tables,
-    _walk_words,
+    _dag,
+    _fill,
     count_reduced_words,
     crossing_events,
 )
@@ -39,13 +39,29 @@ def _canonical_words(w: Perm) -> list[Letters]:
     """The canonical word of every class of w, in lexicographic order.
 
     A reduced word is canonical (the lexicographically greatest of its
-    class) exactly when no letter exceeds its predecessor by two or
-    more.  The word DFS offers only such letters and remembers (state,
-    cap) pairs that lead nowhere, in the sweep's table if one is
-    installed.
+    class) exactly when no letter exceeds its predecessor by two or more.
+    These are the paths over the DAG's live runs, letters ascending: each
+    run reaches the identity, and a frame is pushed only where paths branch.
     """
-    tables = _sweep_tables()
-    return list(_walk_words(w, True, tables.dead if tables is not None else set()))
+    out, buf = [], []
+    frames = [(iter(_dag(keep_kids=False).live_runs(w)), 0)]  # live runs, len(buf) before them
+    while frames:
+        runs, mark = frames[-1]
+        run = next(runs, None)
+        if run is None:
+            frames.pop()
+            del buf[mark:]
+        elif run[1]:
+            frames.append((iter(run[1]), len(buf)))
+            buf += run[0]
+        else:
+            out.append((*buf, *run[0]))
+    return out or [()]  # the identity has no live runs and one empty word
+
+
+def _class_count(w: Perm) -> int:
+    """|G(w)|, the number of canonical words: the root's live path count."""
+    return sum(run[2] for run in _dag(keep_kids=False).live_runs(w)) or 1
 
 
 def _class_size(letters: Letters, n: int) -> int:
@@ -115,45 +131,22 @@ def _most_windows(w: Perm) -> tuple[int, Letters]:
     best(q, a, b) is the most windows a word can still gain from state q
     when its last two letters are a, b; a is kept only while it can
     close a window (|a - b| = 1), which keeps the memo small.  The DP
-    runs on an explicit stack, like the budget guard, and keeps its
-    memo in the sweep's table if one is installed.
+    reads q's children off the DAG and runs on an explicit stack; its
+    memo is the DAG's ``best``.
     """
-    done = identity(len(w))
-    tables = _sweep_tables()
-    best = tables.best if tables is not None else {}
+    dag = _dag()
+    best = dag.best
 
     def options(key: tuple[Perm, int, int]):
         """(letter, next key, windows gained) per letter, ascending."""
         q, a, b = key
-        return [
-            (i, (_peel(q, i), b if abs(b - i) == 1 else 0, i), int(a == i))
-            for i in _left_descents(q)
-        ]
+        return [(i, (p, b if abs(b - i) == 1 else 0, i), int(a == i)) for i, p in dag.kids(q)]
 
     key = (inverse(w), 0, 0)
-    stack: list = [(key, None)]
-    while stack:
-        k, opts = stack.pop()
-        if opts is not None:  # every key below k is solved by now
-            top = 0
-            for _, nk, gain in opts:
-                if gain + best[nk] > top:
-                    top = gain + best[nk]
-            best[k] = top
-        elif k not in best:
-            if k[0] == done:
-                best[k] = 0
-                continue
-            opts = options(k)
-            stack.append((k, opts))
-            stack += [(nk, None) for _, nk, _ in opts if nk not in best]
-
-    y = best[key]
-    word = []
-    while key[0] != done:
-        i, key = next(
-            (i, nk) for i, nk, gain in options(key) if gain + best[nk] == best[key]
-        )
+    _fill(best, key, options, lambda opts: max([g + best[nk] for _, nk, g in opts], default=0))
+    y, word = best[key], []
+    while dag.kids(key[0]):
+        i, key = next((i, nk) for i, nk, g in options(key) if g + best[nk] == best[key])
         word.append(i)
     return y, tuple(word)
 
@@ -235,6 +228,7 @@ class ClassGraph:
 
     max_windows = property(lambda self: self._y[0])  # Y
     max_window_word = property(lambda self: self._y[1])  # the least word with Y windows
+    n321 = property(lambda self: len(self._triples))  # N321(w), read off the triple masks' bits
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -282,13 +276,17 @@ def class_members(letters: Letters) -> set[Letters]:
     return seen
 
 
+def _guarded(w: Perm, budget: int) -> Perm:
+    """w, checked, unless |R(w)| exceeds budget."""
+    w = check_perm(w)
+    if (total := _word_total(w)) > budget:
+        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+    return w
+
+
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
     """The cached G(w); refused when |R(w)| exceeds budget."""
-    w = check_perm(w)
-    total = _word_total(w)
-    if total > budget:
-        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
-    return _scan_impl(w)
+    return _scan_impl(_guarded(w, budget))
 
 
 @dataclass(frozen=True)
@@ -323,11 +321,10 @@ def build_poset(g: ClassGraph) -> RankedPoset:
                 f"{ranks[upper] - ranks[lower]}, not 1"
             )
         covers.append((upper, lower))
-    n321 = pattern_count(g.w, (3, 2, 1))
-    if set(ranks.values()) != set(range(n321 + 1)):
+    if set(ranks.values()) != set(range(g.n321 + 1)):
         raise InvariantViolation(
             f"ranks of P({g.w}) are {sorted(set(ranks.values()))}, "
-            f"expected 0..{n321}"
+            f"expected 0..{g.n321}"
         )
     covers.sort()
     return RankedPoset(tuple(c.id for c in g.vertices), tuple(covers), ranks)

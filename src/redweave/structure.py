@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
 
 from .classes import ClassGraph, RankedPoset
 from .errors import InputError, InvariantViolation
@@ -36,8 +36,12 @@ def is_freely_braided(w: Perm) -> bool:
     words is not enough: in 4231 the two conflicting moves never appear
     in the same word, yet |G| = 3.)
     """
-    occs = [set(t) for t in pattern_occurrences(w, (3, 2, 1))]
-    return all(not (a & b) for a, b in combinations(occs, 2))
+    return _disjoint(tuple(pattern_occurrences(w, (3, 2, 1))))
+
+
+def _disjoint(triples: tuple) -> bool:
+    """Whether no two triples share an entry: positions and values alike."""
+    return len({x for t in triples for x in t}) == 3 * len(triples)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bounds import aggregate_reports, size_bounds
-from .classes import ClassGraph, build_graph, build_poset, graph_checks
+from .classes import ClassGraph, _guarded, _scan_impl, build_graph, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, avoids, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
+    _disjoint,
     classify_edge_pair,
     embed_hypercube,
-    is_freely_braided,
     is_rectangular,
     rectangle_label,
 )
@@ -47,7 +47,7 @@ def check_permutation(g: ClassGraph) -> list[str]:
     except InvariantViolation as exc:
         out.append(str(exc))
 
-    if is_freely_braided(w) and actual != 2**bounds.y:
+    if _disjoint(g._triples) and actual != 2**bounds.y:  # freely braided
         out.append(f"freely braided {w} has {actual} classes, expected 2^{bounds.y}")
 
     label = rectangle_label(g, poset) if poset is not None else None
@@ -88,10 +88,14 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return b in seen
 
 
-def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
+def _results(g: ClassGraph) -> tuple[list[str], tuple[Letters, ...]]:
     """The violations of w and its canonical words, for the aggregate bound."""
-    g = build_graph(*args)
     return check_permutation(g), tuple(c.canonical.letters for c in g.vertices)
+
+
+def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
+    """``_results`` in a pool worker, which reads each G(w) once: none is cached."""
+    return _results(_scan_impl.__wrapped__(_guarded(*args)))
 
 
 def _init_worker() -> None:
@@ -101,17 +105,17 @@ def _init_worker() -> None:
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    The sweep is one job.  Its permutations share the memos of the
-    budget guard, the canonical-word DFS and the Y DP, which depend on
-    the walk state alone (each pool worker holds its own set, the serial
-    path holds one for the call).  They run longest first, lexicographic
-    among equals, so each worker starts near w0, which fills nearly all
-    of its tables at once, and the pool ends on the cheapest ones.
+    The sweep is one job.  Its permutations share one DAG of the states
+    of S_n, which the budget guard, the canonical words and Y all read:
+    each pool worker holds its own and caches no G(w); the serial path
+    holds one for the call and caches each G(w).  They run longest first,
+    lexicographic among equals, so each worker starts near w0, which fills
+    nearly all of its DAG at once, and the pool ends on the cheapest ones.
     Violations are reported in lexicographic order of w either way.
     The pool's start method is the platform's default, not pinned: under
     fork (Linux, Python <= 3.13) a worker is a copy of this process (its
     calling thread only), redweave imported, so no interpreter, import or
-    resource tracker starts.  ``_init_worker`` gives it tables of its own.
+    resource tracker starts.  ``_init_worker`` gives it a DAG of its own.
     """
     perms = list(enumerate_sn(n))
     heaviest_first = sorted(perms, key=lambda w: (-inversions(w), w))
@@ -124,7 +128,7 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list
     else:
         _install_tables(_SweepTables())
         try:
-            results = [_worker(job) for job in jobs]
+            results = [_results(build_graph(*job)) for job in jobs]
         finally:
             _install_tables(None)
     by_perm = dict(zip(heaviest_first, results))

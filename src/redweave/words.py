@@ -3,6 +3,9 @@
 Letters are 1-based and act on positions: letter i swaps the entries at
 positions i and i+1 of the one-line notation.  A word is reduced when its
 length equals the inversion number of the permutation it evaluates to.
+The reduced words of w are the paths from w down to the identity in the
+weak-order DAG (``_SweepTables``), which the word count, the word DFS,
+the canonical words of ``classes`` and its Y DP all read.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, identity, inverse, inversions
+from .perm import Perm, inverse, inversions
 
 Letters = tuple[int, ...]
 
@@ -82,35 +85,71 @@ def crossing_events(word: Word) -> list[tuple[int, int]]:
     return events
 
 
-# Reduced words are walked on the inverse permutation q, where q[v-1] is the
-# position of the value v.  The first letter of a reduced word may be any
-# left descent i (the value i+1 sits left of the value i, so q[i] < q[i-1]);
-# taking it swaps q[i-1] and q[i], and the walk ends at the identity.
-
-
-def _left_descents(q: Perm) -> list[int]:
-    return [i for i in range(1, len(q)) if q[i] < q[i - 1]]
-
-
-def _peel(q: Perm, i: int) -> Perm:
-    return q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
-
-
 class _SweepTables:
-    """Memos keyed on the walk state q alone, so they hold for every w.
+    """The weak-order DAG of the states below w, which every walk reads.
 
-    ``counts`` maps q to |R(q)| (the budget guard), ``dead`` holds the
-    (q, cap) pairs from which the canonical DFS finds no word, and
-    ``best`` maps (q, a, b) to the Y DP's value.  A sweep over S_n
-    installs one set for its whole length, so a state is expanded once
-    per sweep rather than once per w above it; outside a sweep each
-    call builds its own memo and drops it on return.
+    A state is the inverse q of a permutation (q[v-1] is the position of
+    v).  ``kids(q)`` is (i, s_i q) per left descent i of q (q[i] < q[i-1]),
+    ascending, expanded on first read: a reduced word of q is i followed
+    by one of s_i q, and the identity has none.  ``words[q]`` is |R(q)|.
+    ``live[q]`` keeps the children that a canonical word can take (see
+    ``classes``), as runs (letters, below, c): after letter i the next
+    may be at most i + 1, and a run goes on while that leaves one live
+    child.  ``below`` is the live runs after it, cut to that cap (empty
+    at the identity), and c > 0 counts the canonical words through it.
+    ``best`` is the Y DP's memo.  A sweep over S_n installs one DAG for
+    all of S_n, so each state is expanded once per sweep, not once per w
+    above it.  Outside a sweep each call builds its own and drops it on
+    return; a DP that reads each state once keeps no children.
     """
 
-    def __init__(self) -> None:
-        self.counts: dict[Perm, int] = {}
-        self.dead: set[tuple[Perm, int]] = set()
+    def __init__(self, keep_kids: bool = True) -> None:
+        self.keep_kids = keep_kids
+        self._kids: dict[Perm, tuple[tuple[int, Perm], ...]] = {}
+        self.words: dict[Perm, int] = {}
+        self.live: dict[Perm, tuple] = {}
         self.best: dict[tuple[Perm, int, int], int] = {}
+
+    def kids(self, q: Perm) -> tuple[tuple[int, Perm], ...]:
+        kids = self._kids.get(q)
+        if kids is None:
+            kids = tuple([(i, q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :])
+                          for i in range(1, len(q)) if q[i] < q[i - 1]])
+            if self.keep_kids:
+                self._kids[q] = kids
+        return kids
+
+    def live_runs(self, w: Perm) -> tuple:
+        """The live runs from the state of w (empty for the identity)."""
+        root = inverse(w)
+        _fill(self.live, root, self.kids, self._live_kids)
+        return self.live[root]
+
+    def _live_kids(self, kids: tuple) -> tuple:
+        out = []
+        for i, p in kids:
+            below = tuple(run for run in self.live[p] if run[0][0] <= i + 1)
+            if len(below) == 1:  # the next letter is forced: the run goes on
+                letters, below, c = below[0]
+                out.append(((i, *letters), below, c))
+            elif below or not self.live[p]:  # no live run below: p is the identity
+                out.append(((i,), below, sum(run[2] for run in below) or 1))
+        return tuple(out)
+
+
+def _fill(memo: dict, root, below, value) -> None:
+    """memo[k] = value(below(k)) for each key k below root, children first;
+    ``below(k)`` lists k's children as (letter, key, ...).  What is pushed
+    while k waits lies below k, so each key is expanded at most once per memo."""
+    stack: list[tuple] = [(root, None)]
+    while stack:
+        k, kids = stack.pop()
+        if kids is not None:  # every key below k is valued by now
+            memo[k] = value(kids)
+        elif k not in memo:
+            kids = below(k)
+            stack.append((k, kids))
+            stack += [(e[1], None) for e in kids if e[1] not in memo]
 
 
 _tables: _SweepTables | None = None
@@ -122,93 +161,48 @@ def _install_tables(tables: _SweepTables | None) -> None:
     _tables = tables
 
 
-def _sweep_tables() -> _SweepTables | None:
-    return _tables
+def _dag(keep_kids: bool = True) -> _SweepTables:
+    """The sweep's DAG if one is installed, else a fresh one for one call."""
+    return _tables if _tables is not None else _SweepTables(keep_kids)
 
 
 def count_reduced_words(w: Perm) -> int:
-    """|R(w)| by the descent recursion, memoized over the states below w.
-
-    The recursion runs on an explicit stack, so a long w cannot exhaust
-    the interpreter's.  Whatever is pushed while q waits for its count
-    lies below q, so each state is expanded at most once per memo.
+    """|R(w)|: the paths from w's state to the identity in the DAG.
 
     >>> count_reduced_words((4, 3, 2, 1))
     16
     """
-    memo = _tables.counts if _tables is not None else {}
-    memo[identity(len(w))] = 1
-    root = inverse(w)
-    stack: list[tuple[Perm, list[Perm] | None]] = [(root, None)]
-    while stack:
-        q, below = stack.pop()
-        if below is not None:  # every state below q is counted by now
-            total = 0
-            for p in below:
-                total += memo[p]
-            memo[q] = total
-        elif q not in memo:
-            below = [_peel(q, i) for i in _left_descents(q)]
-            stack.append((q, below))
-            stack += [(p, None) for p in below if p not in memo]
-    return memo[root]
+    dag, root = _dag(keep_kids=False), inverse(w)
+    words = dag.words
+    _fill(words, root, dag.kids, lambda kids: sum([words[p] for _, p in kids]) or 1)
+    return words[root]
 
 
 def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
-    """Yield the reduced letter sequences of w, lexicographically.
-
-    The first letter of a reduced word of w may be any left descent i
-    (the value i+1 precedes the value i); the rest is a reduced word of
-    s_i * w.  Ascending choice of i gives lexicographic order.
-    """
-    return _walk_words(w, canonical=False, dead=set())
-
-
-def _walk_words(w: Perm, canonical: bool, dead: set[tuple[Perm, int]]) -> Iterator[Letters]:
-    """The reduced words of w in lexicographic order, by DFS over left descents.
-
-    With ``canonical``, a letter may exceed its predecessor by at most
-    one, so exactly the canonical word of each class is yielded (see
-    ``classes``).  A frame is skipped when (state, cap) is in ``dead``,
-    and added to it when it yields no word.  Frames live on an explicit
-    stack, one per letter, so a long w cannot exhaust the interpreter's.
-    """
-    n = len(w)
-    done = identity(n)
-    q = inverse(w)
-    if q == done:
+    """Yield the reduced letter sequences of w, lexicographically: the DAG's
+    paths from w, letters ascending, by DFS on an explicit stack.  A state
+    is expanded when the DFS first gets there, so the words stream."""
+    dag, buf = _dag(), []  # buf: the letters leading to each frame but the first
+    frames = [iter(dag.kids(inverse(w)))]
+    if not dag.kids(inverse(w)):
         yield ()
-        return
-    buf: list[int] = []  # the letters leading to each frame but the first
-    frames = [[q, n - 1, iter(_left_descents(q)), False]]  # state, cap, descents, found
     while frames:
-        frame = frames[-1]
-        q, cap, descents, found = frame
-        i = next(descents, n)
-        if i > cap:
+        i, p = next(frames[-1], (0, None))
+        if p is None:
             frames.pop()
-            if not found:
-                dead.add((q, cap))
-            if frames:
-                buf.pop()
-                frames[-1][3] |= found
-            continue
-        p, pcap = _peel(q, i), min(i + 1, n - 1) if canonical else n - 1
-        if p == done:
-            frame[3] = True
-            yield (*buf, i)
-        elif (p, pcap) not in dead:
+            del buf[-1:]  # the letter into the popped frame; the first has none
+        elif dag.kids(p):
             buf.append(i)
-            frames.append([p, pcap, iter(_left_descents(p)), False])
+            frames.append(iter(dag.kids(p)))
+        else:
+            yield (*buf, i)
 
 
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:
     """Every reduced word of w exactly once, lexicographic by letters."""
-    total = count_reduced_words(w)
-    if total > budget:
+    if (total := count_reduced_words(w)) > budget:
         raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
-    n = len(w)
-    return (Word(ls, n) for ls in reduced_letter_seqs(w))
+    return (Word(ls, len(w)) for ls in reduced_letter_seqs(w))
 
 
 def braid_windows(letters: Letters) -> list[int]:

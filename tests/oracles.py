@@ -7,6 +7,9 @@ checked against them.  ``word_walk_scan`` is a word-by-word sweep that
 the class-level ``build_graph`` replaced; it rests only on the word-level
 enumeration and canonical form, which the closures here check.
 ``graph_as_scan`` puts a ``ClassGraph`` in the shape it returns.
+``canonical_words_dfs`` is the canonical-word DFS that the live DAG of
+``words`` replaced: it walks states with its own descents and remembers
+the (state, cap) pairs that lead to no word.
 ``list_moves`` and ``apply_move`` name and apply the single rewrites of
 one word, as ``rewrite_neighbors`` does without naming them.
 ``local_rule_sets`` finds the classes of w as the sets of 321-triples
@@ -21,7 +24,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from redweave import InputError, Word
-from redweave.perm import Perm, identity
+from redweave.perm import Perm, identity, inverse
 from redweave.words import braid_windows, canonical_letters, reduced_letter_seqs
 
 
@@ -242,6 +245,44 @@ def word_walk_scan(w: Perm) -> dict:
         "max_windows": best,
         "max_window_word": best_word,
     }
+
+
+def canonical_words_dfs(w: Perm) -> list[tuple[int, ...]]:
+    """The canonical words of w (no letter exceeds its predecessor by 2 or
+    more), in lexicographic order, by DFS over the left descents of the
+    inverse; a frame is skipped when its (state, cap) is known dead."""
+    n = len(w)
+    done = identity(n)
+    q = inverse(w)
+    if q == done:
+        return [()]
+
+    def descents(q):
+        return [i for i in range(1, n) if q[i] < q[i - 1]]
+
+    out, buf, dead = [], [], set()
+    frames = [[q, n - 1, iter(descents(q)), False]]  # state, cap, descents, found
+    while frames:
+        frame = frames[-1]
+        q, cap, it, found = frame
+        i = next(it, n)
+        if i > cap:
+            frames.pop()
+            if not found:
+                dead.add((q, cap))
+            if frames:
+                buf.pop()
+                frames[-1][3] |= found
+            continue
+        p = q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
+        pcap = min(i + 1, n - 1)
+        if p == done:
+            frame[3] = True
+            out.append((*buf, i))
+        elif (p, pcap) not in dead:
+            buf.append(i)
+            frames.append([p, pcap, iter(descents(p)), False])
+    return out
 
 
 def graph_as_scan(g) -> dict:

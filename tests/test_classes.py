@@ -1,10 +1,13 @@
 import inspect
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import classes_bfs, graph_as_scan, local_rule_sets, triple_set, word_walk_scan
+from oracles import (
+    canonical_words_dfs, classes_bfs, graph_as_scan, local_rule_sets, triple_set, word_walk_scan
+)
 from redweave import (
     BudgetExceeded, InvariantViolation, bounds, classes, structure, subnet, suite, words
 )
@@ -132,6 +135,36 @@ def test_scan_matches_word_walk_s5_s6(s5, s6):
     # every field of the cached G(w) against the word-by-word sweep
     for w in s5 + s6:
         assert graph_as_scan(build_graph(w)) == word_walk_scan(w), w
+
+
+def test_canonical_words_match_the_dfs_oracle(s5, s6):
+    # compared by pickling, so the order and the types count too
+    for w in [w for n in range(1, 5) for w in enumerate_sn(n)] + s5 + s6 + [longest_element(7)]:
+        got = pickle.dumps(classes._canonical_words(w))
+        assert got == pickle.dumps(canonical_words_dfs(w)), w
+
+
+@pytest.mark.slow
+def test_canonical_words_match_the_dfs_oracle_s7():
+    for w in enumerate_sn(7):
+        got = pickle.dumps(classes._canonical_words(w))
+        assert got == pickle.dumps(canonical_words_dfs(w)), w
+
+
+def test_class_count_of_w0_is_a006245():
+    # Knuth's count of commutation classes of w0 (Axioms and Hulls), OEIS A006245
+    counts = [classes._class_count(longest_element(n)) for n in range(1, 9)]
+    assert counts == [1, 1, 2, 8, 62, 908, 24698, 1232944]
+
+
+@pytest.mark.slow
+def test_class_count_of_w0_9():
+    assert classes._class_count(longest_element(9)) == 112_018_190
+
+
+def test_class_count_is_the_number_of_classes_s5(s5):
+    for w in s5:
+        assert classes._class_count(w) == len(build_graph(w)), w
 
 
 @pytest.fixture

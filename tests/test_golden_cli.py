@@ -68,7 +68,9 @@ ARGVS = [
     ["bounds", "21", "--budget-words", "1e-3"],
     ["bounds", "21", "--budget-words", "inf"],
     ["bounds", "21", "--budget-words", "nan"],
-    ["bounds", "21", "--budget-words=-1e3"],  # argparse reads a bare -1e3 as an option
+    ["bounds", "21", "--budget-words=-1e3"],
+    ["bounds", "21", "--budget-words", "-1e3"],
+    ["words", "4321", "--budget-words", "-5"],
     ["bounds", "--help"],
     ["aggregate", "3", "2"],
     ["aggregate", "4", "3", "--format", "json"],

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +10,7 @@ from redweave import (
     InvariantViolation,
     bounds,
     classes,
+    perm,
     structure,
     subnet,
     suite,
@@ -40,6 +40,22 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
         monkeypatch.setattr(mod, "build_poset", counted)
     assert suite.check_permutation(g) == []
     assert posets == [g]
+
+
+def test_check_permutation_scans_for_321_once(monkeypatch):
+    # N321 and the freely-braided test read the graph's 321-triples
+    scans = Counter()
+    real = perm.pattern_occurrences
+
+    def counted(w, p):
+        scans[p] += 1
+        return real(w, p)
+
+    for mod in (perm, classes, structure):
+        monkeypatch.setattr(mod, "pattern_occurrences", counted)
+    g = classes._scan_impl.__wrapped__((3, 2, 6, 5, 1, 4))
+    assert suite.check_permutation(g) == []
+    assert scans[(3, 2, 1)] == 1
 
 
 def test_bound_checks_use_size_bounds(monkeypatch):
@@ -116,7 +132,7 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
     classes._scan_impl.cache_clear()
     assert suite.scan_sn(5, threads=1) == []
-    assert words._sweep_tables() is None
+    assert words._tables is None
     misses = classes._scan_impl.cache_info().misses
     unread = {"edges", "_y"} if not suite_reads else set()
     for w in s5:
@@ -128,14 +144,23 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
 
 
 def test_no_tables_outlive_a_sweep():
-    assert words._sweep_tables() is None
+    assert words._tables is None
     assert suite.scan_sn(3, threads=1) == []
-    assert words._sweep_tables() is None
+    assert words._tables is None
     with pytest.raises(BudgetExceeded):
         suite.scan_sn(4, budget=2, threads=1)
-    assert words._sweep_tables() is None
+    assert words._tables is None
     classes.build_graph(longest_element(5))
-    assert words._sweep_tables() is None
+    assert words._tables is None
+
+
+def test_pool_job_caches_no_graph(s5):
+    # a pool worker reads each G(w) once, so it keeps none in the cache
+    classes._scan_impl.cache_clear()
+    jobs = [suite._worker((w, 10**8)) for w in s5]
+    assert classes._scan_impl.cache_info().currsize == 0
+    assert jobs == [suite._results(classes.build_graph(w)) for w in s5]
+    classes._scan_impl.cache_clear()
 
 
 def test_sweep_reports_in_lexicographic_order(monkeypatch):
@@ -149,18 +174,24 @@ def test_pool_sweep_matches_serial():
 
 
 def test_sweep_expands_each_guard_state_once(monkeypatch):
+    # one DAG serves the guard, the canonical words and Y: each state of
+    # S_5 gets its children once per sweep, not once per walk or per w
     expanded = Counter()
-    real = words._left_descents
-    guard = words.count_reduced_words.__code__
 
-    def counted(q):
-        if sys._getframe(1).f_code is guard:  # the word DFS reads it too
+    class CountingDict(dict):
+        def __setitem__(self, q, kids):
             expanded[q] += 1
-        return real(q)
+            super().__setitem__(q, kids)
 
-    monkeypatch.setattr(words, "_left_descents", counted)
+    class Counted(words._SweepTables):
+        def __init__(self):
+            super().__init__()
+            self._kids = CountingDict()
+
+    for mod in (words, suite):
+        monkeypatch.setattr(mod, "_SweepTables", Counted)
     classes._word_total.cache_clear()
     classes._scan_impl.cache_clear()
     assert suite.scan_sn(5, threads=1) == []
-    assert set(expanded) <= {inverse(w) for w in enumerate_sn(5)}
+    assert set(expanded) == {inverse(w) for w in enumerate_sn(5)}
     assert max(expanded.values()) == 1

@@ -11,7 +11,7 @@ from oracles import (
     commutation_class_bfs,
     list_moves,
 )
-from redweave import InputError, BudgetExceeded
+from redweave import InputError, BudgetExceeded, words
 from redweave.perm import enumerate_sn, identity, inversions, longest_element
 from redweave.words import (
     Word,
@@ -23,6 +23,7 @@ from redweave.words import (
     index_sum,
     is_reduced,
     parse_word,
+    reduced_letter_seqs,
     word_of,
 )
 
@@ -69,6 +70,18 @@ def test_enumeration_small_counts():
     assert count_reduced_words((4, 3, 2, 1)) == 16
     assert count_reduced_words(longest_element(5)) == 768
     assert count_reduced_words(longest_element(6)) == 292864
+
+
+def test_first_word_comes_before_the_dag_is_built(monkeypatch):
+    # the word DFS expands a state when it gets there: the first word of w0
+    # of S_6 reads the 16 states on its path, not the 720 below w0
+    dag = words._SweepTables()
+    monkeypatch.setattr(words, "_tables", dag)
+    seqs = reduced_letter_seqs(longest_element(6))
+    assert next(seqs) == (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)
+    assert len(dag._kids) == 16
+    assert sum(1 for _ in seqs) == 292863
+    assert len(dag._kids) == 720
 
 
 def test_enumeration_budget():
