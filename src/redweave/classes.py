@@ -4,13 +4,13 @@
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers: canonical words up front, as the paths over the
-live runs of the weak-order DAG in ``words``, which the word count and Y
-read too; class sizes, edges and Y are computed on first read and kept on
-the shared graph.  Edges and ranks read one int per class, its
-``_triple_masks`` bitmask over the 321-triples of w: a braid move flips
-one bit, and the popcount is the class's rank in P(w).  Every function of
-G(w), here and in ``subnet``, ``structure``, ``bounds`` and ``suite``,
-takes the graph; ``build_graph`` alone checks the budget.
+live runs of the weak-order DAG in ``words`` (outside a sweep the word
+count and Y each walk a DAG of their own); class sizes, edges and Y are
+computed on first read and kept on the shared graph.  Edges and ranks
+read one int per class, its ``_triple_masks`` bitmask over the 321-triples
+of w: a braid move flips one bit, and the popcount is its rank in P(w).
+Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
+and ``suite``, takes the graph; ``build_graph`` alone checks the budget.
 """
 
 from __future__ import annotations

@@ -327,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help, positionals=("perm",), options=None,
             formats=("text", "json")):
         p = sub.add_parser(name, help=help)
+        assert hasattr(p, "_negative_number_matcher")  # private; golden case "-1e3" guards it
         p._negative_number_matcher = re.compile(r"-\.?\d")  # "-1e3" is a value, as "-5" is
         for arg in positionals:  # a permutation is parsed by its command
             p.add_argument(arg, type=str if arg == "perm" else int)

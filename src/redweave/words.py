@@ -3,9 +3,9 @@
 Letters are 1-based and act on positions: letter i swaps the entries at
 positions i and i+1 of the one-line notation.  A word is reduced when its
 length equals the inversion number of the permutation it evaluates to.
-The reduced words of w are the paths from w down to the identity in the
-weak-order DAG (``_SweepTables``), which the word count, the word DFS,
-the canonical words of ``classes`` and its Y DP all read.
+The reduced words of w are the paths from w to the identity in the
+weak-order DAG (``_SweepTables``) that the word count, the word DFS and
+``classes`` read: one per sweep, else one per walk, dropped on return.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ class _SweepTables:
     may be at most i + 1, and a run goes on while that leaves one live
     child.  ``below`` is the live runs after it, cut to that cap (empty
     at the identity), and c > 0 counts the canonical words through it.
-    ``best`` is the Y DP's memo.  A sweep over S_n installs one DAG for
-    all of S_n, so each state is expanded once per sweep, not once per w
-    above it.  Outside a sweep each call builds its own and drops it on
-    return; a DP that reads each state once keeps no children.
+    ``best`` is the Y DP's memo.  Only a sweep shares a DAG, one for all
+    of S_n, so each state is expanded once per sweep.  Elsewhere each walk
+    builds its own and drops it (G(w) and Y expand each state thrice), and
+    one that reads each state once keeps no children (``keep_kids=False``).
     """
 
     def __init__(self, keep_kids: bool = True) -> None:

@@ -174,24 +174,32 @@ def test_pool_sweep_matches_serial():
 
 
 def test_sweep_expands_each_guard_state_once(monkeypatch):
-    # one DAG serves the guard, the canonical words and Y: each state of
-    # S_5 gets its children once per sweep, not once per walk or per w
-    expanded = Counter()
+    # one DAG serves the guard, the canonical words and Y: each memo of the
+    # sweep's DAG gets each state of S_5 once, not once per walk or per w
+    filled = {name: Counter() for name in ("_kids", "words", "live", "best")}
 
-    class CountingDict(dict):
-        def __setitem__(self, q, kids):
-            expanded[q] += 1
-            super().__setitem__(q, kids)
+    def counting(name):
+        class CountingDict(dict):
+            def __setitem__(self, key, value):
+                filled[name][key] += 1
+                super().__setitem__(key, value)
 
-    class Counted(words._SweepTables):
-        def __init__(self):
-            super().__init__()
-            self._kids = CountingDict()
+        return CountingDict()
+
+    class Counted(words._SweepTables):  # a fresh DAG per walk counts into the same tallies
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for name in filled:
+                setattr(self, name, counting(name))
 
     for mod in (words, suite):
         monkeypatch.setattr(mod, "_SweepTables", Counted)
     classes._word_total.cache_clear()
     classes._scan_impl.cache_clear()
     assert suite.scan_sn(5, threads=1) == []
-    assert set(expanded) == {inverse(w) for w in enumerate_sn(5)}
-    assert max(expanded.values()) == 1
+    states = {inverse(w) for w in enumerate_sn(5)}
+    for name in ("_kids", "words", "live"):
+        assert set(filled[name]) == states, name
+        assert max(filled[name].values()) == 1, name
+    assert {q for q, _, _ in filled["best"]} == states
+    assert max(filled["best"].values()) == 1
