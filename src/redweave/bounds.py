@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .classes import ClassGraph, build_graph
 from .errors import InputError, WORD_BUDGET_DEFAULT
@@ -75,23 +75,31 @@ class AggregateReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.sum_classes < self.catalan < self.four_power and self.injective
-        )
+        return self.sum_classes < self.catalan < self.four_power and self.injective
 
 
-def _aggregate(n: int, l: int, groups: list[Iterable[Letters]]) -> AggregateReport:
-    # one group of canonical words per permutation of length l
-    encodings = [paren_encoding(c) for group in groups for c in group]
-    return AggregateReport(
-        n=n,
-        l=l,
-        count_perms=len(groups),
-        sum_classes=len(encodings),
-        catalan=catalan(l + n - 1),
-        four_power=4 ** (l + n),
-        injective=len(set(encodings)) == len(encodings),
-    )
+def paren_decoding(text: str, l: int) -> Letters:
+    """The canonical word of length l whose ``paren_encoding`` is text, a left
+    inverse at each length: the first letter is the pair count less l - 1,
+    and each later ``)^d(`` run steps down by d - 1.
+
+    >>> paren_decoding('(())((())())', 5)
+    (2, 1, 2, 3, 2)
+    """
+    if not l:
+        return ()
+    letters = [len(text) // 2 - l + 1]
+    for run in text[letters[0]:].split("(")[:-1]:
+        letters.append(letters[-1] - len(run) + 1)
+    return tuple(letters)
+
+
+def _tally(g: ClassGraph) -> tuple[int, bool]:
+    """|G(w)|, and whether every canonical word of w decodes back from its
+    parenthesis encoding: w's share of the aggregate bound at l(w)."""
+    l = inversions(g.w)
+    words = (c.canonical.letters for c in g.vertices)
+    return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in words)
 
 
 def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
@@ -99,33 +107,27 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
     """Sum |G(w)| over all w in S_n with l(w) = l against C_{l+n-1} < 4^(l+n).
 
     Also checks that the parenthesis encodings of all canonical
-    representatives across those w are pairwise distinct.  Stated for
-    l >= 1: at l = 0 the one empty class meets C_{n-1} = 1 for n <= 2.
+    representatives across those w are pairwise distinct, by decoding each
+    back.  Stated for l >= 1: at l = 0 the one empty class meets C_{n-1} = 1
+    for n <= 2.
     """
     perms = enumerate_sn(n, cap=cap)  # refuses n < 1 before the checks below
     if n == 1:
         raise InputError("S_1 has no nontrivial length: its only permutation has length 0")
     if not 1 <= l <= n * (n - 1) // 2:
         raise InputError(f"length {l} is outside 1..{n * (n - 1) // 2} for S_{n}")
-    groups = [
-        [c.canonical.letters for c in build_graph(w, budget).vertices]
-        for w in perms
-        if inversions(w) == l
-    ]
-    return _aggregate(n, l, groups)
+    tallies = {w: _tally(build_graph(w, budget)) for w in perms if inversions(w) == l}
+    return aggregate_reports(n, tallies)[l - 1]
 
 
-def aggregate_reports(n: int,
-                      canonicals: Mapping[Perm, Iterable[Letters]]) -> list[AggregateReport]:
-    """``aggregate_bound_check(n, l)`` for every l >= 1, in one pass.
-
-    ``canonicals`` maps each w in S_n to the canonical words of its
-    classes.
-    """
-    groups: dict[int, list[Iterable[Letters]]] = {
-        l: [] for l in range(1, n * (n - 1) // 2 + 1)
-    }
-    for w, canon in canonicals.items():
+def aggregate_reports(n: int, tallies: Mapping[Perm, tuple[int, bool]]) -> list[AggregateReport]:
+    """``aggregate_bound_check(n, l)`` for every l >= 1, in one pass over the
+    ``_tally`` of each given w.  Injective means every word decodes back: the
+    canonical words of different w differ, as they evaluate to different w."""
+    groups: dict[int, list[tuple[int, bool]]] = {l: [] for l in range(1, n * (n - 1) // 2 + 1)}
+    for w, tally in tallies.items():
         if l := inversions(w):
-            groups[l].append(canon)
-    return [_aggregate(n, l, group) for l, group in groups.items()]
+            groups[l].append(tally)
+    return [AggregateReport(n, l, len(group), sum(size for size, _ in group), catalan(l + n - 1),
+                            4 ** (l + n), all(ok for _, ok in group))
+            for l, group in groups.items()]

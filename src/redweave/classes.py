@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetExceeded, InvariantViolation, WORD_BUDGET_DEFAULT
+from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, check_perm, inverse, pattern_occurrences
 from .words import (
     Letters,
     Word,
     _dag,
     _fill,
+    _within_budget,
     count_reduced_words,
     crossing_events,
 )
@@ -279,8 +280,7 @@ def class_members(letters: Letters) -> set[Letters]:
 def _guarded(w: Perm, budget: int) -> Perm:
     """w, checked, unless |R(w)| exceeds budget."""
     w = check_perm(w)
-    if (total := _word_total(w)) > budget:
-        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+    _within_budget(_word_total(w), budget)
     return w
 
 

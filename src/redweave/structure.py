@@ -167,16 +167,14 @@ def rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
     dims = labels[rows[0][0]]
     if any(d < 1 for d in dims):
         return None
+    # once the labels are a bijection onto the grid, the edges (distinct
+    # pairs) are its unit pairs when each joins one and they are as many
     grid = set(product(*(range(d + 1) for d in dims)))
-    if set(labels.values()) != grid or len(set(labels.values())) != len(labels):
+    if (set(labels.values()) != grid or len(set(labels.values())) != len(labels)
+            or len(g.edges) != sum(d * len(grid) // (d + 1) for d in dims)
+            or any(sum(abs(a - b) for a, b in zip(labels[e.u], labels[e.v])) != 1
+                   for e in g.edges)):
         return None
-    ids = [c.id for c in g.vertices]
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            diff = [abs(a - b) for a, b in zip(labels[u], labels[v])]
-            unit = sum(diff) == 1
-            if g.has_edge(u, v) != unit:
-                return None
     # normalize coordinate order: dims weakly increasing, ties broken by the
     # canonical word of the basis class on that axis
     order = sorted(

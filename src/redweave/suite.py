@@ -4,19 +4,19 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bounds import aggregate_reports, size_bounds
-from .classes import ClassGraph, _guarded, _scan_impl, build_graph, build_poset, graph_checks
+from .bounds import _tally, aggregate_reports, size_bounds
+from .classes import ClassGraph, _guarded, _scan_impl, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, avoids, enumerate_sn, inversions
+from .perm import Perm, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     _disjoint,
     classify_edge_pair,
     embed_hypercube,
-    is_rectangular,
     rectangle_label,
+    rectangular_witness,
 )
-from .words import Letters, _install_tables, _SweepTables
+from .words import _install_tables, _SweepTables
 
 
 def check_permutation(g: ClassGraph) -> list[str]:
@@ -50,8 +50,9 @@ def check_permutation(g: ClassGraph) -> list[str]:
     if _disjoint(g._triples) and actual != 2**bounds.y:  # freely braided
         out.append(f"freely braided {w} has {actual} classes, expected 2^{bounds.y}")
 
+    witness = rectangular_witness(w)  # one scan serves both pattern tests
     label = rectangle_label(g, poset) if poset is not None else None
-    if is_rectangular(w) != (label is not None):
+    if (witness is None) != (label is not None):
         out.append(f"rectangularity pattern test and labeling disagree for {w}")
 
     is_path = (
@@ -64,7 +65,7 @@ def check_permutation(g: ClassGraph) -> list[str]:
             f"G({w}) is a path with {actual} != N321+1 = {bounds.n321 + 1} vertices"
         )
 
-    if avoids(w, (4, 3, 2, 1)):
+    if witness != (4, 3, 2, 1):  # RECT_PATTERNS[0]: w avoids 4321
         # an induced 8-cycle of a 4321-avoider is a grid's rim, as in
         # G(436512), so its two edges at v also lie on a 6-cycle through the
         # grid's centre (true on S_5, S_6 and the 4321-avoiders of S_7)
@@ -88,29 +89,26 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return b in seen
 
 
-def _results(g: ClassGraph) -> tuple[list[str], tuple[Letters, ...]]:
-    """The violations of w and its canonical words, for the aggregate bound."""
-    return check_permutation(g), tuple(c.canonical.letters for c in g.vertices)
-
-
-def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[Letters, ...]]:
-    """``_results`` in a pool worker, which reads each G(w) once: none is cached."""
-    return _results(_scan_impl.__wrapped__(_guarded(*args)))
+def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[int, bool]]:
+    """The sweep's one job: the violations and ``_tally`` of an uncached G(w)."""
+    g = _scan_impl.__wrapped__(_guarded(*args))
+    return check_permutation(g), _tally(g)
 
 
 def _init_worker() -> None:
-    _install_tables(_SweepTables())  # a pool worker lives as long as its sweep
+    _install_tables(_SweepTables())  # a worker lives as long as its sweep
 
 
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    The sweep is one job.  Its permutations share one DAG of the states
-    of S_n, which the budget guard, the canonical words and Y all read:
-    each pool worker holds its own and caches no G(w); the serial path
-    holds one for the call and caches each G(w).  They run longest first,
-    lexicographic among equals, so each worker starts near w0, which fills
-    nearly all of its DAG at once, and the pool ends on the cheapest ones.
+    Each w is one ``_worker`` job, here when threads is 1, else in a pool;
+    it caches no G(w) and returns two numbers, not the classes, for the
+    aggregate bound.  The jobs share one DAG of the states of S_n (one per
+    worker), which the budget guard, the canonical words and Y all read.
+    They run longest first, lexicographic among equals, so each worker
+    starts near w0, which fills nearly all of its DAG at once, and the
+    pool ends on the cheapest ones.
     Violations are reported in lexicographic order of w either way.
     The pool's start method is the platform's default, not pinned: under
     fork (Linux, Python <= 3.13) a worker is a copy of this process (its
@@ -126,19 +124,15 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list
         with Pool(threads, initializer=_init_worker) as pool:
             results = list(pool.imap(_worker, jobs, chunksize=4))
     else:
-        _install_tables(_SweepTables())
+        _init_worker()
         try:
-            results = [_results(build_graph(*job)) for job in jobs]
+            results = list(map(_worker, jobs))
         finally:
             _install_tables(None)
     by_perm = dict(zip(heaviest_first, results))
-    out: list[str] = []
-    canonicals = {}
-    for w in perms:
-        violations, canonicals[w] = by_perm[w]
-        out.extend(violations)
+    out = [v for w in perms for v in by_perm[w][0]]
     # aggregate bound, one check per nontrivial word length
-    for rep in aggregate_reports(n, canonicals):
+    for rep in aggregate_reports(n, {w: tally for w, (_, tally) in by_perm.items()}):
         if not rep.ok:
             out.append(f"aggregate bound fails for n={n}, l={rep.l}: {rep}")
     return out

@@ -198,10 +198,14 @@ def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
             yield (*buf, i)
 
 
+def _within_budget(total: int, budget: int) -> None:  # the word budget's one check
+    if total > budget:
+        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+
+
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:
     """Every reduced word of w exactly once, lexicographic by letters."""
-    if (total := count_reduced_words(w)) > budget:
-        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+    _within_budget(count_reduced_words(w), budget)
     return (Word(ls, len(w)) for ls in reduced_letter_seqs(w))
 
 

@@ -16,6 +16,9 @@ one word, as ``rewrite_neighbors`` does without naming them.
 that a local rule on every 4 values allows (the higher Bruhat order), with
 the rule read off ``classes_bfs`` of the 4-patterns; ``triple_set`` gives
 a word's set by replaying its wires.
+``aggregate_by_encodings`` checks the aggregate bound by comparing the set
+of parenthesis encodings at each length with their number, where
+``bounds.aggregate_reports`` decodes each word back instead.
 """
 
 from enum import Enum
@@ -24,6 +27,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from redweave import InputError, Word
+from redweave.bounds import AggregateReport, catalan, paren_encoding
 from redweave.perm import Perm, identity, inverse
 from redweave.words import braid_windows, canonical_letters, reduced_letter_seqs
 
@@ -283,6 +287,28 @@ def canonical_words_dfs(w: Perm) -> list[tuple[int, ...]]:
             buf.append(i)
             frames.append([p, pcap, iter(descents(p)), False])
     return out
+
+
+def aggregate_by_encodings(n: int, canonicals: dict) -> list:
+    """The aggregate report of S_n at each length l >= 1, from the canonical
+    words of each w: injective when the encodings at l are all distinct."""
+    groups = {l: [] for l in range(1, n * (n - 1) // 2 + 1)}
+    for w, canon in canonicals.items():
+        if l := sum(1 for i, j in combinations(range(n), 2) if w[i] > w[j]):
+            groups[l].append(canon)
+    reports = []
+    for l, group in groups.items():
+        encodings = [paren_encoding(c) for canon in group for c in canon]
+        reports.append(AggregateReport(
+            n=n,
+            l=l,
+            count_perms=len(group),
+            sum_classes=len(encodings),
+            catalan=catalan(l + n - 1),
+            four_power=4 ** (l + n),
+            injective=len(set(encodings)) == len(encodings),
+        ))
+    return reports
 
 
 def graph_as_scan(g) -> dict:

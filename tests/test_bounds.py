@@ -1,10 +1,13 @@
 import pytest
 
-from redweave import InputError
+from oracles import aggregate_by_encodings
+from redweave import InputError, bounds, classes, suite, words
 from redweave.bounds import (
+    _tally,
     aggregate_bound_check,
     aggregate_reports,
     catalan,
+    paren_decoding,
     paren_encoding,
     size_bounds,
 )
@@ -110,6 +113,53 @@ def test_aggregate_bound_is_stated_for_length_at_least_1():
 def test_aggregate_reports_match_per_length_checks():
     # the one-pass reports scan_sn builds from its workers' results
     for n in range(2, 6):
-        canonicals = {w: _worker((w, 10**8))[1] for w in enumerate_sn(n)}
+        tallies = {w: _worker((w, 10**8))[1] for w in enumerate_sn(n)}
         expected = [aggregate_bound_check(n, l) for l in range(1, n * (n - 1) // 2 + 1)]
-        assert aggregate_reports(n, canonicals) == expected
+        assert aggregate_reports(n, tallies) == expected
+
+
+def test_paren_decoding_inverts_the_encoding(s6_graphs):
+    graphs = [build_graph(w) for n in range(1, 6) for w in enumerate_sn(n)]
+    canonicals = [c.canonical.letters for g in [*graphs, *s6_graphs.values()] for c in g.vertices]
+    assert len(canonicals) == 10190  # every canonical word of S_1..S_6
+    for c in canonicals:
+        assert paren_decoding(paren_encoding(c), len(c)) == c, c
+
+
+def _tallies_and_canonicals(graphs):
+    graphs = list(graphs)
+    tallies = {g.w: _tally(g) for g in graphs}
+    return tallies, {g.w: [c.canonical.letters for c in g.vertices] for g in graphs}
+
+
+def test_aggregate_reports_match_the_set_of_encodings(s6_graphs):
+    for n in range(2, 6):
+        tallies, canonicals = _tallies_and_canonicals(build_graph(w) for w in enumerate_sn(n))
+        assert aggregate_reports(n, tallies) == aggregate_by_encodings(n, canonicals)
+    tallies, canonicals = _tallies_and_canonicals(s6_graphs.values())
+    assert aggregate_reports(6, tallies) == aggregate_by_encodings(6, canonicals)
+
+
+@pytest.mark.slow
+def test_aggregate_reports_match_the_set_of_encodings_s7():
+    # built as a sweep builds them: on one DAG, with no graph cached
+    suite._init_worker()
+    try:
+        graphs = [classes._scan_impl.__wrapped__(w) for w in enumerate_sn(7)]
+    finally:
+        words._install_tables(None)
+    tallies, canonicals = _tallies_and_canonicals(graphs)
+    del graphs
+    reports = aggregate_reports(7, tallies)
+    assert reports == aggregate_by_encodings(7, canonicals)
+    assert sum(rep.sum_classes for rep in reports) == 361071 - 1  # all but the identity's
+    assert all(rep.ok for rep in reports)
+
+
+def test_a_non_injective_encoding_fails_the_aggregate(monkeypatch):
+    # every word of one length gets one encoding, which decodes to 1, 1, ..., 1
+    monkeypatch.setattr(bounds, "paren_encoding", lambda letters: "()" * len(letters))
+    assert not aggregate_bound_check(4, 3).injective
+    assert any(
+        v.startswith("aggregate bound fails for n=4, l=3:") for v in suite.scan_sn(4, threads=1)
+    )

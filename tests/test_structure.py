@@ -7,6 +7,7 @@ from redweave import InputError
 from redweave.classes import build_graph, build_poset
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.structure import (
+    RECT_PATTERNS,
     CycleVerdict,
     classify_edge_pair,
     embed_hypercube,
@@ -87,6 +88,12 @@ def test_rectangular_pattern_route():
     assert rectangular_witness((5, 3, 1, 4, 2)) == (5, 3, 1, 4, 2)
 
 
+def test_rect_patterns_start_with_4321():
+    # the suite reads 4321-avoidance off the witness: w avoids 4321 exactly
+    # when its first forbidden pattern is another one, or there is none
+    assert RECT_PATTERNS[0] == (4, 3, 2, 1)
+
+
 def test_rectangle_label_326514():
     spec = grid_label((3, 2, 6, 5, 1, 4))
     assert spec is not None
@@ -117,6 +124,27 @@ def test_rectangle_label_path_and_point():
 def test_rectangle_label_matches_pattern_route_s5(s5):
     for w in s5:
         assert is_rectangular(w) == (grid_label(w) is not None)
+
+
+@pytest.mark.parametrize("move_it", [False, True])
+def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
+    # a graph whose edge list hides one grid edge, or moves it to a pair of
+    # labels two apart, is no grid, though the adjacency the labelling walks
+    # is a grid's: the edges are too few, or one is not a unit step
+    g = build_graph((3, 2, 6, 5, 1, 4))
+    poset = build_poset(g)
+    spec = rectangle_label(g, poset)
+    assert spec is not None
+    edges = g.edges[1:]
+    if move_it:
+        at = {point: cid for cid, point in spec.labels.items()}
+        edges += (g.edges[0]._replace(u=at[(0, 0)], v=at[(1, 1)]),)
+
+    class Stub:
+        def __getattr__(self, name):
+            return edges if name == "edges" else getattr(g, name)
+
+    assert rectangle_label(Stub(), poset) is None
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
         raise AssertionError("G(w) built again")
 
     monkeypatch.setattr(classes, "_scan_impl", no_build)
-    for mod in (classes, bounds, subnet, suite):
+    for mod in (classes, bounds, subnet):
         monkeypatch.setattr(mod, "build_graph", no_build)
     for mod in (classes, suite):
         monkeypatch.setattr(mod, "build_poset", counted)
@@ -43,7 +43,8 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
 
 
 def test_check_permutation_scans_for_321_once(monkeypatch):
-    # N321 and the freely-braided test read the graph's 321-triples
+    # N321 and the freely-braided test read the graph's 321-triples, and
+    # the rectangularity and 4321-avoidance tests read one pattern witness
     scans = Counter()
     real = perm.pattern_occurrences
 
@@ -56,6 +57,7 @@ def test_check_permutation_scans_for_321_once(monkeypatch):
     g = classes._scan_impl.__wrapped__((3, 2, 6, 5, 1, 4))
     assert suite.check_permutation(g) == []
     assert scans[(3, 2, 1)] == 1
+    assert scans[(4, 3, 2, 1)] == 1
 
 
 def test_bound_checks_use_size_bounds(monkeypatch):
@@ -72,7 +74,7 @@ def test_bound_checks_use_size_bounds(monkeypatch):
 def test_grid_octagons_pass_the_eight_cycle_check():
     # G(436512) is a 3x3 grid: 4321-avoiding, yet its rim is an induced 8-cycle
     w = (4, 3, 6, 5, 1, 2)
-    assert suite.avoids(w, (4, 3, 2, 1))
+    assert perm.avoids(w, (4, 3, 2, 1))
     g = classes.build_graph(w)
     verdicts = Counter(
         structure.classify_edge_pair(g, c.id, a, b)
@@ -126,20 +128,26 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
 
 @pytest.mark.parametrize("suite_reads", [True, False])
 def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
-    # the sweep builds G(w) with its tables installed; sizes (and, with the
-    # suite stubbed out, edges and Y too) are first read once they are gone
+    # a sweep builds G(w) with its DAG installed; sizes (and, unless the
+    # suite read them then, edges and Y too) are first read once it is gone
     if not suite_reads:
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
-    classes._scan_impl.cache_clear()
+    currsize = classes._scan_impl.cache_info().currsize
     assert suite.scan_sn(5, threads=1) == []
     assert words._tables is None
-    misses = classes._scan_impl.cache_info().misses
+    assert classes._scan_impl.cache_info().currsize == currsize  # no graph is the sweep's
+    classes._scan_impl.cache_clear()
+    suite._init_worker()
+    try:
+        graphs = [classes._scan_impl(w) for w in sorted(s5, key=lambda w: (-inversions(w), w))]
+        for g in graphs:
+            suite.check_permutation(g)
+    finally:
+        words._install_tables(None)
     unread = {"edges", "_y"} if not suite_reads else set()
-    for w in s5:
-        g = classes._scan_impl(w)
-        assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), w
-        assert graph_as_scan(g) == graph_as_scan(classes._scan_impl.__wrapped__(w)), w
-    assert classes._scan_impl.cache_info().misses == misses  # each graph is the sweep's
+    for g in graphs:
+        assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), g.w
+        assert graph_as_scan(g) == graph_as_scan(classes._scan_impl.__wrapped__(g.w)), g.w
     classes._scan_impl.cache_clear()
 
 
@@ -155,11 +163,14 @@ def test_no_tables_outlive_a_sweep():
 
 
 def test_pool_job_caches_no_graph(s5):
-    # a pool worker reads each G(w) once, so it keeps none in the cache
+    # the one sweep job, serial or pooled, reads each G(w) once, so it keeps
+    # none in the cache, and returns two numbers for the aggregate bound
     classes._scan_impl.cache_clear()
     jobs = [suite._worker((w, 10**8)) for w in s5]
     assert classes._scan_impl.cache_info().currsize == 0
-    assert jobs == [suite._results(classes.build_graph(w)) for w in s5]
+    graphs = [classes.build_graph(w) for w in s5]
+    assert jobs == [(suite.check_permutation(g), bounds._tally(g)) for g in graphs]
+    assert all(isinstance(size, int) and ok is True for _, (size, ok) in jobs)
     classes._scan_impl.cache_clear()
 
 
