@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
-from .classes import ClassGraph, build_graph
+from .classes import ClassGraph, _sweep
 from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, enumerate_sn, inversions
 from .words import Letters
@@ -102,21 +102,20 @@ def _tally(g: ClassGraph) -> tuple[int, bool]:
     return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in words)
 
 
-def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT,
-                          cap: int = 6) -> AggregateReport:
+def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT) -> AggregateReport:
     """Sum |G(w)| over all w in S_n with l(w) = l against C_{l+n-1} < 4^(l+n).
 
     Also checks that the parenthesis encodings of all canonical
     representatives across those w are pairwise distinct, by decoding each
-    back.  Stated for l >= 1: at l = 0 the one empty class meets C_{n-1} = 1
-    for n <= 2.
+    back, in one ``_sweep`` of ``_tally``.  Stated for l >= 1: at l = 0 the
+    one empty class meets C_{n-1} = 1 for n <= 2.
     """
-    perms = enumerate_sn(n, cap=cap)  # refuses n < 1 before the checks below
+    perms = enumerate_sn(n)  # refuses n < 1 and n over the S_n cap before the checks below
     if n == 1:
         raise InputError("S_1 has no nontrivial length: its only permutation has length 0")
     if not 1 <= l <= n * (n - 1) // 2:
         raise InputError(f"length {l} is outside 1..{n * (n - 1) // 2} for S_{n}")
-    tallies = {w: _tally(build_graph(w, budget)) for w in perms if inversions(w) == l}
+    tallies = _sweep([w for w in perms if inversions(w) == l], _tally, budget)
     return aggregate_reports(n, tallies)[l - 1]
 
 

@@ -1,12 +1,12 @@
 """Commutation classes, the braid-move graph G(w), and its ranked poset P(w).
 
-``build_graph(w, budget)`` is G(w), cached and guarded by the word budget:
+``build_graph(w, budget)`` is G(w), built afresh and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers: canonical words up front, as the paths over the
-live runs of the weak-order DAG in ``words`` (outside a sweep the word
+live runs of the weak-order DAG in ``words`` (outside a ``_sweep`` the word
 count and Y each walk a DAG of their own); class sizes, edges and Y are
-computed on first read and kept on the shared graph.  Edges and ranks
+computed on first read and kept on the graph.  Edges and ranks
 read one int per class, its ``_triple_masks`` bitmask over the 321-triples
 of w: a braid move flips one bit, and the popcount is its rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
@@ -17,16 +17,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, inverse, pattern_occurrences
+from .perm import Perm, check_perm, inverse, inversions, pattern_occurrences
 from .words import (
     Letters,
     Word,
+    _SweepTables,
     _dag,
     _fill,
+    _install_tables,
     _within_budget,
     count_reduced_words,
     crossing_events,
@@ -173,8 +175,8 @@ class ClassGraph:
 
     Vertex ids are dense integers in lexicographic order of the
     canonical words, so output is reproducible.  Y and the least word
-    attaining it ride along.  The graph is cached and shared: read-only.
-    Only the vertices are built with it; each other layer is kept on first read.
+    attaining it ride along.  The graph is read-only.  Only the vertices
+    are built with it; each other layer is kept on first read.
     """
 
     def __init__(self, w: Perm, vertices: tuple[CommClass, ...]):
@@ -247,17 +249,11 @@ class ClassGraph:
         return self.vertices[i]
 
 
-@lru_cache(maxsize=4096)
 def _scan_impl(w: Perm) -> ClassGraph:
     """G(w) with its canonical words: the DFS yields them in lexicographic
     order, so a class's id is its position."""
     n = len(w)
     return ClassGraph(w, tuple(CommClass(i, Word(c, n)) for i, c in enumerate(_canonical_words(w))))
-
-
-@lru_cache(maxsize=4096)
-def _word_total(w: Perm) -> int:
-    return count_reduced_words(w)
 
 
 def class_members(letters: Letters) -> set[Letters]:
@@ -277,16 +273,44 @@ def class_members(letters: Letters) -> set[Letters]:
     return seen
 
 
-def _guarded(w: Perm, budget: int) -> Perm:
-    """w, checked, unless |R(w)| exceeds budget."""
-    w = check_perm(w)
-    _within_budget(_word_total(w), budget)
-    return w
-
-
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
-    """The cached G(w); refused when |R(w)| exceeds budget."""
-    return _scan_impl(_guarded(w, budget))
+    """G(w), built afresh; refused when |R(w)| exceeds budget."""
+    w = check_perm(w)
+    _within_budget(count_reduced_words(w), budget)
+    return _scan_impl(w)
+
+
+def _install_dag() -> None:
+    _install_tables(_SweepTables())  # a process's one DAG, for as long as its sweep
+
+
+def _job(job: Callable[[ClassGraph], object], budget: int, w: Perm):
+    return job(build_graph(w, budget))
+
+
+def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
+           threads: int = 1) -> dict:
+    """{w: job(build_graph(w, budget))} for each w of perms, on one DAG per process.
+
+    The w run longest first, lexicographic among equals, so a process starts
+    near the heaviest w, which fills most of its DAG, and a pool ends on the
+    cheapest.  They run here if ``min(threads, len(perms))`` is 1, else in a
+    pool of that many, started by the platform's default method (under fork,
+    on Linux and Python <= 3.13, a worker is a copy of this process); job
+    must then pickle.
+    """
+    order = sorted(perms, key=lambda w: (-inversions(w), w))
+    run, threads = partial(_job, job, budget), min(threads, len(order))
+    if threads > 1:
+        from multiprocessing import Pool
+
+        with Pool(threads, initializer=_install_dag) as pool:
+            return dict(zip(order, pool.imap(run, order, chunksize=4)))
+    _install_dag()
+    try:
+        return dict(zip(order, map(run, order)))
+    finally:
+        _install_tables(None)
 
 
 @dataclass(frozen=True)

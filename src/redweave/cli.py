@@ -212,7 +212,7 @@ def _cmd_bounds(args) -> _Output:
 
 
 def _cmd_aggregate(args) -> _Output:
-    rep = aggregate_bound_check(args.n, args.l, args.budget_words, cap=max(args.n, 8))
+    rep = aggregate_bound_check(args.n, args.l, args.budget_words)
     failed = None if rep.ok else f"aggregate bound fails for n={args.n}, l={args.l}"
     return _Output(asdict(rep), violation=failed)
 

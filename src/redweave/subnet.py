@@ -61,6 +61,8 @@ def parse_word_set(text: str, m: int | None = None) -> WordSet:
 
     Presets: "warrington-x", "s4-longest-classes:K" for K in 0..7.
     """
+    if m is not None and m < 1:
+        raise InputError(f"pattern size m = {m} is below 1")
     text = text.strip()
     if text == "warrington-x":
         return WARRINGTON_X
@@ -72,15 +74,11 @@ def parse_word_set(text: str, m: int | None = None) -> WordSet:
         except (ValueError, IndexError):
             pass
         raise InputError("expected s4-longest-classes:K with K in 0..7")
-    words = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "," in chunk or " " in chunk:
-            words.append(tuple(int(x) for x in chunk.replace(",", " ").split()))
-        else:
-            words.append(tuple(int(c) for c in chunk))
+    chunks = [c.replace(",", " ") for c in map(str.strip, text.split(";")) if c]
+    try:
+        words = [tuple(map(int, c.split() if " " in c else c)) for c in chunks]
+    except ValueError:
+        raise InputError(f"cannot parse word set: {text!r}") from None
     if not words and m is None:
         raise InputError("empty word set needs an explicit pattern size m")
     if m is None:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bounds import _tally, aggregate_reports, size_bounds
-from .classes import ClassGraph, _guarded, _scan_impl, build_poset, graph_checks
+from .classes import ClassGraph, _sweep, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, enumerate_sn, inversions
+from .perm import enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     _disjoint,
@@ -16,7 +16,6 @@ from .structure import (
     rectangle_label,
     rectangular_witness,
 )
-from .words import _install_tables, _SweepTables
 
 
 def check_permutation(g: ClassGraph) -> list[str]:
@@ -89,47 +88,23 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return b in seen
 
 
-def _worker(args: tuple[Perm, int]) -> tuple[list[str], tuple[int, bool]]:
-    """The sweep's one job: the violations and ``_tally`` of an uncached G(w)."""
-    g = _scan_impl.__wrapped__(_guarded(*args))
+def _check_and_tally(g: ClassGraph) -> tuple[list[str], tuple[int, bool]]:
+    """The sweep job of ``scan_sn``: the violations and ``_tally`` of G(w)."""
     return check_permutation(g), _tally(g)
-
-
-def _init_worker() -> None:
-    _install_tables(_SweepTables())  # a worker lives as long as its sweep
 
 
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    Each w is one ``_worker`` job, here when threads is 1, else in a pool;
-    it caches no G(w) and returns two numbers, not the classes, for the
-    aggregate bound.  The jobs share one DAG of the states of S_n (one per
-    worker), which the budget guard, the canonical words and Y all read.
-    They run longest first, lexicographic among equals, so each worker
-    starts near w0, which fills nearly all of its DAG at once, and the
-    pool ends on the cheapest ones.
-    Violations are reported in lexicographic order of w either way.
-    The pool's start method is the platform's default, not pinned: under
-    fork (Linux, Python <= 3.13) a worker is a copy of this process (its
-    calling thread only), redweave imported, so no interpreter, import or
-    resource tracker starts.  ``_init_worker`` gives it a DAG of its own.
+    Each w is one ``_check_and_tally`` job of ``classes._sweep``, in this
+    process or a pool of up to ``threads``; it keeps no G(w) and returns
+    two numbers, not the classes, for the aggregate bound.  The jobs of a
+    process share one DAG of the states of S_n, which the budget guard,
+    the canonical words and Y all read.  Violations are reported in
+    lexicographic order of w.
     """
     perms = list(enumerate_sn(n))
-    heaviest_first = sorted(perms, key=lambda w: (-inversions(w), w))
-    jobs = [(w, budget) for w in heaviest_first]
-    if threads > 1:
-        from multiprocessing import Pool
-
-        with Pool(threads, initializer=_init_worker) as pool:
-            results = list(pool.imap(_worker, jobs, chunksize=4))
-    else:
-        _init_worker()
-        try:
-            results = list(map(_worker, jobs))
-        finally:
-            _install_tables(None)
-    by_perm = dict(zip(heaviest_first, results))
+    by_perm = _sweep(perms, _check_and_tally, budget, threads)
     out = [v for w in perms for v in by_perm[w][0]]
     # aggregate bound, one check per nontrivial word length
     for rep in aggregate_reports(n, {w: tally for w, (_, tally) in by_perm.items()}):

@@ -1,7 +1,7 @@
 """Acceptance gate: the full battery of required end-to-end checks.
 
 Each test prints a single pass/fail line for its criterion.  The heavy
-sweeps share one cached G(w) per permutation through the session fixtures.
+sweeps share one G(w) per permutation through the session fixtures.
 """
 
 import time

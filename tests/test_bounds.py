@@ -1,7 +1,9 @@
+import inspect
+
 import pytest
 
 from oracles import aggregate_by_encodings
-from redweave import InputError, bounds, classes, suite, words
+from redweave import BudgetExceeded, InputError, bounds, classes, suite, words
 from redweave.bounds import (
     _tally,
     aggregate_bound_check,
@@ -13,7 +15,6 @@ from redweave.bounds import (
 )
 from redweave.classes import build_graph
 from redweave.perm import enumerate_sn, identity, longest_element
-from redweave.suite import _worker
 
 
 def catalan_recurrence(m: int) -> int:
@@ -111,9 +112,9 @@ def test_aggregate_bound_is_stated_for_length_at_least_1():
 
 
 def test_aggregate_reports_match_per_length_checks():
-    # the one-pass reports scan_sn builds from its workers' results
+    # the one-pass reports scan_sn builds from its sweep's tallies
     for n in range(2, 6):
-        tallies = {w: _worker((w, 10**8))[1] for w in enumerate_sn(n)}
+        tallies = classes._sweep(enumerate_sn(n), _tally, 10**8)
         expected = [aggregate_bound_check(n, l) for l in range(1, n * (n - 1) // 2 + 1)]
         assert aggregate_reports(n, tallies) == expected
 
@@ -126,10 +127,13 @@ def test_paren_decoding_inverts_the_encoding(s6_graphs):
         assert paren_decoding(paren_encoding(c), len(c)) == c, c
 
 
+def _canonicals(g):
+    return [c.canonical.letters for c in g.vertices]
+
+
 def _tallies_and_canonicals(graphs):
     graphs = list(graphs)
-    tallies = {g.w: _tally(g) for g in graphs}
-    return tallies, {g.w: [c.canonical.letters for c in g.vertices] for g in graphs}
+    return {g.w: _tally(g) for g in graphs}, {g.w: _canonicals(g) for g in graphs}
 
 
 def test_aggregate_reports_match_the_set_of_encodings(s6_graphs):
@@ -142,14 +146,11 @@ def test_aggregate_reports_match_the_set_of_encodings(s6_graphs):
 
 @pytest.mark.slow
 def test_aggregate_reports_match_the_set_of_encodings_s7():
-    # built as a sweep builds them: on one DAG, with no graph cached
-    suite._init_worker()
-    try:
-        graphs = [classes._scan_impl.__wrapped__(w) for w in enumerate_sn(7)]
-    finally:
-        words._install_tables(None)
-    tallies, canonicals = _tallies_and_canonicals(graphs)
-    del graphs
+    # built by a sweep, on one DAG, keeping the canonical words but no graph
+    swept = classes._sweep(enumerate_sn(7), lambda g: (_tally(g), _canonicals(g)), 10**12)
+    tallies = {w: tally for w, (tally, _) in swept.items()}
+    canonicals = {w: cs for w, (_, cs) in swept.items()}
+    del swept
     reports = aggregate_reports(7, tallies)
     assert reports == aggregate_by_encodings(7, canonicals)
     assert sum(rep.sum_classes for rep in reports) == 361071 - 1  # all but the identity's
@@ -163,3 +164,32 @@ def test_a_non_injective_encoding_fails_the_aggregate(monkeypatch):
     assert any(
         v.startswith("aggregate bound fails for n=4, l=3:") for v in suite.scan_sn(4, threads=1)
     )
+
+
+def test_aggregate_is_one_sweep_on_one_dag(monkeypatch):
+    # every G(w) of the aggregate reads the same DAG, and the DAG is gone after
+    made = []
+
+    class Counted(words._SweepTables):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    for mod in (words, classes):
+        monkeypatch.setattr(mod, "_SweepTables", Counted)
+    assert aggregate_bound_check(5, 5).ok
+    assert len(made) == 1
+    assert words._tables is None
+
+
+def test_aggregate_refused_by_the_budget_leaves_no_dag():
+    with pytest.raises(BudgetExceeded, match="exceed the budget of 1"):
+        aggregate_bound_check(5, 5, budget=1)
+    assert words._tables is None
+
+
+def test_aggregate_honours_the_sn_cap():
+    # the cap of enumerate_sn, as for scan_sn; nothing is built before the refusal
+    with pytest.raises(BudgetExceeded, match="refusing to enumerate S_9"):
+        aggregate_bound_check(9, 1)
+    assert "cap" not in inspect.signature(aggregate_bound_check).parameters

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import pickle
+import weakref
 from collections import Counter
 
 import pytest
@@ -99,7 +101,7 @@ def test_graph_checks_all_s5(s5):
 def test_scan_budget():
     with pytest.raises(BudgetExceeded):
         build_graph(longest_element(5), budget=100)
-    # the word count is cached per permutation, the verdict is not
+    # each call counts the words and gives its own verdict
     w = (3, 4, 2, 1)
     assert sum(c.size for c in build_graph(w, budget=5).vertices) == 5
     with pytest.raises(BudgetExceeded):
@@ -115,8 +117,19 @@ def test_scan_result_is_read_only():
     with pytest.raises(AttributeError):
         g.neighbors(0).add(2)
     again = build_graph((3, 4, 2, 1))
-    assert again is g
+    assert again is not g  # built afresh: no call shares a graph
+    assert graph_as_scan(again) == graph_as_scan(g)
     assert len(again) == 3 and len(again.edges) == 2
+
+
+def test_a_dropped_graph_is_collected():
+    # nothing keeps a G(w) alive once its caller drops it
+    g = build_graph(longest_element(5))
+    ref = weakref.ref(g)
+    assert len(g.edges) > 0
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_ids_are_positions_in_lexicographic_order(s5, s6):
@@ -132,7 +145,7 @@ def test_ids_are_positions_in_lexicographic_order(s5, s6):
 
 
 def test_scan_matches_word_walk_s5_s6(s5, s6):
-    # every field of the cached G(w) against the word-by-word sweep
+    # every field of G(w) against the word-by-word sweep
     for w in s5 + s6:
         assert graph_as_scan(build_graph(w)) == word_walk_scan(w), w
 
@@ -169,7 +182,7 @@ def test_class_count_is_the_number_of_classes_s5(s5):
 
 @pytest.fixture
 def layer_calls(monkeypatch):
-    """Calls of each layer G(w) computes on first read, from a cleared cache."""
+    """Calls of each layer G(w) computes on first read."""
     calls = Counter()
     for name in ("_class_size", "_triple_masks", "_most_windows"):
         def counted(*args, _name=name, _real=getattr(classes, name)):
@@ -177,9 +190,7 @@ def layer_calls(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(classes, name, counted)
-    classes._scan_impl.cache_clear()
-    yield calls
-    classes._scan_impl.cache_clear()
+    return calls
 
 
 def test_bounds_read_neither_sizes_nor_edges(layer_calls):

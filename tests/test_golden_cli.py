@@ -79,6 +79,7 @@ ARGVS = [
     ["aggregate", "3", "100"],
     ["aggregate", "3", "-1"],
     ["aggregate", "1", "1"],
+    ["aggregate", "9", "1"],
     ["aggregate", "--help"],
     ["subnet", "4321", "--word", "2,3,2,1,2,3", "--set", "warrington-x",
      "--predict", "--format", "json"],
@@ -89,6 +90,10 @@ ARGVS = [
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:-1"],
     ["subnet", "4321", "--word", "123121", "--set", ""],
     ["subnet", "4321", "--word", "123121", "--set", "", "-m", "3", "--format", "json"],
+    ["subnet", "321", "--word", "121", "--set", "", "-m", "0"],
+    ["subnet", "321", "--word", "121", "--set", "", "-m", "-3"],
+    ["subnet", "321", "--word", "121", "--set", "1,a"],
+    ["subnet", "321", "--word", "121", "--set", "1a"],
     ["subnet", "4321", "--word", "1,2,9", "--set", "121"],
     ["subnet", "4321", "--word", "1", "--set", "121"],
     ["subnet", "4321", "--word", "123121"],

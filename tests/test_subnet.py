@@ -63,6 +63,16 @@ def test_parse_word_set():
         parse_word_set("s4-longest-classes:-1")
     with pytest.raises(InputError):
         parse_word_set("")
+    assert parse_word_set(" 2 1 2 ;; 1,2,1 ").words == {(2, 1, 2), (1, 2, 1)}
+    assert parse_word_set("", 1).words == frozenset()
+
+
+@pytest.mark.parametrize("text, m", [("1,a", None), ("1a", None), ("12;x", None),
+                                     ("", 0), ("", -3)])
+def test_parse_word_set_rejects_bad_input(text, m):
+    # a word that is not digits, or a pattern size below 1, is invalid input
+    with pytest.raises(InputError):
+        parse_word_set(text, m)
 
 
 def test_crossing_events():

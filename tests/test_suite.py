@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import multiprocessing
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -34,7 +37,7 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
         raise AssertionError("G(w) built again")
 
     monkeypatch.setattr(classes, "_scan_impl", no_build)
-    for mod in (classes, bounds, subnet):
+    for mod in (classes, subnet):  # bounds and suite do not import it
         monkeypatch.setattr(mod, "build_graph", no_build)
     for mod in (classes, suite):
         monkeypatch.setattr(mod, "build_poset", counted)
@@ -54,7 +57,7 @@ def test_check_permutation_scans_for_321_once(monkeypatch):
 
     for mod in (perm, classes, structure):
         monkeypatch.setattr(mod, "pattern_occurrences", counted)
-    g = classes._scan_impl.__wrapped__((3, 2, 6, 5, 1, 4))
+    g = classes.build_graph((3, 2, 6, 5, 1, 4))
     assert suite.check_permutation(g) == []
     assert scans[(3, 2, 1)] == 1
     assert scans[(4, 3, 2, 1)] == 1
@@ -115,15 +118,13 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
     perms = list(fresh)
     if heaviest_first:
         perms.sort(key=lambda w: (-inversions(w), w))
-    classes._scan_impl.cache_clear()
     words._install_tables(words._SweepTables())
     try:
         for w in perms:
-            assert graph_as_scan(classes._scan_impl(w)) == fresh[w], w
+            assert graph_as_scan(classes.build_graph(w)) == fresh[w], w
             assert words.count_reduced_words(w) == fresh[w]["word_count"], w
     finally:
         words._install_tables(None)
-        classes._scan_impl.cache_clear()
 
 
 @pytest.mark.parametrize("suite_reads", [True, False])
@@ -132,23 +133,19 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
     # suite read them then, edges and Y too) are first read once it is gone
     if not suite_reads:
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
-    currsize = classes._scan_impl.cache_info().currsize
     assert suite.scan_sn(5, threads=1) == []
     assert words._tables is None
-    assert classes._scan_impl.cache_info().currsize == currsize  # no graph is the sweep's
-    classes._scan_impl.cache_clear()
-    suite._init_worker()
-    try:
-        graphs = [classes._scan_impl(w) for w in sorted(s5, key=lambda w: (-inversions(w), w))]
-        for g in graphs:
-            suite.check_permutation(g)
-    finally:
-        words._install_tables(None)
+
+    def kept(g):
+        suite.check_permutation(g)
+        return g
+
+    graphs = classes._sweep(s5, kept, 10**8)
+    assert words._tables is None
     unread = {"edges", "_y"} if not suite_reads else set()
-    for g in graphs:
+    for g in graphs.values():
         assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), g.w
-        assert graph_as_scan(g) == graph_as_scan(classes._scan_impl.__wrapped__(g.w)), g.w
-    classes._scan_impl.cache_clear()
+        assert graph_as_scan(g) == graph_as_scan(classes.build_graph(g.w)), g.w
 
 
 def test_no_tables_outlive_a_sweep():
@@ -163,15 +160,22 @@ def test_no_tables_outlive_a_sweep():
 
 
 def test_pool_job_caches_no_graph(s5):
-    # the one sweep job, serial or pooled, reads each G(w) once, so it keeps
-    # none in the cache, and returns two numbers for the aggregate bound
-    classes._scan_impl.cache_clear()
-    jobs = [suite._worker((w, 10**8)) for w in s5]
-    assert classes._scan_impl.cache_info().currsize == 0
+    # the one sweep job, serial or pooled, reads each G(w) once, keeps none
+    # alive once checked, and returns two numbers for the aggregate bound
+    refs = []
+
+    def job(g):
+        refs.append(weakref.ref(g))
+        return suite._check_and_tally(g)
+
+    jobs = classes._sweep(s5, job, 10**8)
+    gc.collect()
+    assert len(refs) == len(s5) and all(ref() is None for ref in refs)
     graphs = [classes.build_graph(w) for w in s5]
-    assert jobs == [(suite.check_permutation(g), bounds._tally(g)) for g in graphs]
-    assert all(isinstance(size, int) and ok is True for _, (size, ok) in jobs)
-    classes._scan_impl.cache_clear()
+    assert [jobs[g.w] for g in graphs] == [
+        (suite.check_permutation(g), bounds._tally(g)) for g in graphs
+    ]
+    assert all(isinstance(size, int) and ok is True for _, (size, ok) in jobs.values())
 
 
 def test_sweep_reports_in_lexicographic_order(monkeypatch):
@@ -203,10 +207,8 @@ def test_sweep_expands_each_guard_state_once(monkeypatch):
             for name in filled:
                 setattr(self, name, counting(name))
 
-    for mod in (words, suite):
+    for mod in (words, classes):
         monkeypatch.setattr(mod, "_SweepTables", Counted)
-    classes._word_total.cache_clear()
-    classes._scan_impl.cache_clear()
     assert suite.scan_sn(5, threads=1) == []
     states = {inverse(w) for w in enumerate_sn(5)}
     for name in ("_kids", "words", "live"):
@@ -214,3 +216,35 @@ def test_sweep_expands_each_guard_state_once(monkeypatch):
         assert max(filled[name].values()) == 1, name
     assert {q for q, _, _ in filled["best"]} == states
     assert max(filled["best"].values()) == 1
+
+
+class FakePool:
+    """A stand-in for ``multiprocessing.Pool`` that records its size and runs
+    its jobs here, in this process, so no test starts a worker."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes, initializer):
+        self.sizes.append(processes)
+        initializer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        words._install_tables(None)
+
+    def imap(self, func, iterable, chunksize):
+        return map(func, iterable)
+
+
+@pytest.mark.parametrize("n, threads, started", [
+    (3, 8, [6]), (3, 2, [2]), (4, 24, [24]), (2, 2, [2]), (1, 8, []), (3, 1, []),
+])
+def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
+    # a pool has no more workers than permutations, and one would run alone
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
+    assert FakePool.sizes == started
+    assert words._tables is None
