@@ -3,10 +3,10 @@
 ``build_graph(w, budget)`` is G(w), built afresh and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
-G(w) is built in layers: canonical words up front, as the paths over the
-live runs of the weak-order DAG in ``words`` (outside a ``_sweep`` the word
-count and Y each walk a DAG of their own); class sizes, edges and Y are
-computed on first read and kept on the graph.  Edges and ranks
+G(w) is built in layers: the word count and the canonical words up front,
+by walks in ``words`` on memos passed in (a fresh ``_SweepTables`` per G(w),
+or the one of a ``_sweep`` process); class sizes, edges and Y, on the one
+memo the graph keeps, are computed on first read and kept.  Edges and ranks
 read one int per class, its ``_triple_masks`` bitmask over the 321-triples
 of w: a braid move flips one bit, and the popcount is its rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
@@ -21,50 +21,20 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, inverse, inversions, pattern_occurrences
+from .perm import Perm, check_perm, inversions, pattern_occurrences
 from .words import (
     Letters,
     Word,
     _SweepTables,
-    _dag,
-    _fill,
-    _install_tables,
+    _canonical_words,
+    _most_windows,
     _within_budget,
-    count_reduced_words,
+    _word_count,
     crossing_events,
 )
 
 Wires = tuple[int, int, int]
 EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
-
-
-def _canonical_words(w: Perm) -> list[Letters]:
-    """The canonical word of every class of w, in lexicographic order.
-
-    A reduced word is canonical (the lexicographically greatest of its
-    class) exactly when no letter exceeds its predecessor by two or more.
-    These are the paths over the DAG's live runs, letters ascending: each
-    run reaches the identity, and a frame is pushed only where paths branch.
-    """
-    out, buf = [], []
-    frames = [(iter(_dag(keep_kids=False).live_runs(w)), 0)]  # live runs, len(buf) before them
-    while frames:
-        runs, mark = frames[-1]
-        run = next(runs, None)
-        if run is None:
-            frames.pop()
-            del buf[mark:]
-        elif run[1]:
-            frames.append((iter(run[1]), len(buf)))
-            buf += run[0]
-        else:
-            out.append((*buf, *run[0]))
-    return out or [()]  # the identity has no live runs and one empty word
-
-
-def _class_count(w: Perm) -> int:
-    """|G(w)|, the number of canonical words: the root's live path count."""
-    return sum(run[2] for run in _dag(keep_kids=False).live_runs(w)) or 1
 
 
 def _class_size(letters: Letters, n: int) -> int:
@@ -128,32 +98,6 @@ def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> 
     return out
 
 
-def _most_windows(w: Perm) -> tuple[int, Letters]:
-    """Y and the lexicographically least reduced word with Y braid windows.
-
-    best(q, a, b) is the most windows a word can still gain from state q
-    when its last two letters are a, b; a is kept only while it can
-    close a window (|a - b| = 1), which keeps the memo small.  The DP
-    reads q's children off the DAG and runs on an explicit stack; its
-    memo is the DAG's ``best``.
-    """
-    dag = _dag()
-    best = dag.best
-
-    def options(key: tuple[Perm, int, int]):
-        """(letter, next key, windows gained) per letter, ascending."""
-        q, a, b = key
-        return [(i, (p, b if abs(b - i) == 1 else 0, i), int(a == i)) for i, p in dag.kids(q)]
-
-    key = (inverse(w), 0, 0)
-    _fill(best, key, options, lambda opts: max([g + best[nk] for _, nk, g in opts], default=0))
-    y, word = best[key], []
-    while dag.kids(key[0]):
-        i, key = next((i, nk) for i, nk, g in options(key) if g + best[nk] == best[key])
-        word.append(i)
-    return y, tuple(word)
-
-
 @dataclass(frozen=True)
 class CommClass:
     id: int
@@ -179,10 +123,11 @@ class ClassGraph:
     are built with it; each other layer is kept on first read.
     """
 
-    def __init__(self, w: Perm, vertices: tuple[CommClass, ...]):
+    def __init__(self, w: Perm, vertices: tuple[CommClass, ...], best: dict):
         self.w = w
         self.n = len(w)
         self.vertices = vertices
+        self._best = best  # the memo Y fills: the sweep's, or the graph's own
 
     @cached_property
     def _triples(self) -> tuple[Wires, ...]:
@@ -227,7 +172,7 @@ class ClassGraph:
 
     @cached_property
     def _y(self) -> tuple[int, Letters]:
-        return _most_windows(self.w)
+        return _most_windows(self.w, self._best)
 
     max_windows = property(lambda self: self._y[0])  # Y
     max_window_word = property(lambda self: self._y[1])  # the least word with Y windows
@@ -249,13 +194,6 @@ class ClassGraph:
         return self.vertices[i]
 
 
-def _scan_impl(w: Perm) -> ClassGraph:
-    """G(w) with its canonical words: the DFS yields them in lexicographic
-    order, so a class's id is its position."""
-    n = len(w)
-    return ClassGraph(w, tuple(CommClass(i, Word(c, n)) for i, c in enumerate(_canonical_words(w))))
-
-
 def class_members(letters: Letters) -> set[Letters]:
     """Every word in the commutation class of the given word (BFS over swaps)."""
     seen = {tuple(letters)}
@@ -275,22 +213,35 @@ def class_members(letters: Letters) -> set[Letters]:
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
     """G(w), built afresh; refused when |R(w)| exceeds budget."""
-    w = check_perm(w)
-    _within_budget(count_reduced_words(w), budget)
-    return _scan_impl(w)
+    return _scan_impl(check_perm(w), budget, _SweepTables())
 
 
-def _install_dag() -> None:
-    _install_tables(_SweepTables())  # a process's one DAG, for as long as its sweep
+def _scan_impl(w: Perm, budget: int, dag: _SweepTables) -> ClassGraph:
+    """G(w) on the memos of ``dag``, of which it keeps Y's alone.  The
+    canonical words come in lexicographic order, so a class's id is its
+    position."""
+    _within_budget(_word_count(w, dag.words), budget)
+    words = _canonical_words(w, dag.live)
+    vertices = tuple(CommClass(i, Word(c, len(w))) for i, c in enumerate(words))
+    return ClassGraph(w, vertices, dag.best)
 
 
-def _job(job: Callable[[ClassGraph], object], budget: int, w: Perm):
-    return job(build_graph(w, budget))
+_pool_dag: _SweepTables | None = None  # a pool worker's one DAG; None in any other process
+
+
+def _start_worker() -> None:
+    global _pool_dag
+    _pool_dag = _SweepTables()
+
+
+def _pool_job(job: Callable[[ClassGraph], object], budget: int, w: Perm):
+    return job(_scan_impl(w, budget, _pool_dag))
 
 
 def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
            threads: int = 1) -> dict:
-    """{w: job(build_graph(w, budget))} for each w of perms, on one DAG per process.
+    """{w: job(build_graph(w, budget))} for each w of perms, on one DAG per
+    process: a local one here, the one ``_start_worker`` sets in a worker.
 
     The w run longest first, lexicographic among equals, so a process starts
     near the heaviest w, which fills most of its DAG, and a pool ends on the
@@ -300,17 +251,14 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     must then pickle.
     """
     order = sorted(perms, key=lambda w: (-inversions(w), w))
-    run, threads = partial(_job, job, budget), min(threads, len(order))
+    threads = min(threads, len(order))
     if threads > 1:
         from multiprocessing import Pool
 
-        with Pool(threads, initializer=_install_dag) as pool:
-            return dict(zip(order, pool.imap(run, order, chunksize=4)))
-    _install_dag()
-    try:
-        return dict(zip(order, map(run, order)))
-    finally:
-        _install_tables(None)
+        with Pool(threads, initializer=_start_worker) as pool:
+            return dict(zip(order, pool.imap(partial(_pool_job, job, budget), order, chunksize=4)))
+    dag = _SweepTables()
+    return {w: job(_scan_impl(w, budget, dag)) for w in order}
 
 
 @dataclass(frozen=True)

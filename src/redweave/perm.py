@@ -33,16 +33,19 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("4,3,2,1,5,6,7,11,10,8,9")[7:]
     (11, 10, 8, 9)
     """
-    text = text.strip()
-    if "," in text or " " in text:
-        parts = text.replace(",", " ").split()
-    else:
-        parts = list(text)
     try:
-        values = [int(p) for p in parts]
+        values = _ints(text)
     except ValueError:
-        raise InputError(f"cannot parse permutation: {text!r}") from None
+        raise InputError(f"cannot parse permutation: {text.strip()!r}") from None
     return check_perm(values)
+
+
+def _ints(text: str) -> list[int]:
+    """The ints of text split on commas or spaces, else one per digit: the
+    tokenizer of permutations, words and word sets (ValueError if not ints)."""
+    text = text.strip()
+    parts = text.replace(",", " ").split() if "," in text or " " in text else text
+    return [int(p) for p in parts]
 
 
 def identity(n: int) -> Perm:

@@ -200,6 +200,8 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
     any vertex adjacent to an earlier vertex of the path.  Otherwise
     there is none.
     """
+    if not all(0 <= x < len(g) for x in (v, a, b)):
+        raise InputError(f"vertices {v}, {a}, {b} are not all in 0..{len(g) - 1}")
     if a == b or not g.has_edge(v, a) or not g.has_edge(v, b):
         raise InputError(f"need two distinct edges at vertex {v}")
     if _on_four_cycle(g, v, a, b):

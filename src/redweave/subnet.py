@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
-from .perm import Perm, longest_element, pattern_count, pattern_occurrences
+from .perm import Perm, _ints, longest_element, pattern_count, pattern_occurrences
 from .words import Letters, Word, crossing_events, evaluate, index_sum
 
 
@@ -56,27 +56,34 @@ def s4_longest_classes() -> list[WordSet]:
     return [word_set(class_members(c.canonical.letters), 4) for c in g.vertices]
 
 
+def _preset(text: str) -> WordSet:
+    if text == "warrington-x":
+        return WARRINGTON_X
+    _, _, k = text.partition(":")
+    try:
+        if int(k) >= 0:  # a negative index would count from the end
+            return s4_longest_classes()[int(k)]
+    except (ValueError, IndexError):
+        pass
+    raise InputError("expected s4-longest-classes:K with K in 0..7")
+
+
 def parse_word_set(text: str, m: int | None = None) -> WordSet:
     """Parse a semicolon-separated word set or a named preset.
 
-    Presets: "warrington-x", "s4-longest-classes:K" for K in 0..7.
+    Presets: "warrington-x", "s4-longest-classes:K" for K in 0..7; an m
+    other than the preset's size is refused.
     """
     if m is not None and m < 1:
         raise InputError(f"pattern size m = {m} is below 1")
     text = text.strip()
-    if text == "warrington-x":
-        return WARRINGTON_X
-    if text.startswith("s4-longest-classes"):
-        _, _, k = text.partition(":")
-        try:
-            if int(k) >= 0:  # a negative index would count from the end
-                return s4_longest_classes()[int(k)]
-        except (ValueError, IndexError):
-            pass
-        raise InputError("expected s4-longest-classes:K with K in 0..7")
-    chunks = [c.replace(",", " ") for c in map(str.strip, text.split(";")) if c]
+    if text == "warrington-x" or text.startswith("s4-longest-classes"):
+        preset = _preset(text)
+        if m not in (None, preset.m):
+            raise InputError(f"{text} has pattern size m = {preset.m}, not {m}")
+        return preset
     try:
-        words = [tuple(map(int, c.split() if " " in c else c)) for c in chunks]
+        words = [tuple(_ints(c)) for c in text.split(";") if c.strip()]
     except ValueError:
         raise InputError(f"cannot parse word set: {text!r}") from None
     if not words and m is None:

@@ -4,16 +4,18 @@ Letters are 1-based and act on positions: letter i swaps the entries at
 positions i and i+1 of the one-line notation.  A word is reduced when its
 length equals the inversion number of the permutation it evaluates to.
 The reduced words of w are the paths from w to the identity in the
-weak-order DAG (``_SweepTables``) that the word count, the word DFS and
-``classes`` read: one per sweep, else one per walk, dropped on return.
+weak-order DAG, whose children ``kids`` computes afresh.  The walks over
+it (|R(w)|, the reduced words, the canonical words and their count |G(w)|,
+and Y) live here, each on a memo it is given, of the layout that
+``_SweepTables`` holds; the word and canonical walks are one path walker.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, inverse, inversions
+from .perm import Perm, _ints, inverse, inversions
 
 Letters = tuple[int, ...]
 
@@ -33,17 +35,10 @@ def word_of(letters, n: int) -> Word:
 
 def parse_word(text: str, n: int) -> Word:
     """Parse "2,1,3,2,3", "2 1 3 2 3", or compact digits "21323" (letters <= 9)."""
-    text = text.strip()
-    if not text:
-        return Word((), n)
-    if "," in text or " " in text:
-        parts = text.replace(",", " ").split()
-    else:
-        parts = list(text)
     try:
-        letters = [int(p) for p in parts]
+        letters = _ints(text)
     except ValueError:
-        raise InputError(f"cannot parse word: {text!r}") from None
+        raise InputError(f"cannot parse word: {text.strip()!r}") from None
     return word_of(letters, n)
 
 
@@ -86,116 +81,160 @@ def crossing_events(word: Word) -> list[tuple[int, int]]:
 
 
 class _SweepTables:
-    """The weak-order DAG of the states below w, which every walk reads.
+    """The memos of the walks over the weak-order DAG below w, one dict each.
 
     A state is the inverse q of a permutation (q[v-1] is the position of
-    v).  ``kids(q)`` is (i, s_i q) per left descent i of q (q[i] < q[i-1]),
-    ascending, expanded on first read: a reduced word of q is i followed
-    by one of s_i q, and the identity has none.  ``words[q]`` is |R(q)|.
-    ``live[q]`` keeps the children that a canonical word can take (see
-    ``classes``), as runs (letters, below, c): after letter i the next
-    may be at most i + 1, and a run goes on while that leaves one live
-    child.  ``below`` is the live runs after it, cut to that cap (empty
-    at the identity), and c > 0 counts the canonical words through it.
-    ``best`` is the Y DP's memo.  Only a sweep shares a DAG, one for all
-    of S_n, so each state is expanded once per sweep.  Elsewhere each walk
-    builds its own and drops it (G(w) and Y expand each state thrice), and
-    one that reads each state once keeps no children (``keep_kids=False``).
+    v), and ``kids(q)`` are its children.  ``words[q]`` is |R(q)|.
+    ``live[q]`` keeps the children that a canonical word can take, as runs
+    (letters, below, c): after letter i the next may be at most i + 1, and
+    a run goes on while that leaves one live child.  ``below`` is the live
+    runs after it, cut to that cap (empty at the identity), and c > 0
+    counts the canonical words through it.  ``best`` is the Y DP's memo.
+    A walk fills the memo it is given and expands only the states that it
+    does not hold yet.  ``build_graph`` makes a holder per G(w), and a sweep
+    one per process for all of S_n, so that each state is expanded once per
+    memo in the whole sweep.
     """
 
-    def __init__(self, keep_kids: bool = True) -> None:
-        self.keep_kids = keep_kids
-        self._kids: dict[Perm, tuple[tuple[int, Perm], ...]] = {}
+    def __init__(self) -> None:
         self.words: dict[Perm, int] = {}
         self.live: dict[Perm, tuple] = {}
         self.best: dict[tuple[Perm, int, int], int] = {}
 
-    def kids(self, q: Perm) -> tuple[tuple[int, Perm], ...]:
-        kids = self._kids.get(q)
-        if kids is None:
-            kids = tuple([(i, q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :])
-                          for i in range(1, len(q)) if q[i] < q[i - 1]])
-            if self.keep_kids:
-                self._kids[q] = kids
-        return kids
 
-    def live_runs(self, w: Perm) -> tuple:
-        """The live runs from the state of w (empty for the identity)."""
-        root = inverse(w)
-        _fill(self.live, root, self.kids, self._live_kids)
-        return self.live[root]
-
-    def _live_kids(self, kids: tuple) -> tuple:
-        out = []
-        for i, p in kids:
-            below = tuple(run for run in self.live[p] if run[0][0] <= i + 1)
-            if len(below) == 1:  # the next letter is forced: the run goes on
-                letters, below, c = below[0]
-                out.append(((i, *letters), below, c))
-            elif below or not self.live[p]:  # no live run below: p is the identity
-                out.append(((i,), below, sum(run[2] for run in below) or 1))
-        return tuple(out)
+def kids(q: Perm) -> tuple[tuple[int, Perm], ...]:
+    """(i, s_i q) per left descent i of the state q (q[i] < q[i-1]), ascending:
+    a reduced word of q is i followed by one of s_i q; the identity has none."""
+    return tuple([(i, q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :])
+                  for i in range(1, len(q)) if q[i] < q[i - 1]])
 
 
-def _fill(memo: dict, root, below, value) -> None:
-    """memo[k] = value(below(k)) for each key k below root, children first;
-    ``below(k)`` lists k's children as (letter, key, ...).  What is pushed
-    while k waits lies below k, so each key is expanded at most once per memo."""
+def _fill(memo: dict, root, below, value):
+    """memo[k] = value(below(k)) for each key k below root, children first,
+    and then memo[root]; ``below(k)`` lists k's children as (letter, key, ...).
+    What is pushed while k waits lies below k, so each key is expanded at
+    most once per memo."""
     stack: list[tuple] = [(root, None)]
     while stack:
-        k, kids = stack.pop()
-        if kids is not None:  # every key below k is valued by now
-            memo[k] = value(kids)
+        k, ks = stack.pop()
+        if ks is not None:  # every key below k is valued by now
+            memo[k] = value(ks)
         elif k not in memo:
-            kids = below(k)
-            stack.append((k, kids))
-            stack += [(e[1], None) for e in kids if e[1] not in memo]
+            ks = below(k)
+            stack.append((k, ks))
+            stack += [(e[1], None) for e in ks if e[1] not in memo]
+    return memo[root]
 
 
-_tables: _SweepTables | None = None
+def _paths(steps: Callable, root) -> Iterator[Letters]:
+    """The letters along each path from root to a node with no steps, in the
+    order of the steps; ``steps(x)`` lists x's steps as (letters, next, ...).
+    A DFS on an explicit stack, which reads a node's steps when it gets there."""
+    buf: list[int] = []
+    frames = [(iter(steps(root)), 0)]  # the steps left, and len(buf) before them
+    if not steps(root):
+        yield ()
+    while frames:
+        more, mark = frames[-1]
+        step = next(more, None)
+        if step is None:
+            frames.pop()
+            del buf[mark:]
+        elif nxt := steps(step[1]):
+            frames.append((iter(nxt), len(buf)))
+            buf += step[0]
+        else:
+            yield (*buf, *step[0])
 
 
-def _install_tables(tables: _SweepTables | None) -> None:
-    """Share ``tables`` with every later call in this process; None removes them."""
-    global _tables
-    _tables = tables
+class _Cache(dict):
+    """f(key), computed on the first read of ``self[key]`` and kept: a walk's
+    cache of f, keyed by the argument itself (``functools.cache`` keeps a
+    1-tuple around each, 2 MB more at the peak of Y on w0_8)."""
+
+    def __init__(self, f: Callable) -> None:
+        self.f = f
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.f(key))
 
 
-def _dag(keep_kids: bool = True) -> _SweepTables:
-    """The sweep's DAG if one is installed, else a fresh one for one call."""
-    return _tables if _tables is not None else _SweepTables(keep_kids)
+def _word_count(w: Perm, words: dict) -> int:
+    """|R(w)| on the memo ``words``: the paths from w's state to the identity."""
+    return _fill(words, inverse(w), kids, lambda ks: sum([words[p] for _, p in ks]) or 1)
 
 
 def count_reduced_words(w: Perm) -> int:
-    """|R(w)|: the paths from w's state to the identity in the DAG.
+    """|R(w)|, on a memo of its own.
 
     >>> count_reduced_words((4, 3, 2, 1))
     16
     """
-    dag, root = _dag(keep_kids=False), inverse(w)
-    words = dag.words
-    _fill(words, root, dag.kids, lambda kids: sum([words[p] for _, p in kids]) or 1)
-    return words[root]
+    return _word_count(w, {})
 
 
 def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
-    """Yield the reduced letter sequences of w, lexicographically: the DAG's
-    paths from w, letters ascending, by DFS on an explicit stack.  A state
-    is expanded when the DFS first gets there, so the words stream."""
-    dag, buf = _dag(), []  # buf: the letters leading to each frame but the first
-    frames = [iter(dag.kids(inverse(w)))]
-    if not dag.kids(inverse(w)):
-        yield ()
-    while frames:
-        i, p = next(frames[-1], (0, None))
-        if p is None:
-            frames.pop()
-            del buf[-1:]  # the letter into the popped frame; the first has none
-        elif dag.kids(p):
-            buf.append(i)
-            frames.append(iter(dag.kids(p)))
-        else:
-            yield (*buf, i)
+    """The reduced letter sequences of w, streamed lexicographically: the
+    DAG's paths from w, letters ascending.  The walk reads a state's
+    children when it first gets there and keeps them until it ends."""
+    steps = _Cache(lambda q: tuple([((i,), p) for i, p in kids(q)]))
+    return _paths(steps.__getitem__, inverse(w))
+
+
+def _live_runs(w: Perm, live: dict) -> tuple:
+    """The live runs from the state of w (empty for the identity), on the memo ``live``."""
+    def runs(ks: tuple) -> tuple:
+        out = []
+        for i, p in ks:
+            below = tuple(run for run in live[p] if run[0][0] <= i + 1)
+            if len(below) == 1:  # the next letter is forced: the run goes on
+                letters, below, c = below[0]
+                out.append(((i, *letters), below, c))
+            elif below or not live[p]:  # no live run below: p is the identity
+                out.append(((i,), below, sum(run[2] for run in below) or 1))
+        return tuple(out)
+
+    return _fill(live, inverse(w), kids, runs)
+
+
+def _canonical_words(w: Perm, live: dict) -> list[Letters]:
+    """The canonical word of every class of w, in lexicographic order.
+
+    A reduced word is canonical (the lexicographically greatest of its
+    class) exactly when no letter exceeds its predecessor by two or more.
+    These are the paths over the live runs, letters ascending: each run
+    reaches the identity, and a frame is pushed only where paths branch.
+    """
+    return list(_paths(lambda runs: runs, _live_runs(w, live)))
+
+
+def _class_count(w: Perm, live: dict) -> int:
+    """|G(w)|, the number of canonical words: the root's live path count."""
+    return sum(run[2] for run in _live_runs(w, live)) or 1
+
+
+def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:
+    """Y and the lexicographically least reduced word with Y braid windows.
+
+    best(q, a, b) is the most windows a word can still gain from state q
+    when its last two letters are a, b; a is kept only while it can
+    close a window (|a - b| = 1), which keeps the memo small.  The DP
+    runs on an explicit stack and fills ``best``.  It reads a state once
+    per (a, b), so it keeps the children it reads until it ends.
+    """
+    below = _Cache(kids).__getitem__
+
+    def options(key: tuple[Perm, int, int]):
+        """(letter, next key, windows gained) per letter, ascending."""
+        q, a, b = key
+        return [(i, (p, b if abs(b - i) == 1 else 0, i), int(a == i)) for i, p in below(q)]
+
+    key, word = (inverse(w), 0, 0), []
+    y = _fill(best, key, options, lambda opts: max([g + best[nk] for _, nk, g in opts], default=0))
+    while below(key[0]):
+        i, key = next((i, nk) for i, nk, g in options(key) if g + best[nk] == best[key])
+        word.append(i)
+    return y, tuple(word)
 
 
 def _within_budget(total: int, budget: int) -> None:  # the word budget's one check

@@ -1,12 +1,14 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from redweave import enumerate_sn
+from redweave import classes, enumerate_sn
 from redweave.classes import build_graph
+from redweave.words import _SweepTables
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +25,34 @@ def s6():
 def s6_graphs(s6):
     # G(w) for all of S_6, shared by the heavy criteria
     return {w: build_graph(w) for w in s6}
+
+
+@pytest.fixture
+def counted_dags(monkeypatch):
+    """The DAGs (memo holders) that ``classes`` makes from now on.  Each memo
+    tallies in ``filled`` the keys put into it; ``once(states)`` says that
+    the count and live-run memos got each of the states once, and the Y
+    memo each of its keys once, over the same states."""
+    made = []
+
+    class CountingDict(dict):
+        def __init__(self):
+            self.filled = Counter()
+
+        def __setitem__(self, key, value):
+            self.filled[key] += 1
+            super().__setitem__(key, value)
+
+    class Counted(_SweepTables):
+        def __init__(self):
+            self.words, self.live, self.best = CountingDict(), CountingDict(), CountingDict()
+            made.append(self)
+
+        def once(self, states: set) -> bool:
+            memos = (self.words, self.live, self.best)
+            return (set(self.words.filled) == set(self.live.filled) == states
+                    == {q for q, _, _ in self.best.filled}
+                    and all(max(m.filled.values()) == 1 for m in memos))
+
+    monkeypatch.setattr(classes, "_SweepTables", Counted)
+    return made

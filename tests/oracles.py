@@ -19,8 +19,10 @@ a word's set by replaying its wires.
 ``aggregate_by_encodings`` checks the aggregate bound by comparing the set
 of parenthesis encodings at each length with their number, where
 ``bounds.aggregate_reports`` decodes each word back instead.
+``global_dags`` names the module globals of redweave that hold a DAG.
 """
 
+import sys
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 from redweave import InputError, Word
 from redweave.bounds import AggregateReport, catalan, paren_encoding
 from redweave.perm import Perm, identity, inverse
-from redweave.words import braid_windows, canonical_letters, reduced_letter_seqs
+from redweave.words import _SweepTables, braid_windows, canonical_letters, reduced_letter_seqs
 
 
 def one_reduced_word(w: Perm) -> tuple[int, ...]:
@@ -375,3 +377,10 @@ def apply_move(word: Word, move: Move) -> Word:
             )
         ls[p : p + 3] = [b, a, b]
     return Word(tuple(ls), word.n)
+
+
+def global_dags() -> list[str]:
+    """The module globals of redweave that hold a DAG (memo holder)."""
+    return [f"{key}.{name}" for key, mod in list(sys.modules.items())
+            if key.startswith("redweave") for name, value in vars(mod).items()
+            if isinstance(value, _SweepTables)]

@@ -2,8 +2,8 @@ import inspect
 
 import pytest
 
-from oracles import aggregate_by_encodings
-from redweave import BudgetExceeded, InputError, bounds, classes, suite, words
+from oracles import aggregate_by_encodings, global_dags
+from redweave import BudgetExceeded, InputError, bounds, classes, suite
 from redweave.bounds import (
     _tally,
     aggregate_bound_check,
@@ -166,26 +166,17 @@ def test_a_non_injective_encoding_fails_the_aggregate(monkeypatch):
     )
 
 
-def test_aggregate_is_one_sweep_on_one_dag(monkeypatch):
+def test_aggregate_is_one_sweep_on_one_dag(counted_dags):
     # every G(w) of the aggregate reads the same DAG, and the DAG is gone after
-    made = []
-
-    class Counted(words._SweepTables):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    for mod in (words, classes):
-        monkeypatch.setattr(mod, "_SweepTables", Counted)
     assert aggregate_bound_check(5, 5).ok
-    assert len(made) == 1
-    assert words._tables is None
+    assert len(counted_dags) == 1
+    assert global_dags() == []
 
 
 def test_aggregate_refused_by_the_budget_leaves_no_dag():
     with pytest.raises(BudgetExceeded, match="exceed the budget of 1"):
         aggregate_bound_check(5, 5, budget=1)
-    assert words._tables is None
+    assert global_dags() == []
 
 
 def test_aggregate_honours_the_sn_cap():

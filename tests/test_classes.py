@@ -1,6 +1,7 @@
 import gc
 import inspect
 import pickle
+import types
 import weakref
 from collections import Counter
 
@@ -15,7 +16,7 @@ from redweave import (
 )
 from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import build_graph, build_poset, class_members, graph_checks
-from redweave.perm import enumerate_sn, identity, longest_element
+from redweave.perm import enumerate_sn, identity, inverse, longest_element
 from redweave.subnet import WARRINGTON_X, count_212, count_x_avoiding_words
 from redweave.words import Word, count_reduced_words, index_sum
 
@@ -132,6 +133,39 @@ def test_a_dropped_graph_is_collected():
     assert ref() is None
 
 
+def test_graph_and_y_fill_each_memo_once_per_state(counted_dags, monkeypatch):
+    # G(w) and its Y share one DAG: each state below w0 of S_5 lands once in
+    # each memo (in the Y memo, once per key), not once per walk; and Y,
+    # which reads a state once per key, computes its children once
+    g, read, real = build_graph(longest_element(5)), Counter(), words.kids
+
+    def counted(q):
+        read[q] += 1
+        return real(q)
+
+    monkeypatch.setattr(words, "kids", counted)
+    assert g.max_windows == 3
+    [dag] = counted_dags
+    states = {inverse(w) for w in enumerate_sn(5)}
+    assert dag.once(states)
+    assert set(read) == states and max(read.values()) == 1
+
+
+def test_a_graph_keeps_only_the_y_memo(counted_dags):
+    # the word-count and live-run memos die with build_graph; Y's rides along
+    g = build_graph(longest_element(5))
+    [dag] = counted_dags
+    seen, todo = set(), [g]
+    while todo:  # the ids of every object reachable from g, but for code and types
+        x = todo.pop()
+        if id(x) not in seen and not isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            seen.add(id(x))
+            todo += gc.get_referents(x)
+    assert id(dag.best) in seen
+    assert id(dag.words) not in seen and id(dag.live) not in seen
+    assert len(dag.words) == len(dag.live) == 120
+
+
 def test_ids_are_positions_in_lexicographic_order(s5, s6):
     # ids are DFS positions and edges are not re-sorted: this pins the order
     for w in s5 + s6:
@@ -153,31 +187,31 @@ def test_scan_matches_word_walk_s5_s6(s5, s6):
 def test_canonical_words_match_the_dfs_oracle(s5, s6):
     # compared by pickling, so the order and the types count too
     for w in [w for n in range(1, 5) for w in enumerate_sn(n)] + s5 + s6 + [longest_element(7)]:
-        got = pickle.dumps(classes._canonical_words(w))
+        got = pickle.dumps(words._canonical_words(w, {}))
         assert got == pickle.dumps(canonical_words_dfs(w)), w
 
 
 @pytest.mark.slow
 def test_canonical_words_match_the_dfs_oracle_s7():
     for w in enumerate_sn(7):
-        got = pickle.dumps(classes._canonical_words(w))
+        got = pickle.dumps(words._canonical_words(w, {}))
         assert got == pickle.dumps(canonical_words_dfs(w)), w
 
 
 def test_class_count_of_w0_is_a006245():
     # Knuth's count of commutation classes of w0 (Axioms and Hulls), OEIS A006245
-    counts = [classes._class_count(longest_element(n)) for n in range(1, 9)]
+    counts = [words._class_count(longest_element(n), {}) for n in range(1, 9)]
     assert counts == [1, 1, 2, 8, 62, 908, 24698, 1232944]
 
 
 @pytest.mark.slow
 def test_class_count_of_w0_9():
-    assert classes._class_count(longest_element(9)) == 112_018_190
+    assert words._class_count(longest_element(9), {}) == 112_018_190
 
 
 def test_class_count_is_the_number_of_classes_s5(s5):
     for w in s5:
-        assert classes._class_count(w) == len(build_graph(w)), w
+        assert words._class_count(w, {}) == len(build_graph(w)), w
 
 
 @pytest.fixture
@@ -291,7 +325,7 @@ def test_local_rule_sets_are_the_classes_s5_s6(s5, s6):
 def test_two_classes_with_one_mask_are_refused():
     # a mask fixes its class, so a repeated canonical word cannot pass as two
     g = build_graph((3, 4, 2, 1))
-    twice = classes.ClassGraph(g.w, (g.vertices[0], classes.CommClass(1, g.vertices[0].canonical)))
+    twice = classes.ClassGraph(g.w, (g.vertices[0], classes.CommClass(1, g.vertices[0].canonical)), {})
     with pytest.raises(InvariantViolation, match="share a triple mask"):
         twice.edges
 

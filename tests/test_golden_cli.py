@@ -88,6 +88,9 @@ ARGVS = [
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:3"],
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:9"],
     ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:-1"],
+    ["subnet", "4321", "--word", "123121", "--set", "warrington-x", "-m", "3"],
+    ["subnet", "4321", "--word", "123121", "--set", "s4-longest-classes:0", "-m", "7"],
+    ["subnet", "4321", "--word", "123121", "--set", "warrington-x", "-m", "4"],
     ["subnet", "4321", "--word", "123121", "--set", ""],
     ["subnet", "4321", "--word", "123121", "--set", "", "-m", "3", "--format", "json"],
     ["subnet", "321", "--word", "121", "--set", "", "-m", "0"],

@@ -192,6 +192,16 @@ def test_classify_edge_pair_examples():
         classify_edge_pair(g, 0, 1, 2)  # 0-2 is not an edge
 
 
+def test_classify_edge_pair_refuses_vertices_outside_the_graph():
+    # -1 would read the edges of vertex 7 but not leave 7 out of the common
+    # neighbours, giving a 4-cycle where 7 has an 8-cycle; 99 an IndexError
+    g = build_graph((4, 3, 2, 1))
+    assert classify_edge_pair(g, 7, 4, 6) is CycleVerdict.EIGHT_CYCLE
+    for v, a, b in [(-1, 4, 6), (7, -4, 6), (7, 4, -2), (99, 4, 6), (7, 4, 8)]:
+        with pytest.raises(InputError, match=r"are not all in 0\.\.7"):
+            classify_edge_pair(g, v, a, b)
+
+
 def test_classify_matches_cycle_oracle_s4():
     for w in enumerate_sn(4):
         g = build_graph(w)

@@ -67,6 +67,15 @@ def test_parse_word_set():
     assert parse_word_set("", 1).words == frozenset()
 
 
+def test_parse_word_set_checks_m_against_a_preset():
+    # m is honoured or refused, never ignored: a preset accepts its own size only
+    assert parse_word_set("warrington-x", 4) is WARRINGTON_X
+    assert parse_word_set("s4-longest-classes:0", 4) == parse_word_set("s4-longest-classes:0")
+    for text, m in [("warrington-x", 3), ("s4-longest-classes:0", 7), ("warrington-x", 5)]:
+        with pytest.raises(InputError, match=f"{text} has pattern size m = 4, not {m}"):
+            parse_word_set(text, m)
+
+
 @pytest.mark.parametrize("text, m", [("1,a", None), ("1a", None), ("12;x", None),
                                      ("", 0), ("", -3)])
 def test_parse_word_set_rejects_bad_input(text, m):

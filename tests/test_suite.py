@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import graph_as_scan
+from oracles import global_dags, graph_as_scan
 from redweave import (
     BudgetExceeded,
     InvariantViolation,
@@ -118,30 +118,25 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
     perms = list(fresh)
     if heaviest_first:
         perms.sort(key=lambda w: (-inversions(w), w))
-    words._install_tables(words._SweepTables())
-    try:
-        for w in perms:
-            assert graph_as_scan(classes.build_graph(w)) == fresh[w], w
-            assert words.count_reduced_words(w) == fresh[w]["word_count"], w
-    finally:
-        words._install_tables(None)
+    dag = words._SweepTables()
+    for w in perms:
+        assert graph_as_scan(classes._scan_impl(w, 10**8, dag)) == fresh[w], w
+        assert words._word_count(w, dag.words) == fresh[w]["word_count"], w
 
 
 @pytest.mark.parametrize("suite_reads", [True, False])
 def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
-    # a sweep builds G(w) with its DAG installed; sizes (and, unless the
-    # suite read them then, edges and Y too) are first read once it is gone
+    # a sweep builds G(w) on its DAG; sizes (and, unless the suite read
+    # them then, edges and Y too) are first read once the sweep is over
     if not suite_reads:
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
     assert suite.scan_sn(5, threads=1) == []
-    assert words._tables is None
 
     def kept(g):
         suite.check_permutation(g)
         return g
 
     graphs = classes._sweep(s5, kept, 10**8)
-    assert words._tables is None
     unread = {"edges", "_y"} if not suite_reads else set()
     for g in graphs.values():
         assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), g.w
@@ -149,14 +144,16 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
 
 
 def test_no_tables_outlive_a_sweep():
-    assert words._tables is None
-    assert suite.scan_sn(3, threads=1) == []
-    assert words._tables is None
+    # before, during and after a sweep, and around a refused one
+    assert global_dags() == []
+    during = classes._sweep(enumerate_sn(3), lambda g: global_dags(), 10**8)
+    assert list(during.values()) == [[]] * 6
+    assert global_dags() == []
     with pytest.raises(BudgetExceeded):
         suite.scan_sn(4, budget=2, threads=1)
-    assert words._tables is None
-    classes.build_graph(longest_element(5))
-    assert words._tables is None
+    assert global_dags() == []
+    classes.build_graph(longest_element(5)).max_windows
+    assert global_dags() == []
 
 
 def test_pool_job_caches_no_graph(s5):
@@ -188,34 +185,12 @@ def test_pool_sweep_matches_serial():
     assert suite.scan_sn(5, threads=2) == suite.scan_sn(5, threads=1)
 
 
-def test_sweep_expands_each_guard_state_once(monkeypatch):
+def test_sweep_expands_each_guard_state_once(counted_dags):
     # one DAG serves the guard, the canonical words and Y: each memo of the
     # sweep's DAG gets each state of S_5 once, not once per walk or per w
-    filled = {name: Counter() for name in ("_kids", "words", "live", "best")}
-
-    def counting(name):
-        class CountingDict(dict):
-            def __setitem__(self, key, value):
-                filled[name][key] += 1
-                super().__setitem__(key, value)
-
-        return CountingDict()
-
-    class Counted(words._SweepTables):  # a fresh DAG per walk counts into the same tallies
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            for name in filled:
-                setattr(self, name, counting(name))
-
-    for mod in (words, classes):
-        monkeypatch.setattr(mod, "_SweepTables", Counted)
     assert suite.scan_sn(5, threads=1) == []
-    states = {inverse(w) for w in enumerate_sn(5)}
-    for name in ("_kids", "words", "live"):
-        assert set(filled[name]) == states, name
-        assert max(filled[name].values()) == 1, name
-    assert {q for q, _, _ in filled["best"]} == states
-    assert max(filled["best"].values()) == 1
+    [dag] = counted_dags
+    assert dag.once({inverse(w) for w in enumerate_sn(5)})
 
 
 class FakePool:
@@ -232,7 +207,7 @@ class FakePool:
         return self
 
     def __exit__(self, *exc):
-        words._install_tables(None)
+        classes._pool_dag = None  # a worker's DAG ends with the worker
 
     def imap(self, func, iterable, chunksize):
         return map(func, iterable)
@@ -247,4 +222,4 @@ def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
     monkeypatch.setattr(FakePool, "sizes", [])
     assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
     assert FakePool.sizes == started
-    assert words._tables is None
+    assert global_dags() == []

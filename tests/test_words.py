@@ -73,15 +73,20 @@ def test_enumeration_small_counts():
 
 
 def test_first_word_comes_before_the_dag_is_built(monkeypatch):
-    # the word DFS expands a state when it gets there: the first word of w0
-    # of S_6 reads the 16 states on its path, not the 720 below w0
-    dag = words._SweepTables()
-    monkeypatch.setattr(words, "_tables", dag)
+    # the word DFS expands a state when it gets there, once: the first word
+    # of w0 of S_6 reads the 16 states on its path, not the 720 below w0
+    read, real = [], words.kids
+
+    def counted(q):
+        read.append(q)
+        return real(q)
+
+    monkeypatch.setattr(words, "kids", counted)
     seqs = reduced_letter_seqs(longest_element(6))
     assert next(seqs) == (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)
-    assert len(dag._kids) == 16
+    assert len(read) == len(set(read)) == 16
     assert sum(1 for _ in seqs) == 292863
-    assert len(dag._kids) == 720
+    assert len(read) == len(set(read)) == 720
 
 
 def test_enumeration_budget():
