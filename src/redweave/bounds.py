@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .classes import ClassGraph, _sweep
 from .errors import InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, enumerate_sn, inversions
-from .words import Letters
+from .perm import Perm, check_perm, enumerate_sn, inversions, pattern_count
+from .words import Letters, _class_count, _most_windows, _within_budget, count_reduced_words
+
+if TYPE_CHECKING:  # the bounds of one w read the DAG, and load no G(w)
+    from .classes import ClassGraph
 
 
 def catalan(m: int) -> int:
@@ -29,12 +31,23 @@ class BoundsReport:
     actual: int             # |G(w)|
 
 
+def _report(w: Perm, y: int, n321: int, actual: int) -> BoundsReport:
+    l = inversions(w)
+    half = (y + 1) // 2
+    return BoundsReport(w, y, n321, 2**half + n321 - half, 3**l, 2.487**l, actual)
+
+
 def size_bounds(g: ClassGraph) -> BoundsReport:
     """2^ceil(Y/2) + N_321(w) - ceil(Y/2) <= |G(w)| < 3^l(w)."""
-    l = inversions(g.w)
-    half = (g.max_windows + 1) // 2
-    lower = 2**half + g.n321 - half
-    return BoundsReport(g.w, g.max_windows, g.n321, lower, 3**l, 2.487**l, len(g))
+    return _report(g.w, g.max_windows, g.n321, len(g))
+
+
+def _size_bounds_of(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> BoundsReport:
+    """``size_bounds(build_graph(w, budget))`` with no class listed: Y, N_321
+    and |G(w)|, the canonical path count, are read off the weak-order DAG."""
+    w = check_perm(w)
+    _within_budget(count_reduced_words(w), budget)
+    return _report(w, _most_windows(w, {})[0], pattern_count(w, (3, 2, 1)), _class_count(w, {}))
 
 
 def paren_encoding(letters: Letters) -> str:
@@ -110,6 +123,8 @@ def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT) -> 
     back, in one ``_sweep`` of ``_tally``.  Stated for l >= 1: at l = 0 the
     one empty class meets C_{n-1} = 1 for n <= 2.
     """
+    from .classes import _sweep
+
     perms = enumerate_sn(n)  # refuses n < 1 and n over the S_n cap before the checks below
     if n == 1:
         raise InputError("S_1 has no nontrivial length: its only permutation has length 0")

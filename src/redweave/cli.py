@@ -1,11 +1,12 @@
 """Command-line front door: a table of commands over library calls.
 
-A command parses its arguments, calls the library and returns an
-``_Output``: its payload (the JSON document without ``"schema"``) and,
-where the default does not fit, its text lines, DOT lines and a failed
-invariant.  ``run`` is the only code that prints: JSON with the schema
-first, DOT, or text (``key: value`` lines of the payload unless the
-command has its own), and then it raises the failed invariant.
+A command parses its arguments, imports the library calls it runs (so a
+run loads only its own layers), calls them and returns an ``_Output``:
+its payload (the JSON document without ``"schema"``) and, where the
+default does not fit, its text lines, DOT lines and a failed invariant.
+``run`` is the only code that prints: JSON with the schema first, DOT,
+or text (``key: value`` lines of the payload unless the command has its
+own), and then it raises the failed invariant.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation,
 3 enumeration budget refused.
@@ -19,34 +20,14 @@ import os
 import re
 import signal
 import sys
-from dataclasses import asdict
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .bounds import aggregate_bound_check, size_bounds
-from .classes import ClassGraph, RankedPoset, build_graph, build_poset, graph_checks
 from .errors import BudgetExceeded, InputError, InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import longest_element, parse_perm, pattern_count
-from .structure import (
-    classify_edge_pair,
-    embed_hypercube,
-    rectangle_label,
-    rectangular_witness,
-)
-from .subnet import (
-    WARRINGTON_X,
-    count_subnetworks,
-    count_x_avoiding_classes,
-    count_x_avoiding_words,
-    parse_word_set,
-    predicted_count_friendly,
-    predicted_count_w0_s4,
-    _check_word_of,
-    _top_class,
-)
-from .suite import scan_sn
-from .words import count_reduced_words, enumerate_reduced_words, parse_word
 from . import __version__
+
+if TYPE_CHECKING:  # a command loads the layers it runs when it runs
+    from .classes import ClassGraph, RankedPoset
 
 SCHEMA = "redweave/1"
 
@@ -98,6 +79,9 @@ def _budget(text: str) -> int:
 
 
 def _cmd_words(args) -> _Output:
+    from .perm import parse_perm
+    from .words import count_reduced_words, enumerate_reduced_words
+
     w = parse_perm(args.perm)
     words = enumerate_reduced_words(w, args.budget_words)  # refused before any word
     # the words stream: text prints each as the DFS yields it
@@ -107,11 +91,19 @@ def _cmd_words(args) -> _Output:
     return _Output(payload, chain(lines, [f"count {payload['count']}"]))
 
 
+def _graph(args) -> ClassGraph:
+    """G(w) of the command's permutation, under its word budget."""
+    from .classes import build_graph
+    from .perm import parse_perm
+
+    return build_graph(parse_perm(args.perm), args.budget_words)
+
+
 def _cmd_classes(args) -> _Output:
-    w = parse_perm(args.perm)
-    cls = build_graph(w, args.budget_words).vertices
+    g = _graph(args)
+    cls = g.vertices
     payload = {
-        "w": list(w),
+        "w": list(g.w),
         "count": len(cls),
         "classes": [
             {"id": c.id, "canonical": list(c.canonical.letters), "size": c.size}
@@ -147,6 +139,8 @@ def _graph_payload(g: ClassGraph, poset: RankedPoset) -> dict:
 
 
 def _graph_text(g: ClassGraph) -> Iterator[str]:
+    from .classes import graph_checks
+
     rep = graph_checks(g)
     yield f"G({_csv(g.w)}): {len(g)} vertices, {len(g.edges)} edges"
     yield f"connected {rep.connected}, bipartite {rep.bipartite}"
@@ -172,17 +166,20 @@ def _dot(g: ClassGraph, poset: RankedPoset) -> Iterator[str]:
 
 
 def _cmd_graph(args) -> _Output:
-    g = build_graph(parse_perm(args.perm), args.budget_words)
+    from .classes import build_poset
+
+    g = _graph(args)
     poset = build_poset(g)
     return _Output(_graph_payload(g, poset), _graph_text(g), _dot(g, poset))
 
 
 def _cmd_poset(args) -> _Output:
-    w = parse_perm(args.perm)
-    g = build_graph(w, args.budget_words)
+    from .classes import build_poset
+
+    g = _graph(args)
     poset = build_poset(g)
     payload = {
-        "w": list(w),
+        "w": list(g.w),
         "ranks": {str(cid): r for cid, r in sorted(poset.rank.items())},
         "covers": [list(c) for c in poset.covers],
     }
@@ -198,10 +195,12 @@ def _cmd_poset(args) -> _Output:
 
 
 def _cmd_bounds(args) -> _Output:
-    w = parse_perm(args.perm)
-    rep = size_bounds(build_graph(w, args.budget_words))
+    from .bounds import _size_bounds_of
+    from .perm import parse_perm
+
+    rep = _size_bounds_of(parse_perm(args.perm), args.budget_words)
     return _Output({
-        "w": list(w),
+        "w": list(rep.w),
         "Y": rep.y,
         "n321": rep.n321,
         "lower": rep.lower,
@@ -212,12 +211,22 @@ def _cmd_bounds(args) -> _Output:
 
 
 def _cmd_aggregate(args) -> _Output:
+    from dataclasses import asdict
+
+    from .bounds import aggregate_bound_check
+
     rep = aggregate_bound_check(args.n, args.l, args.budget_words)
     failed = None if rep.ok else f"aggregate bound fails for n={args.n}, l={args.l}"
     return _Output(asdict(rep), violation=failed)
 
 
 def _cmd_subnet(args) -> _Output:
+    from .classes import build_graph
+    from .perm import longest_element, parse_perm, pattern_count
+    from .subnet import (WARRINGTON_X, _check_word_of, _top_class, count_subnetworks,
+                         parse_word_set, predicted_count_friendly, predicted_count_w0_s4)
+    from .words import parse_word
+
     w = parse_perm(args.perm)
     word = parse_word(args.word, len(w))
     _check_word_of(w, word)
@@ -240,20 +249,19 @@ def _cmd_subnet(args) -> _Output:
 
 
 def _cmd_warrington(args) -> _Output:
-    g = build_graph(longest_element(args.n), args.budget_words)
-    if args.classes:
-        count = count_x_avoiding_classes(g, WARRINGTON_X)
-        kind = "classes"
-    else:
-        count = count_x_avoiding_words(g, WARRINGTON_X)
-        kind = "words"
+    from .words import _warrington_count
+
+    count = _warrington_count(args.n, args.classes, args.budget_words)
+    kind = "classes" if args.classes else "words"
     return _Output({"n": args.n, "kind": kind, "count": count}, [str(count)])
 
 
 def _cmd_rect(args) -> _Output:
-    w = parse_perm(args.perm)
-    witness = rectangular_witness(w)
-    g = build_graph(w, args.budget_words)
+    from .classes import build_poset
+    from .structure import rectangle_label, rectangular_witness
+
+    g = _graph(args)
+    witness = rectangular_witness(g.w)
     spec = rectangle_label(g, build_poset(g))  # a poset that fails to rank exits 2
     payload = {
         "rectangular": witness is None,
@@ -264,13 +272,14 @@ def _cmd_rect(args) -> _Output:
         else None,
     }
     agree = (witness is None) == (spec is not None)
-    failed = None if agree else f"pattern test and labeling disagree for {w}"
+    failed = None if agree else f"pattern test and labeling disagree for {g.w}"
     return _Output(payload, violation=failed)
 
 
 def _cmd_cycles(args) -> _Output:
-    w = parse_perm(args.perm)
-    g = build_graph(w, args.budget_words)
+    from .structure import classify_edge_pair
+
+    g = _graph(args)
     rows = []
     for c in g.vertices:
         for a, b in combinations(sorted(g.neighbors(c.id)), 2):
@@ -280,17 +289,19 @@ def _cmd_cycles(args) -> _Output:
         f"v={r['v']} edges ({r['v']},{r['a']}),({r['v']},{r['b']}): {r['verdict']}"
         for r in rows
     )
-    return _Output({"w": list(w), "pairs": rows}, lines)
+    return _Output({"w": list(g.w), "pairs": rows}, lines)
 
 
 def _cmd_cube(args) -> _Output:
-    w = parse_perm(args.perm)
-    witness = embed_hypercube(build_graph(w, args.budget_words))
+    from .structure import embed_hypercube
+
+    g = _graph(args)
+    witness = embed_hypercube(g)
     classes = {
         "".join(map(str, bits)) or "-": cid for bits, cid in sorted(witness.classes.items())
     }
     payload = {
-        "w": list(w),
+        "w": list(g.w),
         "dimension": witness.dimension,
         "base_word": list(witness.base_word.letters),
         "classes": classes,
@@ -303,6 +314,8 @@ def _cmd_cube(args) -> _Output:
 
 
 def _cmd_scan(args) -> _Output:
+    from .suite import scan_sn
+
     violations = scan_sn(args.n, args.budget_words, threads=_threads(args))
     lines = [*violations, f"S_{args.n}: {len(violations)} violation(s)"]
     failed = f"{len(violations)} invariant violation(s) in S_{args.n}" if violations else None
@@ -349,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("subnet", _cmd_subnet, "count subnetworks of a word", options={
         "--word": {"required": True},
         "--set": {"required": True, "help": '"2,1,2" list, "warrington-x", ...'},
-        "-m": {"type": int, "default": None, "help": "pattern size for an empty set"},
+        "-m": {"type": int, "default": None,
+               "help": "pattern size of the set (default: largest letter + 1)"},
         "--predict": {"action": "store_true"},
     })
     add("warrington", _cmd_warrington, "X-avoiding word count for n,n-1,...,1", ("n",),

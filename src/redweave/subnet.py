@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
 from .perm import Perm, _ints, longest_element, pattern_count, pattern_occurrences
-from .words import Letters, Word, crossing_events, evaluate, index_sum
+from .words import Letters, Word, _w0_letter_weights, crossing_events, evaluate, index_sum
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,6 @@ def count_subnetworks(word: Word, x: WordSet) -> int:
     return sum(1 for _ in _subnetworks(word, x))
 
 
-def count_212(word: Word) -> int:
-    """Number of 212-subnetworks; the rank statistic of the class poset.
-
-    Values a < b < c induce 2,1,2 exactly when each of their three pairs
-    crosses once and (b, c) crosses before (a, b): the induced word is
-    then one of the two reduced words of 321, and 1,2,1 crosses (a, b)
-    first.  Requiring single crossings keeps this equal to
-    ``count_subnetworks(word, TOP_212)`` on non-reduced words too.
-    """
-    steps: dict[tuple[int, int], list[int]] = {}
-    for t, (u, v) in enumerate(crossing_events(word)):
-        steps.setdefault((min(u, v), max(u, v)), []).append(t)
-    once = {pair: ts[0] for pair, ts in steps.items() if len(ts) == 1}
-    return sum(
-        1
-        for a, b, c in combinations(range(1, word.n + 1), 3)
-        if (a, c) in once
-        and (a, b) in once
-        and (b, c) in once
-        and once[b, c] < once[a, b]
-    )
-
-
 def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
     """How many reduced words of w induce no X-subnetwork at all.
 
@@ -258,7 +235,8 @@ def predicted_count_w0_s4(word: Word, n: int) -> int:
     wp, reduced = evaluate(word)
     if wp != longest_element(n) or not reduced:
         raise InputError(f"{word.letters} is not a reduced word of the longest element of S_{n}")
-    return sum((i - 1) * (n - i - 1) for i in word.letters) - 2 * comb(n, 4)
+    weight = _w0_letter_weights(n)
+    return sum(weight[i] for i in word.letters) - 2 * comb(n, 4)
 
 
 def reverse_word(word: Word) -> tuple[Word, bool]:

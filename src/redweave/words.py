@@ -8,14 +8,16 @@ weak-order DAG, whose children ``kids`` computes afresh.  The walks over
 it (|R(w)|, the reduced words, the canonical words and their count |G(w)|,
 and Y) live here, each on a memo it is given, of the layout that
 ``_SweepTables`` holds; the word and canonical walks are one path walker.
+The Warrington counts are a least-weight path fold on the same DAG.
 """
 
 from __future__ import annotations
 
+from math import comb, inf
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, _ints, inverse, inversions
+from .perm import Perm, _ints, check_perm, identity, inverse, inversions, longest_element
 
 Letters = tuple[int, ...]
 
@@ -211,6 +213,54 @@ def _canonical_words(w: Perm, live: dict) -> list[Letters]:
 def _class_count(w: Perm, live: dict) -> int:
     """|G(w)|, the number of canonical words: the root's live path count."""
     return sum(run[2] for run in _live_runs(w, live)) or 1
+
+
+def _least_weight_paths(w: Perm, weight: list[int], canonical: bool) -> tuple[float, int]:
+    """(least weight, number of paths at it) over the reduced words of w, a
+    word weighing the sum of ``weight[i]`` over its letters i; over the
+    canonical words alone, one per class, when ``canonical``.
+
+    A key is (state, cap): the next letter is at most cap, the last letter
+    + 1 on a canonical word and len(w) on any word.  The identity's one
+    path is seeded, so any other key with no step is a dead end, (inf, 0).
+    """
+    n = len(w)
+    memo = {(identity(n), cap): (0, 1) for cap in range(n + 1)}
+
+    def below(key: tuple[Perm, int]) -> list:
+        q, cap = key
+        return [(i, (p, i + 1 if canonical else n)) for i, p in kids(q) if i <= cap]
+
+    def value(ks: list) -> tuple[float, int]:
+        least = min([memo[k][0] + weight[i] for i, k in ks], default=inf)
+        return least, sum([memo[k][1] for i, k in ks if memo[k][0] + weight[i] == least])
+
+    return _fill(memo, (inverse(w), n), below, value)
+
+
+def _w0_letter_weights(n: int) -> list[int]:
+    """Letter i's weight (i - 1)(n - i - 1) in Warrington's closed form, by i."""
+    return [(i - 1) * (n - i - 1) for i in range(n)]
+
+
+def _warrington_count(n: int, classes: bool = False, budget: int = WORD_BUDGET_DEFAULT) -> int:
+    """The reduced words of n, n-1, ..., 1 (its commutation classes, with
+    ``classes``) that have no ``subnet.WARRINGTON_X`` subnetwork.
+
+    By Warrington's closed form (``subnet.predicted_count_w0_s4``) a word
+    has its letter weight less 2 C(n, 4) such subnetworks.  That is never
+    negative, so the avoiding words are the least-weight paths of the DAG
+    when the least weight is 2 C(n, 4), and there are none otherwise.  The
+    weight is constant on a class.  Refused, as G(w) is, when w has more
+    than budget reduced words.
+
+    >>> _warrington_count(4), _warrington_count(4, classes=True)
+    (12, 4)
+    """
+    w = check_perm(longest_element(n))
+    _within_budget(count_reduced_words(w), budget)
+    least, count = _least_weight_paths(w, _w0_letter_weights(n), classes)
+    return count if least == 2 * comb(n, 4) else 0
 
 
 def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:

@@ -20,6 +20,8 @@ a word's set by replaying its wires.
 of parenthesis encodings at each length with their number, where
 ``bounds.aggregate_reports`` decodes each word back instead.
 ``global_dags`` names the module globals of redweave that hold a DAG.
+``count_212`` counts a word's 212-subnetworks from its crossings, the rank
+statistic that ``build_poset`` reads as a popcount.
 """
 
 import sys
@@ -31,7 +33,13 @@ from typing import NamedTuple
 from redweave import InputError, Word
 from redweave.bounds import AggregateReport, catalan, paren_encoding
 from redweave.perm import Perm, identity, inverse
-from redweave.words import _SweepTables, braid_windows, canonical_letters, reduced_letter_seqs
+from redweave.words import (
+    _SweepTables,
+    braid_windows,
+    canonical_letters,
+    crossing_events,
+    reduced_letter_seqs,
+)
 
 
 def one_reduced_word(w: Perm) -> tuple[int, ...]:
@@ -384,3 +392,26 @@ def global_dags() -> list[str]:
     return [f"{key}.{name}" for key, mod in list(sys.modules.items())
             if key.startswith("redweave") for name, value in vars(mod).items()
             if isinstance(value, _SweepTables)]
+
+
+def count_212(word: Word) -> int:
+    """Number of 212-subnetworks; the rank statistic of the class poset.
+
+    Values a < b < c induce 2,1,2 exactly when each of their three pairs
+    crosses once and (b, c) crosses before (a, b): the induced word is
+    then one of the two reduced words of 321, and 1,2,1 crosses (a, b)
+    first.  Requiring single crossings keeps this equal to
+    ``count_subnetworks(word, TOP_212)`` on non-reduced words too.
+    """
+    steps: dict[tuple[int, int], list[int]] = {}
+    for t, (u, v) in enumerate(crossing_events(word)):
+        steps.setdefault((min(u, v), max(u, v)), []).append(t)
+    once = {pair: ts[0] for pair, ts in steps.items() if len(ts) == 1}
+    return sum(
+        1
+        for a, b, c in combinations(range(1, word.n + 1), 3)
+        if (a, c) in once
+        and (a, b) in once
+        and (b, c) in once
+        and once[b, c] < once[a, b]
+    )

@@ -14,6 +14,7 @@ from oracles import (
     all_words_bfs,
     apply_move,
     classes_bfs,
+    count_212,
     induced_cycle_lengths,
     list_moves,
 )
@@ -34,7 +35,6 @@ from redweave.structure import (
 )
 from redweave.subnet import (
     WARRINGTON_X,
-    count_212,
     count_subnetworks,
     count_x_avoiding_words,
     crossing_events,

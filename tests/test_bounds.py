@@ -184,3 +184,12 @@ def test_aggregate_honours_the_sn_cap():
     with pytest.raises(BudgetExceeded, match="refusing to enumerate S_9"):
         aggregate_bound_check(9, 1)
     assert "cap" not in inspect.signature(aggregate_bound_check).parameters
+
+
+def test_size_bounds_of_w_match_the_graph(s5):
+    for w in s5 + [longest_element(6)]:
+        assert bounds._size_bounds_of(w) == size_bounds(build_graph(w)), w
+    with pytest.raises(BudgetExceeded):
+        bounds._size_bounds_of(longest_element(5), budget=767)
+    with pytest.raises(InputError):
+        bounds._size_bounds_of((1, 1))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
-    canonical_words_dfs, classes_bfs, graph_as_scan, local_rule_sets, triple_set, word_walk_scan
+    canonical_words_dfs, classes_bfs, count_212, graph_as_scan, local_rule_sets, triple_set,
+    word_walk_scan,
 )
 from redweave import (
     BudgetExceeded, InvariantViolation, bounds, classes, structure, subnet, suite, words
@@ -17,7 +18,7 @@ from redweave import (
 from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import build_graph, build_poset, class_members, graph_checks
 from redweave.perm import enumerate_sn, identity, inverse, longest_element
-from redweave.subnet import WARRINGTON_X, count_212, count_x_avoiding_words
+from redweave.subnet import WARRINGTON_X, count_x_avoiding_words
 from redweave.words import Word, count_reduced_words, index_sum
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redweave import InvariantViolation, cli, suite
+from redweave import InvariantViolation, bounds, classes, suite, words
 from redweave.bounds import aggregate_bound_check
 from redweave.cli import run
 from redweave.words import Word
@@ -28,7 +28,7 @@ def test_words_text_streams(capsys, monkeypatch):
         yield Word((1, 2, 1), 3)
         raise RuntimeError("the word source failed after one word")
 
-    monkeypatch.setattr(cli, "enumerate_reduced_words", one_word_then_fail)
+    monkeypatch.setattr(words, "enumerate_reduced_words", one_word_then_fail)
     with pytest.raises(RuntimeError):
         run(["words", "321"])
     assert out_of(capsys) == "1,2,1\n"  # printed before the next word was asked for
@@ -100,7 +100,7 @@ def test_aggregate(capsys):
 
 def test_violation_is_raised_after_printing(capsys, monkeypatch):
     failing = dataclasses.replace(aggregate_bound_check(3, 2), injective=False)
-    monkeypatch.setattr(cli, "aggregate_bound_check", lambda *args, **kwargs: failing)
+    monkeypatch.setattr(bounds, "aggregate_bound_check", lambda *args, **kwargs: failing)
     assert run(["aggregate", "3", "2"]) == 2
     out, err = capsys.readouterr()
     assert out.endswith("injective: False\n")
@@ -159,7 +159,7 @@ def test_rect_exits_2_when_the_poset_fails(capsys, monkeypatch):
     def broken(g):
         raise InvariantViolation(f"poset of {g.w} broke")
 
-    monkeypatch.setattr(cli, "build_poset", broken)
+    monkeypatch.setattr(classes, "build_poset", broken)
     assert run(["rect", "326514"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -296,3 +296,13 @@ def test_closed_stdout_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == -signal.SIGPIPE
     assert err == b""
+
+
+def test_bounds_lists_no_classes(capsys, monkeypatch):
+    def no_class_list(*args):
+        raise AssertionError("the bounds listed the classes")
+
+    monkeypatch.setattr(words, "_canonical_words", no_class_list)
+    monkeypatch.setattr(classes, "_scan_impl", no_class_list)  # the one build of G(w)
+    assert run(["bounds", "654321", "--actual", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["actual"] == 908

@@ -107,6 +107,9 @@ ARGVS = [
     ["warrington", "5", "--format", "json"],
     ["warrington", "6", "--format", "json"],
     ["warrington", "6", "--budget-words", "1000"],
+    ["warrington", "6", "--classes"],
+    ["warrington", "0"],
+    ["warrington", "-1"],
     ["warrington", "x"],
     ["warrington", "--help"],
     ["rect", "326514"],

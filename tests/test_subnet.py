@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_subnetworks_brute
-from redweave import InputError
+from oracles import count_212, count_subnetworks_brute
+from redweave import BudgetExceeded, InputError
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import (
     TOP_212,
     WARRINGTON_X,
     complement_word,
-    count_212,
     count_subnetworks,
     count_x_avoiding_classes,
     count_x_avoiding_words,
@@ -23,7 +22,7 @@ from redweave.subnet import (
     word_set,
 )
 from redweave.classes import build_graph, class_members
-from redweave.words import Word, enumerate_reduced_words
+from redweave.words import Word, _warrington_count, enumerate_reduced_words
 
 
 def test_word_set_validation():
@@ -239,3 +238,22 @@ def test_complement_word():
     assert comp.letters == (3, 2, 3, 1, 2, 3) and same
     comp, same = complement_word(Word((1,), 3))
     assert comp.letters == (2,) and not same
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_warrington_fold_matches_the_class_sums(n):
+    # the fold counts least-weight paths by the closed form; the oracle
+    # tests each class of G(w0) for an X-subnetwork
+    g = build_graph(longest_element(n), budget=10**15)
+    assert _warrington_count(n, budget=10**15) == count_x_avoiding_words(g, WARRINGTON_X)
+    assert (_warrington_count(n, classes=True, budget=10**15)
+            == count_x_avoiding_classes(g, WARRINGTON_X))
+
+
+def test_warrington_fold_keeps_the_word_budget_and_refuses_bad_n():
+    with pytest.raises(BudgetExceeded):
+        _warrington_count(6, classes=True, budget=292_863)
+    assert _warrington_count(6, budget=292_864) == 54520
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            _warrington_count(n)

@@ -195,3 +195,20 @@ def test_index_sum_trivia():
 def test_identity_only_empty_word():
     assert count_reduced_words(identity(5)) == 1
     assert inversions(identity(5)) == 0
+
+
+def least_and_count(seqs, weight):
+    """(least weight, how many at it) over letter sequences, by brute force."""
+    sums = [sum(weight[i] for i in ls) for ls in seqs]
+    return (min(sums), sums.count(min(sums))) if sums else (float("inf"), 0)
+
+
+@pytest.mark.parametrize("weight", [[0, 2, -1, 3, 1], [0, 1, 1, 1, 1], [0, 0, 5, 0, 2]])
+def test_least_weight_paths_match_brute_force(weight):
+    # over any w of S_5, with weights that tie and go negative; the canonical
+    # fold walks (state, cap) keys, whose dead ends must count for nothing
+    for w in enumerate_sn(5):
+        seqs = list(reduced_letter_seqs(w))
+        assert words._least_weight_paths(w, weight, False) == least_and_count(seqs, weight), w
+        canonical = {canonical_letters(ls) for ls in seqs}
+        assert words._least_weight_paths(w, weight, True) == least_and_count(canonical, weight), w
