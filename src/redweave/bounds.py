@@ -3,9 +3,8 @@ Catalan bound via the balanced-parenthesis encoding of representatives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, check_perm, enumerate_sn, inversions, pattern_count
@@ -20,18 +19,17 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     w: Perm
     y: int
     n321: int
     lower: int
     upper: int              # 3^l(w); strict for l(w) >= 1
     alt_upper: float        # 2.487^l(w), informational only
-    actual: int             # |G(w)|
+    actual: int | None      # |G(w)|; None when it was not counted
 
 
-def _report(w: Perm, y: int, n321: int, actual: int) -> BoundsReport:
+def _report(w: Perm, y: int, n321: int, actual: int | None) -> BoundsReport:
     l = inversions(w)
     half = (y + 1) // 2
     return BoundsReport(w, y, n321, 2**half + n321 - half, 3**l, 2.487**l, actual)
@@ -42,12 +40,15 @@ def size_bounds(g: ClassGraph) -> BoundsReport:
     return _report(g.w, g.max_windows, g.n321, len(g))
 
 
-def _size_bounds_of(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> BoundsReport:
+def _size_bounds_of(w: Perm, budget: int = WORD_BUDGET_DEFAULT,
+                    actual: bool = True) -> BoundsReport:
     """``size_bounds(build_graph(w, budget))`` with no class listed: Y, N_321
-    and |G(w)|, the canonical path count, are read off the weak-order DAG."""
+    and |G(w)|, the canonical path count, are read off the weak-order DAG.
+    Without ``actual`` no class is counted, and ``actual`` reads None."""
     w = check_perm(w)
     _within_budget(count_reduced_words(w), budget)
-    return _report(w, _most_windows(w, {})[0], pattern_count(w, (3, 2, 1)), _class_count(w, {}))
+    count = _class_count(w, {}) if actual else None
+    return _report(w, _most_windows(w, {})[0], pattern_count(w, (3, 2, 1)), count)
 
 
 def paren_encoding(letters: Letters) -> str:
@@ -76,8 +77,7 @@ def paren_encoding(letters: Letters) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     n: int
     l: int
     count_perms: int

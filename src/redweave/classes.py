@@ -5,10 +5,11 @@
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers: the word count and the canonical words up front,
 by walks in ``words`` on memos passed in (a fresh ``_SweepTables`` per G(w),
-or the one of a ``_sweep`` process); class sizes, edges and Y, on the one
-memo the graph keeps, are computed on first read and kept.  Edges and ranks
-read one int per class, its ``_triple_masks`` bitmask over the 321-triples
-of w: a braid move flips one bit, and the popcount is its rank in P(w).
+or the one of a ``_sweep`` process); edges and Y, on the one memo the
+graph keeps, are computed on first read and kept, a class size on each
+read.  Edges and ranks read one int per class, its ``_triple_masks``
+bitmask over the 321-triples of w: a braid move flips one bit, and the
+popcount is its rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
 and ``suite``, takes the graph; ``build_graph`` alone checks the budget.
 """
@@ -16,7 +17,6 @@ and ``suite``, takes the graph; ``build_graph`` alone checks the budget.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
@@ -98,13 +98,13 @@ def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> 
     return out
 
 
-@dataclass(frozen=True)
-class CommClass:
+class CommClass(NamedTuple):
     id: int
     canonical: Word
 
-    @cached_property
+    @property
     def size(self) -> int:
+        """The words in the class, counted on each read."""
         return _class_size(self.canonical.letters, self.canonical.n)
 
 
@@ -120,7 +120,8 @@ class ClassGraph:
     Vertex ids are dense integers in lexicographic order of the
     canonical words, so output is reproducible.  Y and the least word
     attaining it ride along.  The graph is read-only.  Only the vertices
-    are built with it; each other layer is kept on first read.
+    are built with it; each other layer but the class sizes is kept on
+    first read.
     """
 
     def __init__(self, w: Perm, vertices: tuple[CommClass, ...], best: dict):
@@ -261,8 +262,7 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     return {w: job(_scan_impl(w, budget, dag)) for w in order}
 
 
-@dataclass(frozen=True)
-class RankedPoset:
+class RankedPoset(NamedTuple):
     """P(w): classes ordered by downward braid moves, ranked by 212-count."""
 
     elements: tuple[int, ...]
@@ -302,8 +302,7 @@ def build_poset(g: ClassGraph) -> RankedPoset:
     return RankedPoset(tuple(c.id for c in g.vertices), tuple(covers), ranks)
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     connected: bool
     bipartite: bool  # index-sum parity is a proper 2-coloring
 

@@ -80,15 +80,15 @@ def _budget(text: str) -> int:
 
 def _cmd_words(args) -> _Output:
     from .perm import parse_perm
-    from .words import count_reduced_words, enumerate_reduced_words
+    from .words import _within_budget, count_reduced_words, reduced_letter_seqs
 
     w = parse_perm(args.perm)
-    words = enumerate_reduced_words(w, args.budget_words)  # refused before any word
+    count = count_reduced_words(w)  # the one walk: the guard's and the payload's
+    _within_budget(count, args.budget_words)  # refused before any word
     # the words stream: text prints each as the DFS yields it
-    payload = {"w": list(w), "count": count_reduced_words(w),
-               "words": (list(word.letters) for word in words)}
+    payload = {"w": list(w), "count": count, "words": map(list, reduced_letter_seqs(w))}
     lines = (_csv(ls) or "(empty)" for ls in payload["words"])
-    return _Output(payload, chain(lines, [f"count {payload['count']}"]))
+    return _Output(payload, chain(lines, [f"count {count}"]))
 
 
 def _graph(args) -> ClassGraph:
@@ -101,17 +101,11 @@ def _graph(args) -> ClassGraph:
 
 def _cmd_classes(args) -> _Output:
     g = _graph(args)
-    cls = g.vertices
-    payload = {
-        "w": list(g.w),
-        "count": len(cls),
-        "classes": [
-            {"id": c.id, "canonical": list(c.canonical.letters), "size": c.size}
-            for c in cls
-        ],
-    }
-    lines = (f"{c.id}: {_csv(c.canonical.letters) or '(empty)'}  size {c.size}" for c in cls)
-    return _Output(payload, chain(lines, [f"count {len(cls)}"]))
+    rows = [{"id": c.id, "canonical": list(c.canonical.letters), "size": c.size}
+            for c in g.vertices]  # a size is counted on each read: read once here
+    lines = (f"{r['id']}: {_csv(r['canonical']) or '(empty)'}  size {r['size']}" for r in rows)
+    return _Output({"w": list(g.w), "count": len(rows), "classes": rows},
+                   chain(lines, [f"count {len(rows)}"]))
 
 
 def _graph_payload(g: ClassGraph, poset: RankedPoset) -> dict:
@@ -198,7 +192,7 @@ def _cmd_bounds(args) -> _Output:
     from .bounds import _size_bounds_of
     from .perm import parse_perm
 
-    rep = _size_bounds_of(parse_perm(args.perm), args.budget_words)
+    rep = _size_bounds_of(parse_perm(args.perm), args.budget_words, args.actual)
     return _Output({
         "w": list(rep.w),
         "Y": rep.y,
@@ -206,18 +200,16 @@ def _cmd_bounds(args) -> _Output:
         "lower": rep.lower,
         "upper": rep.upper,
         "alt_upper": rep.alt_upper,
-        "actual": rep.actual if args.actual else None,
+        "actual": rep.actual,
     })
 
 
 def _cmd_aggregate(args) -> _Output:
-    from dataclasses import asdict
-
     from .bounds import aggregate_bound_check
 
     rep = aggregate_bound_check(args.n, args.l, args.budget_words)
     failed = None if rep.ok else f"aggregate bound fails for n={args.n}, l={args.l}"
-    return _Output(asdict(rep), violation=failed)
+    return _Output(rep._asdict(), violation=failed)
 
 
 def _cmd_subnet(args) -> _Output:

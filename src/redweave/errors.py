@@ -3,7 +3,7 @@
 # Refuse enumerations that would visit more reduced words than this.
 WORD_BUDGET_DEFAULT = 10**8
 
-# enumerate_sn refuses above this size unless the caller raises the cap.
+# enumerate_sn refuses S_n above this size.
 SN_CAP_DEFAULT = 8
 
 

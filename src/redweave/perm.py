@@ -98,10 +98,11 @@ def avoids(w: Perm, p: Perm) -> bool:
     return next(pattern_occurrences(w, p), None) is None
 
 
-def enumerate_sn(n: int, cap: int = SN_CAP_DEFAULT) -> Iterator[Perm]:
-    """All n! permutations in lexicographic order of one-line notation."""
+def enumerate_sn(n: int) -> Iterator[Perm]:
+    """All n! permutations in lexicographic order of one-line notation;
+    refused for n over ``SN_CAP_DEFAULT``."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if n > cap:
-        raise BudgetExceeded(f"refusing to enumerate S_{n} (cap is {cap})")
+    if n > SN_CAP_DEFAULT:
+        raise BudgetExceeded(f"refusing to enumerate S_{n} (cap is {SN_CAP_DEFAULT})")
     return permutations(range(1, n + 1))

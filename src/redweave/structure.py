@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 from .classes import ClassGraph, RankedPoset
 from .errors import InputError, InvariantViolation
@@ -44,8 +44,7 @@ def _disjoint(triples: tuple) -> bool:
     return len({x for t in triples for x in t}) == 3 * len(triples)
 
 
-@dataclass(frozen=True)
-class HypercubeWitness:
+class HypercubeWitness(NamedTuple):
     dimension: int
     base_word: Word
     # bit vector over the chosen disjoint moves -> class id in G(w)
@@ -103,8 +102,7 @@ def is_rectangular(w: Perm) -> bool:
     return rectangular_witness(w) is None
 
 
-@dataclass(frozen=True)
-class RectangleSpec:
+class RectangleSpec(NamedTuple):
     dims: tuple[int, ...]
     labels: dict[int, tuple[int, ...]]  # class id -> lattice point
 

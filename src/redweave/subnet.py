@@ -7,10 +7,9 @@ lies in a prescribed set X is an X-subnetwork.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
@@ -18,8 +17,7 @@ from .perm import Perm, _ints, longest_element, pattern_count, pattern_occurrenc
 from .words import Letters, Word, _w0_letter_weights, crossing_events, evaluate, index_sum
 
 
-@dataclass(frozen=True)
-class WordSet:
+class WordSet(NamedTuple):
     """A finite set of reduced words, all evaluating to one permutation of size m."""
 
     words: frozenset[Letters]
@@ -169,8 +167,7 @@ def count_x_avoiding_classes(g: ClassGraph, x: WordSet) -> int:
     return sum(1 for c in g.vertices if _avoids(c.canonical, x))
 
 
-@dataclass(frozen=True)
-class Friendliness:
+class Friendliness(NamedTuple):
     k: int | None        # None when w is not p-friendly
     vacuous: bool        # w has no 321-pattern at all
     pattern_has_321: bool
@@ -190,8 +187,7 @@ def friendliness(w: Perm, p: Perm) -> Friendliness:
     return Friendliness(None, False, True)
 
 
-@dataclass(frozen=True)
-class FriendlyPrediction:
+class FriendlyPrediction(NamedTuple):
     predicted: int
     actual: int
     k: int

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import signal
@@ -11,7 +10,6 @@ import pytest
 from redweave import InvariantViolation, bounds, classes, suite, words
 from redweave.bounds import aggregate_bound_check
 from redweave.cli import run
-from redweave.words import Word
 
 
 def out_of(capsys):
@@ -24,14 +22,27 @@ def test_words_text(capsys):
 
 
 def test_words_text_streams(capsys, monkeypatch):
-    def one_word_then_fail(w, budget):
-        yield Word((1, 2, 1), 3)
+    def one_word_then_fail(w):
+        yield (1, 2, 1)
         raise RuntimeError("the word source failed after one word")
 
-    monkeypatch.setattr(words, "enumerate_reduced_words", one_word_then_fail)
+    monkeypatch.setattr(words, "reduced_letter_seqs", one_word_then_fail)
     with pytest.raises(RuntimeError):
         run(["words", "321"])
     assert out_of(capsys) == "1,2,1\n"  # printed before the next word was asked for
+
+
+def test_words_counts_the_words_once(capsys, monkeypatch):
+    # one walk serves the budget guard and the printed count
+    walks = []
+    real = words._word_count
+    monkeypatch.setattr(words, "_word_count", lambda *args: walks.append(args) or real(*args))
+    assert run(["words", "4321"]) == 0
+    assert len(walks) == 1
+    assert out_of(capsys).endswith("\ncount 16\n")
+    assert run(["words", "4321", "--format", "json"]) == 0
+    assert len(walks) == 2
+    assert json.loads(out_of(capsys))["count"] == 16
 
 
 def test_words_identity(capsys):
@@ -99,7 +110,7 @@ def test_aggregate(capsys):
 
 
 def test_violation_is_raised_after_printing(capsys, monkeypatch):
-    failing = dataclasses.replace(aggregate_bound_check(3, 2), injective=False)
+    failing = aggregate_bound_check(3, 2)._replace(injective=False)
     monkeypatch.setattr(bounds, "aggregate_bound_check", lambda *args, **kwargs: failing)
     assert run(["aggregate", "3", "2"]) == 2
     out, err = capsys.readouterr()
@@ -306,3 +317,12 @@ def test_bounds_lists_no_classes(capsys, monkeypatch):
     monkeypatch.setattr(classes, "_scan_impl", no_class_list)  # the one build of G(w)
     assert run(["bounds", "654321", "--actual", "--format", "json"]) == 0
     assert json.loads(out_of(capsys))["actual"] == 908
+
+
+def test_bounds_without_actual_counts_no_classes(capsys, monkeypatch):
+    def no_class_count(*args):
+        raise AssertionError("the bounds counted the classes")
+
+    monkeypatch.setattr(bounds, "_class_count", no_class_count)
+    assert run(["bounds", "4321"]) == 0
+    assert out_of(capsys).endswith("actual: None\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import multiprocessing
 import weakref
@@ -66,7 +65,7 @@ def test_check_permutation_scans_for_321_once(monkeypatch):
 def test_bound_checks_use_size_bounds(monkeypatch):
     w = (3, 4, 2, 1)  # 3 classes
     g = classes.build_graph(w)
-    wrong = dataclasses.replace(suite.size_bounds(g), lower=4, upper=3)
+    wrong = suite.size_bounds(g)._replace(lower=4, upper=3)
     monkeypatch.setattr(suite, "size_bounds", lambda g: wrong)
     assert suite.check_permutation(g) == [
         f"lower bound fails for {w}",
@@ -126,8 +125,8 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
 
 @pytest.mark.parametrize("suite_reads", [True, False])
 def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
-    # a sweep builds G(w) on its DAG; sizes (and, unless the suite read
-    # them then, edges and Y too) are first read once the sweep is over
+    # a sweep builds G(w) on its DAG and counts no class size; unless the
+    # suite read them then, edges and Y are first read once it is over
     if not suite_reads:
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
     assert suite.scan_sn(5, threads=1) == []
@@ -136,10 +135,14 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
         suite.check_permutation(g)
         return g
 
+    sized = []
+    real = classes._class_size
+    monkeypatch.setattr(classes, "_class_size", lambda *args: sized.append(args) or real(*args))
     graphs = classes._sweep(s5, kept, 10**8)
+    assert sized == []
     unread = {"edges", "_y"} if not suite_reads else set()
     for g in graphs.values():
-        assert unread.isdisjoint(vars(g)) and "size" not in vars(g.vertices[0]), g.w
+        assert unread.isdisjoint(vars(g)), g.w
         assert graph_as_scan(g) == graph_as_scan(classes.build_graph(g.w)), g.w
 
 
