@@ -3,11 +3,13 @@
 ``build_graph(w, budget)`` is G(w), built afresh and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
-G(w) is built in layers: the word count and the canonical words up front,
-by walks in ``words`` on memos passed in (a fresh ``_SweepTables`` per G(w),
-or the one of a ``_sweep`` process); edges and Y, on the one memo the
-graph keeps, are computed on first read and kept, a class size on each
-read.  Edges and ranks read one int per class, its ``_triple_masks``
+G(w) is built in layers.  The word count and the canonical words come up
+front, by walks in ``words`` on memos passed in (a fresh ``_SweepTables``
+per G(w), or the one of a ``_sweep`` process).  The bare mask-flip edges
+``_pairs``, which every check reads, and Y, on the one memo the graph keeps,
+come on first read and are kept; the edge labels only on the first read of
+``g.edges``, which only ``graph``/``poset`` output makes; a class size on
+each read.  Edges and ranks read one int per class, its ``_triple_masks``
 bitmask over the 321-triples of w: a braid move flips one bit, and the
 popcount is its rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
@@ -90,8 +92,11 @@ def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> 
         bc[b][c] |= 1 << j
     out = []
     for word in words:
+        seq = list(range(n + 1))  # seq[p] is the wire at position p, from 1
         mask = crossed = 0
-        for u, v in crossing_events(word):
+        for i in word.letters:
+            u, v = seq[i], seq[i + 1]
+            seq[i], seq[i + 1] = v, u
             mask |= ab[u][v] & crossed
             crossed |= bc[u][v]
         out.append(mask)
@@ -142,31 +147,38 @@ class ClassGraph:
         return tuple(_triple_masks(self._triples, self.n, (c.canonical for c in self.vertices)))
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """Pairs of classes whose masks differ in one bit, through one dict; the
-        move re-crosses that bit's triple at the letter where its (a, b) crosses
-        in the lower class."""
+    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """The bare edges: (u, v, j) for classes u < v one flip of bit j apart.
+        Setting bit j turns a window i, i+1, i into i+1, i, i+1, and the greedy
+        that builds a canonical (lexicographically greatest) word then takes i + 1
+        where the lower class's takes at most i, at the first letter they differ."""
         ids = {m: v for v, m in enumerate(self._masks)}
         if len(ids) != len(self.vertices):
             raise InvariantViolation(f"two classes of {self.w} share a triple mask")
         found = []
         for u, m in enumerate(self._masks):
-            ups = [(t, ids[m | 1 << j]) for j, t in enumerate(self._triples)
-                   if not m >> j & 1 and m | 1 << j in ids]
-            if not ups:
-                continue
-            word = self.vertices[u].canonical
-            at = dict(zip(crossing_events(word), word.letters))  # (a, b) -> its letter
-            for t, v in ups:
-                label = ((at[t[:2]], t),)
-                found.append((u, v, label) if u < v else (v, u, label))
-        del ids  # before the edge tuples are made, to keep the peak down
-        return tuple(Edge(*e) for e in sorted(found))
+            for j in range(len(self._triples)):
+                if not m >> j & 1 and (v := ids.get(m | 1 << j)) is not None:
+                    found.append((u, v, j))
+        return tuple(sorted(found))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The pairs labelled, with one crossing pass over each lower-mask class u:
+        the move re-crosses triple j at the letter where its (a, b) crosses in u."""
+        out = []
+        for u, v, j in self._pairs:
+            if not out or out[-1].u != u:
+                word = self.vertices[u].canonical
+                at = dict(zip(crossing_events(word), word.letters))  # (a, b) -> letter
+            t = self._triples[j]
+            out.append(Edge(u, v, ((at[t[:2]], t),)))
+        return tuple(out)
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
         adj: list[list[int]] = [[] for _ in self.vertices]
-        for u, v, _ in self.edges:
+        for u, v, _ in self._pairs:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(frozenset, adj))
@@ -249,7 +261,7 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     cheapest.  They run here if ``min(threads, len(perms))`` is 1, else in a
     pool of that many, started by the platform's default method (under fork,
     on Linux and Python <= 3.13, a worker is a copy of this process); job
-    must then pickle.
+    must then pickle.  A pool gets them in about 16 tasks per worker.
     """
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     threads = min(threads, len(order))
@@ -257,7 +269,8 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
         from multiprocessing import Pool
 
         with Pool(threads, initializer=_start_worker) as pool:
-            return dict(zip(order, pool.imap(partial(_pool_job, job, budget), order, chunksize=4)))
+            chunk = max(1, len(order) // (16 * threads))
+            return dict(zip(order, pool.imap(partial(_pool_job, job, budget), order, chunk)))
     dag = _SweepTables()
     return {w: job(_scan_impl(w, budget, dag)) for w in order}
 
@@ -280,12 +293,11 @@ def build_poset(g: ClassGraph) -> RankedPoset:
     ranks = {c.id: m.bit_count() for c, m in zip(g.vertices, g._masks)}
     sums = {c.id: sum(c.canonical.letters) for c in g.vertices}
     covers = []
-    for e in g.edges:
-        upper, lower = (e.u, e.v) if sums[e.u] > sums[e.v] else (e.v, e.u)
+    for u, v, _ in g._pairs:
+        upper, lower = (u, v) if sums[u] > sums[v] else (v, u)
         if sums[upper] - sums[lower] != 1:
             raise InvariantViolation(
-                f"edge {e.u}-{e.v} of G({g.w}) joins index sums "
-                f"{sums[e.u]} and {sums[e.v]}"
+                f"edge {u}-{v} of G({g.w}) joins index sums {sums[u]} and {sums[v]}"
             )
         if ranks[upper] - ranks[lower] != 1:
             raise InvariantViolation(
@@ -325,6 +337,6 @@ def graph_checks(g: ClassGraph) -> GraphReport:
                     nxt.append(v)
         frontier = nxt
     parity = {c.id: sum(c.canonical.letters) % 2 for c in g.vertices}
-    bipartite = all(parity[e.u] != parity[e.v] for e in g.edges)
+    bipartite = all(parity[u] != parity[v] for u, v, _ in g._pairs)
     return GraphReport(len(seen) == len(g.vertices), bipartite)
 

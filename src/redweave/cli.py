@@ -23,7 +23,7 @@ import sys
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .errors import BudgetExceeded, InputError, InvariantViolation, WORD_BUDGET_DEFAULT
+from .errors import BudgetExceeded, InputError, InvariantViolation, THREADS_CAP, WORD_BUDGET_DEFAULT
 from . import __version__
 
 if TYPE_CHECKING:  # a command loads the layers it runs when it runs
@@ -47,19 +47,20 @@ def _csv(letters) -> str:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        if args.threads < 1:
-            raise InputError(f"--threads {args.threads} is below 1")
-        return args.threads
-    env = os.environ.get("REDWEAVE_THREADS")
-    if env:
+        threads, source = args.threads, f"--threads {args.threads}"
+    elif env := os.environ.get("REDWEAVE_THREADS"):
+        source = f"REDWEAVE_THREADS={env!r}"
         try:
             threads = int(env)
         except ValueError:
-            raise InputError(f"REDWEAVE_THREADS={env!r} is not an integer") from None
-        if threads < 1:
-            raise InputError(f"REDWEAVE_THREADS={env!r} is below 1")
-        return threads
-    return os.cpu_count() or 1
+            raise InputError(f"{source} is not an integer") from None
+    else:
+        return min(os.cpu_count() or 1, THREADS_CAP)
+    if threads < 1:
+        raise InputError(f"{source} is below 1")
+    if threads > THREADS_CAP:  # refused before a pool starts
+        raise InputError(f"{source} is above {THREADS_CAP}")
+    return threads
 
 
 def _budget(text: str) -> int:

@@ -6,6 +6,9 @@ WORD_BUDGET_DEFAULT = 10**8
 # enumerate_sn refuses S_n above this size.
 SN_CAP_DEFAULT = 8
 
+# scan refuses more pool workers than this (--threads, REDWEAVE_THREADS).
+THREADS_CAP = 64
+
 
 class InputError(ValueError):
     """Malformed input: bad permutation, bad word, invalid move, ..."""

@@ -169,9 +169,9 @@ def rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
     # pairs) are its unit pairs when each joins one and they are as many
     grid = set(product(*(range(d + 1) for d in dims)))
     if (set(labels.values()) != grid or len(set(labels.values())) != len(labels)
-            or len(g.edges) != sum(d * len(grid) // (d + 1) for d in dims)
-            or any(sum(abs(a - b) for a, b in zip(labels[e.u], labels[e.v])) != 1
-                   for e in g.edges)):
+            or len(g._pairs) != sum(d * len(grid) // (d + 1) for d in dims)
+            or any(sum(abs(a - b) for a, b in zip(labels[u], labels[v])) != 1
+                   for u, v, _ in g._pairs)):
         return None
     # normalize coordinate order: dims weakly increasing, ties broken by the
     # canonical word of the basis class on that axis

@@ -56,7 +56,7 @@ def check_permutation(g: ClassGraph) -> list[str]:
 
     is_path = (
         rep.connected
-        and len(g.edges) == actual - 1
+        and len(g._pairs) == actual - 1
         and all(len(g.neighbors(c.id)) <= 2 for c in g.vertices)
     )
     if is_path and actual != bounds.n321 + 1:

@@ -179,10 +179,15 @@ def test_ids_are_positions_in_lexicographic_order(s5, s6):
         assert pairs == sorted(pairs), w
 
 
-def test_scan_matches_word_walk_s5_s6(s5, s6):
-    # every field of G(w) against the word-by-word sweep
-    for w in s5 + s6:
-        assert graph_as_scan(build_graph(w)) == word_walk_scan(w), w
+def test_scan_matches_word_walk_s5_s6(s5, s6_graphs):
+    # every field of G(w) against the word-by-word sweep, and the bare
+    # mask-flip pairs the checks read against the labelled edges: the same
+    # (u, v), bit j is the triple that the label names, and u has it unset
+    for g in [*map(build_graph, s5), *s6_graphs.values()]:
+        assert graph_as_scan(g) == word_walk_scan(g.w), g.w
+        labelled = [(e.u, e.v, t) for e in g.edges for _, t in e.labels]
+        assert [(u, v, g._triples[j]) for u, v, j in g._pairs] == labelled, g.w
+        assert all(g._masks[v] == g._masks[u] | 1 << j > g._masks[u] for u, v, j in g._pairs), g.w
 
 
 def test_canonical_words_match_the_dfs_oracle(s5, s6):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -9,7 +11,8 @@ import pytest
 
 from redweave import InvariantViolation, bounds, classes, suite, words
 from redweave.bounds import aggregate_bound_check
-from redweave.cli import run
+from redweave.cli import _threads, run
+from redweave.errors import THREADS_CAP
 
 
 def out_of(capsys):
@@ -203,6 +206,26 @@ def test_scan_env_threads(capsys, monkeypatch):
         monkeypatch.setenv("REDWEAVE_THREADS", value)
         assert run(["scan", "3"]) == 1
         assert "below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "100000"], None), ([], "100000"),
+                                       (["--threads", str(THREADS_CAP + 1)], None)])
+def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, flag, env):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    if env is not None:
+        monkeypatch.setenv("REDWEAVE_THREADS", env)
+    assert run(["scan", "3", *flag]) == 1
+    assert capsys.readouterr().err.endswith(f" is above {THREADS_CAP}\n")
+
+
+def test_threads_cap_is_allowed_and_bounds_the_default(monkeypatch):
+    monkeypatch.delenv("REDWEAVE_THREADS", raising=False)
+    assert _threads(argparse.Namespace(threads=THREADS_CAP)) == THREADS_CAP
+    monkeypatch.setattr(os, "cpu_count", lambda: 10 * THREADS_CAP)
+    assert _threads(argparse.Namespace(threads=None)) == THREADS_CAP
 
 
 def test_scan_refuses_past_the_cap_before_any_work(capsys, monkeypatch):

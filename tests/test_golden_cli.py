@@ -128,6 +128,7 @@ ARGVS = [
     ["scan", "4", "--threads", "1"],
     ["scan", "3", "--threads", "1", "--format", "json"],
     ["scan", "3", "--threads", "0"],
+    ["scan", "3", "--threads", "100000"],
     ["scan", "x"],
     ["scan", "3", "--suite", "all"],
     ["scan", "9"],

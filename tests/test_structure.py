@@ -128,21 +128,22 @@ def test_rectangle_label_matches_pattern_route_s5(s5):
 
 @pytest.mark.parametrize("move_it", [False, True])
 def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
-    # a graph whose edge list hides one grid edge, or moves it to a pair of
-    # labels two apart, is no grid, though the adjacency the labelling walks
-    # is a grid's: the edges are too few, or one is not a unit step
+    # a graph whose mask-flip pairs (the edge layer the labelling reads) hide
+    # one grid edge, or move it to a pair of labels two apart, is no grid,
+    # though the adjacency the labelling walks is a grid's: the edges are too
+    # few, or one is not a unit step
     g = build_graph((3, 2, 6, 5, 1, 4))
     poset = build_poset(g)
     spec = rectangle_label(g, poset)
     assert spec is not None
-    edges = g.edges[1:]
+    pairs = g._pairs[1:]
     if move_it:
         at = {point: cid for cid, point in spec.labels.items()}
-        edges += (g.edges[0]._replace(u=at[(0, 0)], v=at[(1, 1)]),)
+        pairs += ((at[(0, 0)], at[(1, 1)], g._pairs[0][2]),)
 
     class Stub:
         def __getattr__(self, name):
-            return edges if name == "edges" else getattr(g, name)
+            return pairs if name == "_pairs" else getattr(g, name)
 
     assert rectangle_label(Stub(), poset) is None
 

@@ -125,8 +125,9 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
 
 @pytest.mark.parametrize("suite_reads", [True, False])
 def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
-    # a sweep builds G(w) on its DAG and counts no class size; unless the
-    # suite read them then, edges and Y are first read once it is over
+    # a sweep builds G(w) on its DAG and counts no class size; the suite
+    # reads the bare mask-flip pairs, never the labelled edges, and unless
+    # it ran then, Y is first read once the sweep is over
     if not suite_reads:
         monkeypatch.setattr(suite, "check_permutation", lambda g: [])
     assert suite.scan_sn(5, threads=1) == []
@@ -140,7 +141,7 @@ def test_layers_read_after_a_sweep_are_right(monkeypatch, s5, suite_reads):
     monkeypatch.setattr(classes, "_class_size", lambda *args: sized.append(args) or real(*args))
     graphs = classes._sweep(s5, kept, 10**8)
     assert sized == []
-    unread = {"edges", "_y"} if not suite_reads else set()
+    unread = {"edges", "_y"} if not suite_reads else {"edges"}
     for g in graphs.values():
         assert unread.isdisjoint(vars(g)), g.w
         assert graph_as_scan(g) == graph_as_scan(classes.build_graph(g.w)), g.w
@@ -201,6 +202,7 @@ class FakePool:
     its jobs here, in this process, so no test starts a worker."""
 
     sizes: list[int] = []
+    chunks: list[tuple[list, int]] = []  # (the tasks, the chunksize) per imap
 
     def __init__(self, processes, initializer):
         self.sizes.append(processes)
@@ -212,7 +214,9 @@ class FakePool:
     def __exit__(self, *exc):
         classes._pool_dag = None  # a worker's DAG ends with the worker
 
-    def imap(self, func, iterable, chunksize):
+    def imap(self, func, iterable, chunksize=1):
+        iterable = list(iterable)
+        self.chunks.append((iterable, chunksize))
         return map(func, iterable)
 
 
@@ -226,3 +230,14 @@ def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
     assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
     assert FakePool.sizes == started
     assert global_dags() == []
+
+
+def test_sweep_sends_about_16_tasks_a_worker(monkeypatch):
+    # a task is a run of w, heaviest first, so each of the 2 workers gets
+    # about 16 and the first holds the heaviest w
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "chunks", [])
+    assert suite.scan_sn(6, threads=2) == suite.scan_sn(6, threads=1)
+    [(order, chunk)] = FakePool.chunks
+    assert order == sorted(enumerate_sn(6), key=lambda w: (-inversions(w), w))
+    assert 2 <= -(-len(order) // chunk) <= 16 * 2 + 1
