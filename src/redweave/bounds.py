@@ -64,17 +64,16 @@ def paren_encoding(letters: Letters) -> str:
     """
     if not letters:
         return ""
-    parts = ["(" * letters[0]]
-    for prev, nxt in zip(letters, letters[1:]):
-        drop = prev - nxt + 1
-        if drop < 0:
+    text, prev = "(" * letters[0], letters[0]
+    for nxt in letters[1:]:
+        if nxt > prev + 1:
             raise InputError(
                 f"{letters} is not a canonical representative "
                 f"(ascent {prev} -> {nxt} commutes)"
             )
-        parts.append(")" * drop + "(")
-    parts.append(")" * letters[-1])
-    return "".join(parts)
+        text += ")" * (prev - nxt + 1) + "("
+        prev = nxt
+    return text + ")" * prev
 
 
 class AggregateReport(NamedTuple):
@@ -101,16 +100,16 @@ def paren_decoding(text: str, l: int) -> Letters:
     """
     if not l:
         return ()
-    letters = [len(text) // 2 - l + 1]
-    for run in text[letters[0]:].split("(")[:-1]:
-        letters.append(letters[-1] - len(run) + 1)
+    letters = [x := len(text) // 2 - l + 1]
+    for run in text[x:].split("(")[:-1]:
+        letters.append(x := x + 1 - len(run))
     return tuple(letters)
 
 
 def _tally(g: ClassGraph) -> tuple[int, bool]:
     """|G(w)|, and whether every canonical word of w decodes back from its
     parenthesis encoding: w's share of the aggregate bound at l(w)."""
-    l = inversions(g.w)
+    l = len(g.vertices[0].canonical.letters)  # l(w): every reduced word's length
     words = (c.canonical.letters for c in g.vertices)
     return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in words)
 

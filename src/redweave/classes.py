@@ -10,8 +10,8 @@ per G(w), or the one of a ``_sweep`` process).  The bare mask-flip edges
 come on first read and are kept; the edge labels only on the first read of
 ``g.edges``, which only ``graph``/``poset`` output makes; a class size on
 each read.  Edges and ranks read one int per class, its ``_triple_masks``
-bitmask over the 321-triples of w: a braid move flips one bit, and the
-popcount is its rank in P(w).
+bitmask over w's 321-triples, read off its value triples: a braid move
+flips one bit (probed per unset bit), and the popcount is its rank in P(w).
 Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
 and ``suite``, takes the graph; ``build_graph`` alone checks the budget.
 """
@@ -23,7 +23,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, inversions, pattern_occurrences
+from .perm import Perm, _triples321, check_perm, inversions
 from .words import (
     Letters,
     Word,
@@ -135,11 +135,7 @@ class ClassGraph:
         self.vertices = vertices
         self._best = best  # the memo Y fills: the sweep's, or the graph's own
 
-    @cached_property
-    def _triples(self) -> tuple[Wires, ...]:
-        """The 321-triples a < b < c of w, by bit of the triple masks."""
-        w = self.w
-        return tuple(sorted((w[k], w[j], w[i]) for i, j, k in pattern_occurrences(w, (3, 2, 1))))
+    _triples = cached_property(lambda self: _triples321(self.w))  # a < b < c, by mask bit
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
@@ -155,11 +151,14 @@ class ClassGraph:
         ids = {m: v for v, m in enumerate(self._masks)}
         if len(ids) != len(self.vertices):
             raise InvariantViolation(f"two classes of {self.w} share a triple mask")
-        found = []
+        found, full = [], (1 << len(self._triples)) - 1
         for u, m in enumerate(self._masks):
-            for j in range(len(self._triples)):
-                if not m >> j & 1 and (v := ids.get(m | 1 << j)) is not None:
-                    found.append((u, v, j))
+            free = full ^ m
+            while free:  # each unset bit, lowest first
+                bit = free & -free
+                if (v := ids.get(m | bit)) is not None:
+                    found.append((u, v, bit.bit_length() - 1))
+                free ^= bit
         return tuple(sorted(found))
 
     @cached_property

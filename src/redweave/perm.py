@@ -6,7 +6,8 @@ A permutation of {1..n} is a plain tuple of its one-line notation
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
+from operator import gt
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, InputError, SN_CAP_DEFAULT
@@ -70,8 +71,7 @@ def inversions(w: Perm) -> int:
     >>> inversions((3, 4, 2, 1))
     5
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum(starmap(gt, combinations(w, 2)))
 
 
 def pattern_occurrences(w: Perm, p: Perm) -> Iterator[tuple[int, ...]]:
@@ -83,6 +83,11 @@ def pattern_occurrences(w: Perm, p: Perm) -> Iterator[tuple[int, ...]]:
     for idx, vals in zip(combinations(range(len(w)), k), combinations(w, k)):
         if sorted(positions, key=vals.__getitem__) == order:
             yield idx
+
+
+def _triples321(w: Perm) -> tuple[tuple[int, int, int], ...]:
+    """The value triples a < b < c that w carries as 321-patterns, sorted."""
+    return tuple(sorted((z, y, x) for x, y, z in combinations(w, 3) if x > y > z))
 
 
 def pattern_count(w: Perm, p: Perm) -> int:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .classes import ClassGraph, RankedPoset
 from .errors import InputError, InvariantViolation
-from .perm import Perm, avoids, pattern_occurrences
-from .words import Word, braid_windows, canonical_letters
+from .perm import Perm, _triples321
+from .words import Word, _Cache, braid_windows, canonical_letters
 
 # Containment of any of these makes G(w) fail to be a rectangle.  The
 # list is closed under inversion (G(w) and G(w^-1) are isomorphic via
@@ -29,14 +29,14 @@ RECT_PATTERNS: tuple[Perm, ...] = (
 
 
 def is_freely_braided(w: Perm) -> bool:
-    """True iff the 321-patterns of w occupy pairwise disjoint position sets.
+    """True iff the 321-patterns of w share no value (and so no position).
 
     Then no two long braid moves ever interfere, so the classes form a
     hypercube and |G(w)| = 2^Y.  (Testing window overlap within single
     words is not enough: in 4231 the two conflicting moves never appear
     in the same word, yet |G| = 3.)
     """
-    return _disjoint(tuple(pattern_occurrences(w, (3, 2, 1))))
+    return _disjoint(_triples321(w))
 
 
 def _disjoint(triples: tuple) -> bool:
@@ -90,11 +90,18 @@ def embed_hypercube(g: ClassGraph) -> HypercubeWitness:
 
 
 def rectangular_witness(w: Perm) -> Perm | None:
-    """The first forbidden pattern contained in w, or None."""
+    """The first forbidden pattern contained in w, or None; the patterns of w
+    of each size are listed once, when first needed (size 4 first: 4321)."""
+    found = _Cache(lambda k: _patterns(w, k))  # size -> the patterns of w
     for p in RECT_PATTERNS:
-        if not avoids(w, p):
+        if p in found[len(p)]:
             return p
     return None
+
+
+def _patterns(w: Perm, k: int) -> set[Perm]:
+    """The patterns of w's k-subsequences: each entry its rank among 0 and them."""
+    return {tuple(map(sorted((0, *vals)).index, vals)) for vals in combinations(w, k)}
 
 
 def is_rectangular(w: Perm) -> bool:
@@ -108,9 +115,9 @@ class RectangleSpec(NamedTuple):
 
 
 def _on_four_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
-    # edges (v, a) and (v, b) lie on a common 4-cycle: a and b share a
-    # neighbour other than v (G(w) is bipartite, so the 4-cycle is induced)
-    return any(c != v and g.has_edge(c, b) for c in g.neighbors(a))
+    # (v, a) and (v, b) lie on a 4-cycle, induced as G(w) is bipartite: a
+    # and b share a neighbour other than v, so two with v
+    return len(g.neighbors(a) & g.neighbors(b)) > 1
 
 
 def rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
@@ -204,22 +211,21 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
         raise InputError(f"need two distinct edges at vertex {v}")
     if _on_four_cycle(g, v, a, b):
         return CycleVerdict.FOUR_CYCLE
-    blocked = g.neighbors(v) | {v}
-    path = [a]
+    found = _closes_chordless(g, [a], g.neighbors(v) | {v}, b)
+    return CycleVerdict.EIGHT_CYCLE if found else CycleVerdict.NO_INDUCED_CYCLE
 
-    def extend() -> bool:
-        if len(path) == 6:  # a and five inner vertices: close at b
-            return g.has_edge(path[-1], b) and not any(
-                g.has_edge(u, b) for u in path[:-1]
-            )
-        for x in g.neighbors(path[-1]):
-            if x in blocked or any(g.has_edge(u, x) for u in path[:-1]):
-                continue
-            path.append(x)
-            if extend():
-                return True
-            path.pop()
-        return False
 
-    return CycleVerdict.EIGHT_CYCLE if extend() else CycleVerdict.NO_INDUCED_CYCLE
+def _closes_chordless(g: ClassGraph, path: list[int], blocked: frozenset[int], b: int) -> bool:
+    """Whether path, off blocked, extends to a and five inner vertices that close
+    at b with no chord: a module function, so no closure cycle keeps G(w) alive."""
+    if len(path) == 6:
+        return g.has_edge(path[-1], b) and g.neighbors(b).isdisjoint(path[:-1])
+    for x in g.neighbors(path[-1]):
+        if x in blocked or not g.neighbors(x).isdisjoint(path[:-1]):
+            continue
+        path.append(x)
+        if _closes_chordless(g, path, blocked, b):
+            return True
+        path.pop()
+    return False
 

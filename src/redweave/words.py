@@ -270,7 +270,7 @@ def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:
     when its last two letters are a, b; a is kept only while it can
     close a window (|a - b| = 1), which keeps the memo small.  The DP
     runs on an explicit stack and fills ``best``.  It reads a state once
-    per (a, b), so it keeps the children it reads until it ends.
+    per (a, b), so it keeps the children it reads, for the traceback too.
     """
     below = _Cache(kids).__getitem__
 
@@ -280,10 +280,16 @@ def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:
         return [(i, (p, b if abs(b - i) == 1 else 0, i), int(a == i)) for i, p in below(q)]
 
     key, word = (inverse(w), 0, 0), []
-    y = _fill(best, key, options, lambda opts: max([g + best[nk] for _, nk, g in opts], default=0))
-    while below(key[0]):
-        i, key = next((i, nk) for i, nk, g in options(key) if g + best[nk] == best[key])
+    y = left = _fill(best, key, options, lambda o: max([g + best[k] for _, k, g in o], default=0))
+    q, a, b = key
+    while kids_q := below(q):  # left: the windows still to gain from (q, a, b)
+        for i, p in kids_q:  # the first option, keyed as in options, that gains them all
+            key = (p, b if abs(b - i) == 1 else 0, i)
+            if (a == i) + best[key] == left:
+                break
         word.append(i)
+        left -= a == i
+        q, a, b = key
     return y, tuple(word)
 
 

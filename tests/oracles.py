@@ -22,6 +22,7 @@ of parenthesis encodings at each length with their number, where
 ``global_dags`` names the module globals of redweave that hold a DAG.
 ``count_212`` counts a word's 212-subnetworks from its crossings, the rank
 statistic that ``build_poset`` reads as a popcount.
+``contains`` is pattern containment by standardizing each subsequence.
 """
 
 import sys
@@ -415,3 +416,10 @@ def count_212(word: Word) -> int:
         and (b, c) in once
         and once[b, c] < once[a, b]
     )
+
+
+def contains(w: Perm, p: Perm) -> bool:
+    """Whether some subsequence of w standardizes to p: each of its entries
+    has as many smaller entries in it as p's entry there has in p."""
+    return any(all(sum(y < x for y in sub) == q - 1 for x, q in zip(sub, p))
+               for sub in combinations(w, len(p)))

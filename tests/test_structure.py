@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import pytest
 from collections import Counter
 from itertools import combinations
 
-from oracles import induced_cycle_lengths, word_walk_scan
+from oracles import contains, induced_cycle_lengths, word_walk_scan
 from redweave import InputError
 from redweave.classes import build_graph, build_poset
 from redweave.perm import enumerate_sn, identity, longest_element
@@ -160,6 +163,13 @@ def test_rectangle_label_3_cubes(w):
     assert spec is not None and spec.dims == (1, 1, 1)
 
 
+def test_rectangular_witness_matches_containment_oracle_s1_s7():
+    for n in range(1, 8):
+        for w in enumerate_sn(n):
+            first = next((p for p in RECT_PATTERNS if contains(w, p)), None)
+            assert rectangular_witness(w) == first, w
+
+
 def test_classify_edge_pair_examples():
     # two disjoint braid windows: 4-cycle
     w = evaluate(Word((2, 1, 2, 5, 4, 5), 6))[0]
@@ -191,6 +201,23 @@ def test_classify_edge_pair_examples():
         classify_edge_pair(g, 1, 0, 0)
     with pytest.raises(InputError):
         classify_edge_pair(g, 0, 1, 2)  # 0-2 is not an edge
+
+
+@pytest.mark.parametrize("w, v, a, b, verdict", [
+    ((4, 3, 2, 1), 0, 1, 2, CycleVerdict.EIGHT_CYCLE),
+    ((3, 4, 2, 1), 1, 0, 2, CycleVerdict.NO_INDUCED_CYCLE),
+])
+def test_classify_edge_pair_frees_the_graph_without_gc(w, v, a, b, verdict):
+    # a verdict that reaches the DFS leaves no reference cycle holding G(w)
+    gc.disable()
+    try:
+        g = build_graph(w)
+        assert classify_edge_pair(g, v, a, b) is verdict
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_classify_edge_pair_refuses_vertices_outside_the_graph():

@@ -45,21 +45,28 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
 
 
 def test_check_permutation_scans_for_321_once(monkeypatch):
-    # N321 and the freely-braided test read the graph's 321-triples, and
-    # the rectangularity and 4321-avoidance tests read one pattern witness
-    scans = Counter()
-    real = perm.pattern_occurrences
+    # N321 and the freely-braided test read the graph's 321-triples, found
+    # once; the rectangularity and 4321-avoidance tests read one pattern
+    # witness, which lists the patterns of w of each size once (4321 is
+    # avoided here, so sizes 4 and 5); no generic pattern scan runs
+    calls = Counter()
 
-    def counted(w, p):
-        scans[p] += 1
-        return real(w, p)
+    def counting(key, real):
+        def counted(*args):
+            calls[key(*args)] += 1
+            return real(*args)
+        return counted
 
-    for mod in (perm, classes, structure):
-        monkeypatch.setattr(mod, "pattern_occurrences", counted)
+    triples = counting(lambda w: "321-triples", perm._triples321)
+    for mod in (classes, structure):
+        monkeypatch.setattr(mod, "_triples321", triples)
+    monkeypatch.setattr(structure, "_patterns", counting(lambda w, k: k, structure._patterns))
+    scans = counting(lambda w, p: p, perm.pattern_occurrences)
+    for mod in (perm, classes, structure, bounds, suite):
+        monkeypatch.setattr(mod, "pattern_occurrences", scans, raising=False)
     g = classes.build_graph((3, 2, 6, 5, 1, 4))
     assert suite.check_permutation(g) == []
-    assert scans[(3, 2, 1)] == 1
-    assert scans[(4, 3, 2, 1)] == 1
+    assert calls == {"321-triples": 1, 4: 1, 5: 1}
 
 
 def test_bound_checks_use_size_bounds(monkeypatch):
@@ -158,6 +165,20 @@ def test_no_tables_outlive_a_sweep():
     assert global_dags() == []
     classes.build_graph(longest_element(5)).max_windows
     assert global_dags() == []
+
+
+def test_scan_leaves_no_cyclic_garbage():
+    # every object a sweep makes is freed by reference counting alone
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert suite.scan_sn(5) == []
+        gc.collect()
+        assert len(gc.garbage) == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_pool_job_caches_no_graph(s5):
