@@ -7,7 +7,7 @@ from math import comb
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, check_perm, enumerate_sn, inversions, pattern_count
+from .perm import Perm, _triples321, check_perm, enumerate_sn, inversions
 from .words import Letters, _class_count, _most_windows, _within_budget, count_reduced_words
 
 if TYPE_CHECKING:  # the bounds of one w read the DAG, and load no G(w)
@@ -48,7 +48,7 @@ def _size_bounds_of(w: Perm, budget: int = WORD_BUDGET_DEFAULT,
     w = check_perm(w)
     _within_budget(count_reduced_words(w), budget)
     count = _class_count(w, {}) if actual else None
-    return _report(w, _most_windows(w, {})[0], pattern_count(w, (3, 2, 1)), count)
+    return _report(w, _most_windows(w, {})[0], len(_triples321(w)), count)
 
 
 def paren_encoding(letters: Letters) -> str:

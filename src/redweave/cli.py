@@ -255,7 +255,8 @@ def _cmd_rect(args) -> _Output:
 
     g = _graph(args)
     witness = rectangular_witness(g.w)
-    spec = rectangle_label(g, build_poset(g))  # a poset that fails to rank exits 2
+    build_poset(g)  # a poset that fails to rank exits 2
+    spec = rectangle_label(g)
     payload = {
         "rectangular": witness is None,
         "dims": list(spec.dims) if spec else None,

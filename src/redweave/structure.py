@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations, product
+from math import prod
 from typing import NamedTuple
 
-from .classes import ClassGraph, RankedPoset
+from .classes import ClassGraph
 from .errors import InputError, InvariantViolation
 from .perm import Perm, _triples321
 from .words import Word, _Cache, braid_windows, canonical_letters
@@ -114,80 +115,49 @@ class RectangleSpec(NamedTuple):
     labels: dict[int, tuple[int, ...]]  # class id -> lattice point
 
 
-def _on_four_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
-    # (v, a) and (v, b) lie on a 4-cycle, induced as G(w) is bipartite: a
-    # and b share a neighbour other than v, so two with v
-    return len(g.neighbors(a) & g.neighbors(b)) > 1
+def rectangle_label(g: ClassGraph) -> RectangleSpec | None:
+    """Grid labeling of G(w), read off the triple masks, or None when it
+    fails to validate.
 
+    An axis is a connected set of w's 321-triples, two triples linked when
+    they share two values, and a class's coordinate on it counts the unset
+    bits of its mask there, so the top class (every bit set) is the zero
+    vector.  The labels are returned only if they biject onto the box of
+    the axes' sizes and the edges are exactly its unit pairs.  The axes are
+    sorted by size, ties broken by the canonical word of the class one step
+    from the top along the axis.
 
-def rectangle_label(g: ClassGraph, poset: RankedPoset) -> RectangleSpec | None:
-    """Grid labeling of G(w), or None when it fails to validate.
-
-    Walks the class poset from its top: the unique maximum gets the zero
-    vector, its covers get basis vectors, and each lower class gets
-    either 2*v1 - v2 across a straight (non-commuting) edge pair or the
-    join (coordinatewise max) of its covers' labels.  The result is
-    returned only if it is a bijection onto a grid matching the graph's
-    adjacency exactly.
+    >>> from redweave.classes import build_graph
+    >>> rectangle_label(build_graph((3, 2, 6, 5, 1, 4))).dims == (1, 2)
+    True
     """
-    rank = poset.rank
-    maxr = max(rank.values())
-    rows: dict[int, list[int]] = {}
-    for cid, r in rank.items():
-        rows.setdefault(r, []).append(cid)
-    if len(rows[maxr]) != 1:
+    axes: list[tuple[int, set]] = []  # (its triples' mask bits, their value pairs)
+    for j, (a, b, c) in enumerate(g._triples):
+        bits, pairs = 1 << j, {(a, b), (a, c), (b, c)}
+        for axis in [x for x in axes if x[1] & pairs]:
+            axes.remove(axis)
+            bits, pairs = bits | axis[0], pairs | axis[1]
+        axes.append((bits, pairs))
+    dims = [bits.bit_count() for bits, _ in axes]
+    size = prod(d + 1 for d in dims)
+    if size != len(g.vertices):  # before any label: w0_7's box has 2^35 points
         return None
-    top = rows[maxr][0]
-    covered = sorted(
-        g.neighbors(top), key=lambda cid: g.vertices[cid].canonical.letters
-    )
-    k = len(covered)
-    labels: dict[int, tuple[int, ...]] = {top: (0,) * k}
-    for j, cid in enumerate(covered):
-        if rank[cid] != maxr - 1:
-            return None
-        labels[cid] = tuple(1 if h == j else 0 for h in range(k))
-    for r in range(maxr - 2, -1, -1):
-        for v in rows[r]:
-            ups = [u for u in g.neighbors(v) if rank[u] == r + 1]
-            if not ups or any(u not in labels for u in ups):
-                return None
-            candidates = []
-            for v1 in ups:
-                for v2 in g.neighbors(v1):
-                    if rank[v2] == r + 2 and not _on_four_cycle(g, v1, v, v2):
-                        candidates.append(
-                            tuple(
-                                2 * a - b for a, b in zip(labels[v1], labels[v2])
-                            )
-                        )
-            if candidates:
-                if len(set(candidates)) != 1:
-                    return None
-                labels[v] = candidates[0]
-            else:
-                labels[v] = tuple(max(pt) for pt in zip(*(labels[u] for u in ups)))
-    if len(labels) != len(g.vertices) or len(rows.get(0, [])) != 1:
-        return None
-    dims = labels[rows[0][0]]
-    if any(d < 1 for d in dims):
-        return None
-    # once the labels are a bijection onto the grid, the edges (distinct
-    # pairs) are its unit pairs when each joins one and they are as many
-    grid = set(product(*(range(d + 1) for d in dims)))
-    if (set(labels.values()) != grid or len(set(labels.values())) != len(labels)
-            or len(g._pairs) != sum(d * len(grid) // (d + 1) for d in dims)
-            or any(sum(abs(a - b) for a, b in zip(labels[u], labels[v])) != 1
+    full = (1 << len(g._triples)) - 1
+    labels = {c.id: tuple(((full ^ m) & bits).bit_count() for bits, _ in axes)
+              for c, m in zip(g.vertices, g._masks)}
+    # each label lies in the box, so distinct labels fill it; the edges
+    # (distinct pairs) are then its unit pairs when each joins one and they
+    # are as many
+    if (len(set(labels.values())) != size
+            or len(g._pairs) != sum(d * size // (d + 1) for d in dims)
+            or any(sum(abs(x - y) for x, y in zip(labels[u], labels[v])) != 1
                    for u, v, _ in g._pairs)):
         return None
-    # normalize coordinate order: dims weakly increasing, ties broken by the
-    # canonical word of the basis class on that axis
-    order = sorted(
-        range(k), key=lambda j: (dims[j], g.vertices[covered[j]].canonical.letters)
-    )
-    dims = tuple(dims[j] for j in order)
-    labels = {cid: tuple(pt[j] for j in order) for cid, pt in labels.items()}
-    return RectangleSpec(dims, labels)
+    basis = {pt.index(1): cid for cid, pt in labels.items() if sum(pt) == 1}  # axis -> e_j's class
+    order = sorted(range(len(dims)),
+                   key=lambda j: (dims[j], g.vertices[basis[j]].canonical.letters))
+    return RectangleSpec(tuple(dims[j] for j in order),
+                         {cid: tuple(pt[j] for j in order) for cid, pt in labels.items()})
 
 
 class CycleVerdict(Enum):
@@ -209,7 +179,7 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
         raise InputError(f"vertices {v}, {a}, {b} are not all in 0..{len(g) - 1}")
     if a == b or not g.has_edge(v, a) or not g.has_edge(v, b):
         raise InputError(f"need two distinct edges at vertex {v}")
-    if _on_four_cycle(g, v, a, b):
+    if len(g.neighbors(a) & g.neighbors(b)) > 1:  # induced, as G(w) is bipartite
         return CycleVerdict.FOUR_CYCLE
     found = _closes_chordless(g, [a], g.neighbors(v) | {v}, b)
     return CycleVerdict.EIGHT_CYCLE if found else CycleVerdict.NO_INDUCED_CYCLE

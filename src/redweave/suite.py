@@ -50,7 +50,7 @@ def check_permutation(g: ClassGraph) -> list[str]:
         out.append(f"freely braided {w} has {actual} classes, expected 2^{bounds.y}")
 
     witness = rectangular_witness(w)  # one scan serves both pattern tests
-    label = rectangle_label(g, poset) if poset is not None else None
+    label = rectangle_label(g) if poset is not None else None
     if (witness is None) != (label is not None):
         out.append(f"rectangularity pattern test and labeling disagree for {w}")
 

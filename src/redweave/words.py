@@ -17,7 +17,7 @@ from math import comb, inf
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
-from .perm import Perm, _ints, check_perm, identity, inverse, inversions, longest_element
+from .perm import Perm, _ints, identity, inverse, inversions, longest_element
 
 Letters = tuple[int, ...]
 
@@ -257,7 +257,9 @@ def _warrington_count(n: int, classes: bool = False, budget: int = WORD_BUDGET_D
     >>> _warrington_count(4), _warrington_count(4, classes=True)
     (12, 4)
     """
-    w = check_perm(longest_element(n))
+    if n < 1:
+        raise InputError(f"n = {n} is below 1")
+    w = longest_element(n)
     _within_budget(count_reduced_words(w), budget)
     least, count = _least_weight_paths(w, _w0_letter_weights(n), classes)
     return count if least == 2 * comb(n, 4) else 0

@@ -23,16 +23,19 @@ of parenthesis encodings at each length with their number, where
 ``count_212`` counts a word's 212-subnetworks from its crossings, the rank
 statistic that ``build_poset`` reads as a popcount.
 ``contains`` is pattern containment by standardizing each subsequence.
+``grid_labelling_ok`` checks a grid labelling of G(w) against its public
+edges and ranks alone, where ``rectangle_label`` reads the triple masks.
 """
 
 import sys
 from enum import Enum
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from redweave import InputError, Word
 from redweave.bounds import AggregateReport, catalan, paren_encoding
+from redweave.classes import build_poset
 from redweave.perm import Perm, identity, inverse
 from redweave.words import (
     _SweepTables,
@@ -423,3 +426,27 @@ def contains(w: Perm, p: Perm) -> bool:
     has as many smaller entries in it as p's entry there has in p."""
     return any(all(sum(y < x for y in sub) == q - 1 for x, q in zip(sub, p))
                for sub in combinations(w, len(p)))
+
+
+def grid_labelling_ok(g, spec) -> bool:
+    """Whether spec labels G(w) as the box of its dims: the top class of P(w)
+    at the origin, the labels a bijection onto the box, the edges its unit
+    pairs, and the axes in normal order (dims weakly increasing, ties broken
+    by the canonical word of the class labelled e_j).  These fix the labels,
+    as the symmetries of a box that keep a corner only swap equal axes."""
+    rank = build_poset(g).rank
+    tops = [cid for cid, r in rank.items() if r == max(rank.values())]
+    box = set(product(*(range(d + 1) for d in spec.dims)))
+    k = len(spec.dims)
+    if (len(tops) != 1 or spec.labels.get(tops[0]) != (0,) * k
+            or set(spec.labels) != {c.id for c in g.vertices}
+            or set(spec.labels.values()) != box or len(box) != len(g.vertices)):
+        return False
+    if (len(g.edges) != sum(d * len(box) // (d + 1) for d in spec.dims)
+            or any(sum(abs(x - y) for x, y in zip(spec.labels[e.u], spec.labels[e.v])) != 1
+                   for e in g.edges)):
+        return False
+    at = {point: cid for cid, point in spec.labels.items()}
+    keys = [(d, g.vertices[at[tuple(int(h == j) for h in range(k))]].canonical.letters)
+            for j, d in enumerate(spec.dims)]
+    return keys == sorted(keys)

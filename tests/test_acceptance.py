@@ -50,8 +50,7 @@ def report(criterion: str, ok: bool) -> None:
 
 
 def grid_label(w):
-    g = build_graph(w)
-    return rectangle_label(g, build_poset(g))
+    return rectangle_label(build_graph(w))
 
 
 def to_nx(g) -> nx.Graph:
@@ -73,7 +72,7 @@ def test_criterion_01_named_examples():
 
     w = (3, 2, 6, 5, 1, 4)
     g = build_graph(w)
-    spec = rectangle_label(g, build_poset(g))
+    spec = rectangle_label(g)
     ok &= len(g) == 6 and spec is not None and spec.dims == (1, 2)
     figure = {
         (2, 1, 2, 5, 4, 5, 3, 4): (0, 0),

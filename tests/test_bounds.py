@@ -14,7 +14,7 @@ from redweave.bounds import (
     size_bounds,
 )
 from redweave.classes import build_graph
-from redweave.perm import enumerate_sn, identity, longest_element
+from redweave.perm import enumerate_sn, identity, longest_element, pattern_count
 
 
 def catalan_recurrence(m: int) -> int:
@@ -189,6 +189,9 @@ def test_aggregate_honours_the_sn_cap():
 def test_size_bounds_of_w_match_the_graph(s5):
     for w in s5 + [longest_element(6)]:
         assert bounds._size_bounds_of(w) == size_bounds(build_graph(w)), w
+    for w in (w for n in range(1, 7) for w in enumerate_sn(n)):
+        # N_321 read off the 321-triples is the generic pattern count
+        assert bounds._size_bounds_of(w, actual=False).n321 == pattern_count(w, (3, 2, 1)), w
     with pytest.raises(BudgetExceeded):
         bounds._size_bounds_of(longest_element(5), budget=767)
     with pytest.raises(InputError):

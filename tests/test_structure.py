@@ -1,13 +1,14 @@
 import gc
+import random
 import weakref
 
 import pytest
 from collections import Counter
 from itertools import combinations
 
-from oracles import contains, induced_cycle_lengths, word_walk_scan
+from oracles import contains, grid_labelling_ok, induced_cycle_lengths, word_walk_scan
 from redweave import InputError
-from redweave.classes import build_graph, build_poset
+from redweave.classes import build_graph
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.structure import (
     RECT_PATTERNS,
@@ -28,8 +29,7 @@ def max_windows(w):
 
 
 def grid_label(w):
-    g = build_graph(w)
-    return rectangle_label(g, build_poset(g))
+    return rectangle_label(build_graph(w))
 
 
 def test_max_braid_moves_examples():
@@ -131,13 +131,12 @@ def test_rectangle_label_matches_pattern_route_s5(s5):
 
 @pytest.mark.parametrize("move_it", [False, True])
 def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
-    # a graph whose mask-flip pairs (the edge layer the labelling reads) hide
-    # one grid edge, or move it to a pair of labels two apart, is no grid,
-    # though the adjacency the labelling walks is a grid's: the edges are too
-    # few, or one is not a unit step
+    # a graph whose mask-flip pairs (the edge layer the labelling checks)
+    # hide one grid edge, or move it to a pair of labels two apart, is no
+    # grid, though the masks the labels are read off are a grid's: the edges
+    # are too few, or one is not a unit step
     g = build_graph((3, 2, 6, 5, 1, 4))
-    poset = build_poset(g)
-    spec = rectangle_label(g, poset)
+    spec = rectangle_label(g)
     assert spec is not None
     pairs = g._pairs[1:]
     if move_it:
@@ -148,7 +147,7 @@ def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
         def __getattr__(self, name):
             return pairs if name == "_pairs" else getattr(g, name)
 
-    assert rectangle_label(Stub(), poset) is None
+    assert rectangle_label(Stub()) is None
 
 
 @pytest.mark.parametrize(
@@ -156,11 +155,40 @@ def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
     [(3, 2, 5, 4, 7, 6, 1), (3, 2, 7, 4, 1, 6, 5), (5, 2, 1, 4, 7, 6, 3), (7, 2, 1, 4, 3, 6, 5)],
 )
 def test_rectangle_label_3_cubes(w):
-    # the bottom class takes the join of its covers' labels: their sum
-    # would double-count the axes two covers share
+    # three 321-triples, no two sharing two values, are three axes, though
+    # some share one: the box is a cube, not a path of length 3
     assert is_rectangular(w)
     spec = grid_label(w)
     assert spec is not None and spec.dims == (1, 1, 1)
+
+
+def _labels_agree_with_oracles(graphs):
+    for g in graphs:
+        spec = rectangle_label(g)
+        if is_rectangular(g.w):
+            assert spec is not None and grid_labelling_ok(g, spec), g.w
+        else:
+            assert spec is None, g.w
+
+
+def _graphs(perms):
+    return (build_graph(w, budget=10**14) for w in perms)  # up to 8.8e11 words
+
+
+def _sample(n, k, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(k)]
+
+
+def test_rectangle_label_matches_grid_oracle_s6_and_s7_sample(s6_graphs):
+    _labels_agree_with_oracles(s6_graphs.values())
+    _labels_agree_with_oracles(_graphs(_sample(7, 300, seed=7)))
+
+
+@pytest.mark.slow
+def test_rectangle_label_matches_grid_oracle_s7_and_s8_sample():
+    _labels_agree_with_oracles(_graphs(enumerate_sn(7)))
+    _labels_agree_with_oracles(_graphs(_sample(8, 200, seed=8)))
 
 
 def test_rectangular_witness_matches_containment_oracle_s1_s7():
