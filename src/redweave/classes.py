@@ -3,17 +3,18 @@
 ``build_graph(w, budget)`` is G(w), built afresh and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
-G(w) is built in layers.  The word count and the canonical words come up
-front, by walks in ``words`` on memos passed in (a fresh ``_SweepTables``
-per G(w), or the one of a ``_sweep`` process).  The bare mask-flip edges
-``_pairs``, which every check reads, and Y, on the one memo the graph keeps,
-come on first read and are kept; the edge labels only on the first read of
-``g.edges``, which only ``graph``/``poset`` output makes; a class size on
-each read.  Edges and ranks read one int per class, its ``_triple_masks``
-bitmask over w's 321-triples, read off its value triples: a braid move
-flips one bit (probed per unset bit), and the popcount is its rank in P(w).
-Every function of G(w), here and in ``subnet``, ``structure``, ``bounds``
-and ``suite``, takes the graph; ``build_graph`` alone checks the budget.
+G(w) is built in layers.  The canonical words come up front, by a walk in
+``words`` on the memos of the ``_SweepTables`` passed in: one per ``_run``,
+the sweep loop of every process, of which ``build_graph`` is a sweep of one.
+The bare mask-flip edges ``_pairs``, which every check reads, and Y, on the
+one memo the graph keeps, come on first read and are kept; the edge labels
+only on the first read of ``g.edges``, which only ``graph``/``poset`` output
+makes; a class size on each read.  Edges and ranks read one int per class,
+its ``_triple_masks`` bitmask over w's 321-triples, read off its value
+triples: a braid move flips one bit (probed per unset bit), and the popcount
+is its rank in P(w).  Every function of G(w), here and in ``subnet``,
+``structure``, ``bounds`` and ``suite``, takes the graph; the word budget of
+a G(w) is checked in ``_sweep`` alone, in the process that calls it.
 """
 
 from __future__ import annotations
@@ -224,54 +225,55 @@ def class_members(letters: Letters) -> set[Letters]:
 
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
-    """G(w), built afresh; refused when |R(w)| exceeds budget."""
-    return _scan_impl(check_perm(w), budget, _SweepTables())
+    """G(w), built afresh by a sweep of w alone; refused when |R(w)| exceeds budget."""
+    w = check_perm(w)
+    return _sweep([w], lambda g: g, budget)[w]
 
 
-def _scan_impl(w: Perm, budget: int, dag: _SweepTables) -> ClassGraph:
-    """G(w) on the memos of ``dag``, of which it keeps Y's alone.  The
-    canonical words come in lexicographic order, so a class's id is its
-    position."""
-    _within_budget(_word_count(w, dag.words), budget)
+def _scan_impl(w: Perm, dag: _SweepTables) -> ClassGraph:
+    """G(w) on the memos of ``dag``, of which it keeps Y's alone, with no
+    budget check.  The canonical words come in lexicographic order, so a
+    class's id is its position."""
     words = _canonical_words(w, dag.live)
     vertices = tuple(CommClass(i, Word(c, len(w))) for i, c in enumerate(words))
     return ClassGraph(w, vertices, dag.best)
 
 
-_pool_dag: _SweepTables | None = None  # a pool worker's one DAG; None in any other process
-
-
-def _start_worker() -> None:
-    global _pool_dag
-    _pool_dag = _SweepTables()
-
-
-def _pool_job(job: Callable[[ClassGraph], object], budget: int, w: Perm):
-    return job(_scan_impl(w, budget, _pool_dag))
+def _run(job: Callable[[ClassGraph], object], perms: list[Perm]) -> list:
+    """[job(G(w)) for w in perms] on one DAG: the sweep loop of every process."""
+    dag = _SweepTables()
+    return [job(_scan_impl(w, dag)) for w in perms]
 
 
 def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
            threads: int = 1) -> dict:
-    """{w: job(build_graph(w, budget))} for each w of perms, on one DAG per
-    process: a local one here, the one ``_start_worker`` sets in a worker.
-
-    The w run longest first, lexicographic among equals, so a process starts
-    near the heaviest w, which fills most of its DAG, and a pool ends on the
-    cheapest.  They run here if ``min(threads, len(perms))`` is 1, else in a
-    pool of that many, started by the platform's default method (under fork,
-    on Linux and Python <= 3.13, a worker is a copy of this process); job
-    must then pickle.  A pool gets them in about 16 tasks per worker.
+    """{w: job(G(w))} for each w of perms, by one ``_run`` here if
+    ``min(threads, len(perms))`` is 1, else one per share in a pool of that
+    many, started by the platform's default method (fork on Linux and Python
+    <= 3.13: a worker is a copy of this process); job must then pickle.  The
+    w go longest first, lexicographic among equals, and each is checked
+    against the budget here, in that order on one word-count memo, before
+    any G(w) is built, so the first refusal in that order is raised.  They
+    are dealt to the shares back and forth (0, 1, ..., t-1, t-1, ..., 0,
+    ...): each share gets heavy and light w alike and starts on one of the
+    heaviest, which fills most of its DAG.
     """
     order = sorted(perms, key=lambda w: (-inversions(w), w))
+    counts: dict[Perm, int] = {}  # the guard's memo, freed before any G(w)
+    for w in order:
+        _within_budget(_word_count(w, counts), budget)
+    del counts
     threads = min(threads, len(order))
-    if threads > 1:
-        from multiprocessing import Pool
+    if threads <= 1:
+        return dict(zip(order, _run(job, order)))
+    from multiprocessing import Pool
 
-        with Pool(threads, initializer=_start_worker) as pool:
-            chunk = max(1, len(order) // (16 * threads))
-            return dict(zip(order, pool.imap(partial(_pool_job, job, budget), order, chunk)))
-    dag = _SweepTables()
-    return {w: job(_scan_impl(w, budget, dag)) for w in order}
+    turn = 2 * threads  # share k takes places k and 2t - 1 - k of every 2t
+    shares = [[w for p, w in enumerate(order) if p % turn in (k, turn - 1 - k)]
+              for k in range(threads)]
+    with Pool(threads) as pool:
+        done = pool.map(partial(_run, job), shares)
+    return {w: out for share, outs in zip(shares, done) for w, out in zip(share, outs)}
 
 
 class RankedPoset(NamedTuple):

@@ -214,7 +214,6 @@ def _cmd_aggregate(args) -> _Output:
 
 
 def _cmd_subnet(args) -> _Output:
-    from .classes import build_graph
     from .perm import longest_element, parse_perm, pattern_count
     from .subnet import (WARRINGTON_X, _check_word_of, _top_class, count_subnetworks,
                          parse_word_set, predicted_count_friendly, predicted_count_w0_s4)
@@ -234,7 +233,7 @@ def _cmd_subnet(args) -> _Output:
         if x == WARRINGTON_X and w == longest_element(len(w)):
             payload["predicted"] = predicted_count_w0_s4(word, len(w))
         elif x.perm is not None and pattern_count(x.perm, (3, 2, 1)) == 1 and x == _top_class(x.perm):
-            g = build_graph(w, args.budget_words)
+            g = _graph(args)
             payload["predicted"] = predicted_count_friendly(g, word, x.perm).predicted
         else:
             raise InputError("no applicable prediction formula for this word set")

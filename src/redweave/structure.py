@@ -106,7 +106,7 @@ def _patterns(w: Perm, k: int) -> set[Perm]:
 
 
 def is_rectangular(w: Perm) -> bool:
-    """Pattern route: 4321-, 42531-, and 53142-avoiding."""
+    """Pattern route: w avoids every pattern of ``RECT_PATTERNS``."""
     return rectangular_witness(w) is None
 
 

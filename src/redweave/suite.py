@@ -98,10 +98,10 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list
 
     Each w is one ``_check_and_tally`` job of ``classes._sweep``, in this
     process or a pool of up to ``threads``; it keeps no G(w) and returns
-    two numbers, not the classes, for the aggregate bound.  The jobs of a
-    process share one DAG of the states of S_n, which the budget guard,
-    the canonical words and Y all read.  Violations are reported in
-    lexicographic order of w.
+    two numbers, not the classes, for the aggregate bound.  The budget is
+    checked for every w in this process before any job runs; the jobs of a
+    process share one DAG of the states of S_n, which the canonical words
+    and Y read.  Violations are reported in lexicographic order of w.
     """
     perms = list(enumerate_sn(n))
     by_perm = _sweep(perms, _check_and_tally, budget, threads)

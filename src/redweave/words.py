@@ -83,23 +83,21 @@ def crossing_events(word: Word) -> list[tuple[int, int]]:
 
 
 class _SweepTables:
-    """The memos of the walks over the weak-order DAG below w, one dict each.
+    """The memos of G(w)'s walks over the weak-order DAG below w, one dict each.
 
     A state is the inverse q of a permutation (q[v-1] is the position of
-    v), and ``kids(q)`` are its children.  ``words[q]`` is |R(q)|.
-    ``live[q]`` keeps the children that a canonical word can take, as runs
-    (letters, below, c): after letter i the next may be at most i + 1, and
-    a run goes on while that leaves one live child.  ``below`` is the live
-    runs after it, cut to that cap (empty at the identity), and c > 0
-    counts the canonical words through it.  ``best`` is the Y DP's memo.
-    A walk fills the memo it is given and expands only the states that it
-    does not hold yet.  ``build_graph`` makes a holder per G(w), and a sweep
-    one per process for all of S_n, so that each state is expanded once per
-    memo in the whole sweep.
+    v), and ``kids(q)`` are its children.  ``live[q]`` keeps the children
+    that a canonical word can take, as runs (letters, below, c): after
+    letter i the next may be at most i + 1, and a run goes on while that
+    leaves one live child.  ``below`` is the live runs after it, cut to that
+    cap (empty at the identity), and c > 0 counts the canonical words
+    through it.  ``best`` is the Y DP's memo.  A walk fills the memo it is
+    given and expands only the states that it does not hold yet.  A G(w)
+    built alone gets a holder of its own, and a sweep one per process for
+    all of S_n, so that each state is expanded once per memo in the sweep.
     """
 
     def __init__(self) -> None:
-        self.words: dict[Perm, int] = {}
         self.live: dict[Perm, tuple] = {}
         self.best: dict[tuple[Perm, int, int], int] = {}
 

@@ -27,32 +27,48 @@ def s6_graphs(s6):
     return {w: build_graph(w) for w in s6}
 
 
+class CountingDict(dict):
+    """A memo that tallies in ``filled`` the keys put into it."""
+
+    def __init__(self):
+        self.filled = Counter()
+
+    def __setitem__(self, key, value):
+        self.filled[key] += 1
+        super().__setitem__(key, value)
+
+
 @pytest.fixture
 def counted_dags(monkeypatch):
     """The DAGs (memo holders) that ``classes`` makes from now on.  Each memo
-    tallies in ``filled`` the keys put into it; ``once(states)`` says that
-    the count and live-run memos got each of the states once, and the Y
-    memo each of its keys once, over the same states."""
+    is a ``CountingDict``; ``once(states)`` says that the live-run memo got
+    each of the states once, and the Y memo each of its keys once, over the
+    same states."""
     made = []
-
-    class CountingDict(dict):
-        def __init__(self):
-            self.filled = Counter()
-
-        def __setitem__(self, key, value):
-            self.filled[key] += 1
-            super().__setitem__(key, value)
 
     class Counted(_SweepTables):
         def __init__(self):
-            self.words, self.live, self.best = CountingDict(), CountingDict(), CountingDict()
+            self.live, self.best = CountingDict(), CountingDict()
             made.append(self)
 
         def once(self, states: set) -> bool:
-            memos = (self.words, self.live, self.best)
-            return (set(self.words.filled) == set(self.live.filled) == states
-                    == {q for q, _, _ in self.best.filled}
-                    and all(max(m.filled.values()) == 1 for m in memos))
+            return (set(self.live.filled) == states == {q for q, _, _ in self.best.filled}
+                    and all(max(m.filled.values()) == 1 for m in (self.live, self.best)))
 
     monkeypatch.setattr(classes, "_SweepTables", Counted)
     return made
+
+
+@pytest.fixture
+def counted_guards(monkeypatch):
+    """The word-count memos that ``classes`` gives the budget guard from now
+    on: id of a memo -> (the memo, kept so that no other takes its id, and
+    the ``CountingDict`` the guard fills in its place)."""
+    guards = {}
+    real = classes._word_count
+
+    def counted(w, memo):
+        return real(w, guards.setdefault(id(memo), (memo, CountingDict()))[1])
+
+    monkeypatch.setattr(classes, "_word_count", counted)
+    return guards

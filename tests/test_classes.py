@@ -153,7 +153,7 @@ def test_graph_and_y_fill_each_memo_once_per_state(counted_dags, monkeypatch):
 
 
 def test_a_graph_keeps_only_the_y_memo(counted_dags):
-    # the word-count and live-run memos die with build_graph; Y's rides along
+    # the live-run memo dies with build_graph; Y's rides along
     g = build_graph(longest_element(5))
     [dag] = counted_dags
     seen, todo = set(), [g]
@@ -163,8 +163,8 @@ def test_a_graph_keeps_only_the_y_memo(counted_dags):
             seen.add(id(x))
             todo += gc.get_referents(x)
     assert id(dag.best) in seen
-    assert id(dag.words) not in seen and id(dag.live) not in seen
-    assert len(dag.words) == len(dag.live) == 120
+    assert id(dag.live) not in seen
+    assert len(dag.live) == 120
 
 
 def test_ids_are_positions_in_lexicographic_order(s5, s6):

@@ -124,11 +124,6 @@ def test_rectangle_label_path_and_point():
     assert grid_label(longest_element(4)) is None
 
 
-def test_rectangle_label_matches_pattern_route_s5(s5):
-    for w in s5:
-        assert is_rectangular(w) == (grid_label(w) is not None)
-
-
 @pytest.mark.parametrize("move_it", [False, True])
 def test_rectangle_label_needs_exactly_the_grid_edges(move_it):
     # a graph whose mask-flip pairs (the edge layer the labelling checks)

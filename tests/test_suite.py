@@ -124,10 +124,10 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
     perms = list(fresh)
     if heaviest_first:
         perms.sort(key=lambda w: (-inversions(w), w))
-    dag = words._SweepTables()
+    dag, counts = words._SweepTables(), {}
     for w in perms:
-        assert graph_as_scan(classes._scan_impl(w, 10**8, dag)) == fresh[w], w
-        assert words._word_count(w, dag.words) == fresh[w]["word_count"], w
+        assert graph_as_scan(classes._scan_impl(w, dag)) == fresh[w], w
+        assert words._word_count(w, counts) == fresh[w]["word_count"], w
 
 
 @pytest.mark.parametrize("suite_reads", [True, False])
@@ -210,35 +210,38 @@ def test_pool_sweep_matches_serial():
     assert suite.scan_sn(5, threads=2) == suite.scan_sn(5, threads=1)
 
 
-def test_sweep_expands_each_guard_state_once(counted_dags):
-    # one DAG serves the guard, the canonical words and Y: each memo of the
-    # sweep's DAG gets each state of S_5 once, not once per walk or per w
+def test_sweep_expands_each_guard_state_once(counted_dags, counted_guards):
+    # the budget guard reads one word-count memo, in this process, and one
+    # DAG serves the canonical words and Y: each memo gets each state of S_5
+    # once, not once per walk or per w
     assert suite.scan_sn(5, threads=1) == []
     [dag] = counted_dags
-    assert dag.once({inverse(w) for w in enumerate_sn(5)})
+    [(_, guard)] = counted_guards.values()
+    states = {inverse(w) for w in enumerate_sn(5)}
+    assert dag.once(states)
+    assert set(guard.filled) == states and max(guard.filled.values()) == 1
 
 
 class FakePool:
-    """A stand-in for ``multiprocessing.Pool`` that records its size and runs
-    its jobs here, in this process, so no test starts a worker."""
+    """A stand-in for ``multiprocessing.Pool`` that records its size and the
+    shares it maps, and runs them here, in this process, so no test starts a
+    worker."""
 
     sizes: list[int] = []
-    chunks: list[tuple[list, int]] = []  # (the tasks, the chunksize) per imap
+    shares: list[list] = []  # the shares of each map
 
-    def __init__(self, processes, initializer):
+    def __init__(self, processes):
         self.sizes.append(processes)
-        initializer()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        classes._pool_dag = None  # a worker's DAG ends with the worker
+        return None
 
-    def imap(self, func, iterable, chunksize=1):
-        iterable = list(iterable)
-        self.chunks.append((iterable, chunksize))
-        return map(func, iterable)
+    def map(self, func, iterable):
+        self.shares.append(list(iterable))
+        return list(map(func, self.shares[-1]))
 
 
 @pytest.mark.parametrize("n, threads, started", [
@@ -253,12 +256,38 @@ def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
     assert global_dags() == []
 
 
-def test_sweep_sends_about_16_tasks_a_worker(monkeypatch):
-    # a task is a run of w, heaviest first, so each of the 2 workers gets
-    # about 16 and the first holds the heaviest w
+def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch):
+    # one share a worker, dealt back and forth down the heaviest-first order:
+    # each w lands in one share, each share keeps that order, the shares
+    # differ in size by at most one w, each starts on one of the heaviest
+    # (not on a block of its own), and the first holds w0
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "chunks", [])
-    assert suite.scan_sn(6, threads=2) == suite.scan_sn(6, threads=1)
-    [(order, chunk)] = FakePool.chunks
-    assert order == sorted(enumerate_sn(6), key=lambda w: (-inversions(w), w))
-    assert 2 <= -(-len(order) // chunk) <= 16 * 2 + 1
+    for n, threads in [(3, 2), (4, 3), (5, 7), (6, 2), (6, 5)]:
+        monkeypatch.setattr(FakePool, "shares", [])
+        assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
+        [shares] = FakePool.shares
+        order = sorted(enumerate_sn(n), key=lambda w: (-inversions(w), w))
+        assert len(shares) == threads
+        assert sorted(w for share in shares for w in share) == sorted(order)
+        assert all(share == sorted(share, key=order.index) for share in shares)
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        assert [share[0] for share in shares] == order[:threads]
+        assert shares[0][0] == longest_element(n)
+
+
+def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch):
+    # every w is checked against the budget in this process, heaviest first,
+    # so a pooled sweep is refused as a serial one is, with no pool started
+    def no_build(*args):
+        raise AssertionError("G(w) built before the budget check")
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(classes, "_scan_impl", no_build)
+    refusals = []
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceeded) as refused:
+            suite.scan_sn(4, budget=2, threads=threads)
+        refusals.append(str(refused.value))
+    assert refusals == ["16 reduced words exceed the budget of 2"] * 2
+    assert FakePool.sizes == []
