@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, _triples321, check_perm, enumerate_sn, inversions
-from .words import Letters, _class_count, _most_windows, _within_budget, count_reduced_words
+from .words import Letters, _class_count, _most_windows, _within_budget
 
 if TYPE_CHECKING:  # the bounds of one w read the DAG, and load no G(w)
     from .classes import ClassGraph
@@ -46,7 +46,7 @@ def _size_bounds_of(w: Perm, budget: int = WORD_BUDGET_DEFAULT,
     and |G(w)|, the canonical path count, are read off the weak-order DAG.
     Without ``actual`` no class is counted, and ``actual`` reads None."""
     w = check_perm(w)
-    _within_budget(count_reduced_words(w), budget)
+    _within_budget(w, budget)
     count = _class_count(w, {}) if actual else None
     return _report(w, _most_windows(w, {})[0], len(_triples321(w)), count)
 

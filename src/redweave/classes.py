@@ -32,7 +32,6 @@ from .words import (
     _canonical_words,
     _most_windows,
     _within_budget,
-    _word_count,
     crossing_events,
 )
 
@@ -251,9 +250,9 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     ``min(threads, len(perms))`` is 1, else one per share in a pool of that
     many, started by the platform's default method (fork on Linux and Python
     <= 3.13: a worker is a copy of this process); job must then pickle.  The
-    w go longest first, lexicographic among equals, and each is checked
-    against the budget here, in that order on one word-count memo, before
-    any G(w) is built, so the first refusal in that order is raised.  They
+    w go longest first, lexicographic among equals, and each passes
+    ``words._within_budget`` here, in that order on one word-count memo,
+    before any G(w) is built, so the first refusal in that order is raised.  They
     are dealt to the shares back and forth (0, 1, ..., t-1, t-1, ..., 0,
     ...): each share gets heavy and light w alike and starts on one of the
     heaviest, which fills most of its DAG.
@@ -261,7 +260,7 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     counts: dict[Perm, int] = {}  # the guard's memo, freed before any G(w)
     for w in order:
-        _within_budget(_word_count(w, counts), budget)
+        _within_budget(w, budget, counts)
     del counts
     threads = min(threads, len(order))
     if threads <= 1:

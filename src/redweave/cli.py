@@ -20,7 +20,7 @@ import os
 import re
 import signal
 import sys
-from itertools import chain, combinations
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, InvariantViolation, THREADS_CAP, WORD_BUDGET_DEFAULT
@@ -46,21 +46,13 @@ def _csv(letters) -> str:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        threads, source = args.threads, f"--threads {args.threads}"
-    elif env := os.environ.get("REDWEAVE_THREADS"):
-        source = f"REDWEAVE_THREADS={env!r}"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"{source} is not an integer") from None
-    else:
+    if args.threads is None:
         return min(os.cpu_count() or 1, THREADS_CAP)
-    if threads < 1:
-        raise InputError(f"{source} is below 1")
-    if threads > THREADS_CAP:  # refused before a pool starts
-        raise InputError(f"{source} is above {THREADS_CAP}")
-    return threads
+    if args.threads < 1:
+        raise InputError(f"--threads {args.threads} is below 1")
+    if args.threads > THREADS_CAP:  # refused before a pool starts
+        raise InputError(f"--threads {args.threads} is above {THREADS_CAP}")
+    return args.threads
 
 
 def _budget(text: str) -> int:
@@ -81,11 +73,10 @@ def _budget(text: str) -> int:
 
 def _cmd_words(args) -> _Output:
     from .perm import parse_perm
-    from .words import _within_budget, count_reduced_words, reduced_letter_seqs
+    from .words import _within_budget, reduced_letter_seqs
 
     w = parse_perm(args.perm)
-    count = count_reduced_words(w)  # the one walk: the guard's and the payload's
-    _within_budget(count, args.budget_words)  # refused before any word
+    count = _within_budget(w, args.budget_words)  # refused before any word
     # the words stream: text prints each as the DFS yields it
     payload = {"w": list(w), "count": count, "words": map(list, reduced_letter_seqs(w))}
     lines = (_csv(ls) or "(empty)" for ls in payload["words"])
@@ -165,7 +156,8 @@ def _cmd_graph(args) -> _Output:
 
     g = _graph(args)
     poset = build_poset(g)
-    return _Output(_graph_payload(g, poset), _graph_text(g), _dot(g, poset))
+    payload = _graph_payload(g, poset) if args.format == "json" else {}  # text and DOT print none
+    return _Output(payload, _graph_text(g), _dot(g, poset))
 
 
 def _cmd_poset(args) -> _Output:
@@ -177,7 +169,7 @@ def _cmd_poset(args) -> _Output:
         "w": list(g.w),
         "ranks": {str(cid): r for cid, r in sorted(poset.rank.items())},
         "covers": [list(c) for c in poset.covers],
-    }
+    } if args.format == "json" else {}  # text and DOT print none
     lines = chain(
         (
             f"{cid}: rank {poset.rank[cid]}  "
@@ -214,7 +206,7 @@ def _cmd_aggregate(args) -> _Output:
 
 
 def _cmd_subnet(args) -> _Output:
-    from .perm import longest_element, parse_perm, pattern_count
+    from .perm import _triples321, longest_element, parse_perm
     from .subnet import (WARRINGTON_X, _check_word_of, _top_class, count_subnetworks,
                          parse_word_set, predicted_count_friendly, predicted_count_w0_s4)
     from .words import parse_word
@@ -232,7 +224,7 @@ def _cmd_subnet(args) -> _Output:
     if args.predict:
         if x == WARRINGTON_X and w == longest_element(len(w)):
             payload["predicted"] = predicted_count_w0_s4(word, len(w))
-        elif x.perm is not None and pattern_count(x.perm, (3, 2, 1)) == 1 and x == _top_class(x.perm):
+        elif x.perm is not None and len(_triples321(x.perm)) == 1 and x == _top_class(x.perm):
             g = _graph(args)
             payload["predicted"] = predicted_count_friendly(g, word, x.perm).predicted
         else:
@@ -270,14 +262,11 @@ def _cmd_rect(args) -> _Output:
 
 
 def _cmd_cycles(args) -> _Output:
-    from .structure import classify_edge_pair
+    from .structure import _edge_pair_verdicts
 
     g = _graph(args)
-    rows = []
-    for c in g.vertices:
-        for a, b in combinations(sorted(g.neighbors(c.id)), 2):
-            verdict = classify_edge_pair(g, c.id, a, b)
-            rows.append({"v": c.id, "a": a, "b": b, "verdict": verdict.value})
+    rows = [{"v": v, "a": a, "b": b, "verdict": verdict.value}
+            for v, a, b, verdict in _edge_pair_verdicts(g)]
     lines = (
         f"v={r['v']} edges ({r['v']},{r['a']}),({r['v']},{r['b']}): {r['verdict']}"
         for r in rows

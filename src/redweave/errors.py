@@ -6,7 +6,7 @@ WORD_BUDGET_DEFAULT = 10**8
 # enumerate_sn refuses S_n above this size.
 SN_CAP_DEFAULT = 8
 
-# scan refuses more pool workers than this (--threads, REDWEAVE_THREADS).
+# scan refuses more pool workers than this (--threads).
 THREADS_CAP = 64
 
 

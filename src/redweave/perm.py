@@ -93,7 +93,7 @@ def _triples321(w: Perm) -> tuple[tuple[int, int, int], ...]:
 def pattern_count(w: Perm, p: Perm) -> int:
     """Number of occurrences of the pattern p in w (N_p(w)).
 
-    >>> pattern_count((3, 4, 2, 1), (3, 2, 1))
+    >>> pattern_count((3, 4, 2, 1), (2, 3, 1))
     2
     """
     return sum(1 for _ in pattern_occurrences(w, p))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import combinations, product
 from math import prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .classes import ClassGraph
 from .errors import InputError, InvariantViolation
@@ -183,6 +183,14 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
         return CycleVerdict.FOUR_CYCLE
     found = _closes_chordless(g, [a], g.neighbors(v) | {v}, b)
     return CycleVerdict.EIGHT_CYCLE if found else CycleVerdict.NO_INDUCED_CYCLE
+
+
+def _edge_pair_verdicts(g: ClassGraph) -> Iterator[tuple[int, int, int, CycleVerdict]]:
+    """(v, a, b, verdict) for each vertex v of G(w) and each pair a < b of its
+    neighbours, by v: ``classify_edge_pair`` of every incident edge pair."""
+    for v in range(len(g)):
+        for a, b in combinations(sorted(g.neighbors(v)), 2):
+            yield v, a, b, classify_edge_pair(g, v, a, b)
 
 
 def _closes_chordless(g: ClassGraph, path: list[int], blocked: frozenset[int], b: int) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
-from .perm import Perm, _ints, longest_element, pattern_count, pattern_occurrences
+from .perm import Perm, _ints, _triples321, longest_element, pattern_occurrences
 from .words import Letters, Word, _w0_letter_weights, crossing_events, evaluate, index_sum
 
 
@@ -174,13 +174,13 @@ class Friendliness(NamedTuple):
 
 
 def friendliness(w: Perm, p: Perm) -> Friendliness:
-    """The constant k if every 321-triple of w sits in exactly k p-patterns."""
-    if pattern_count(p, (3, 2, 1)) == 0:
+    """The constant k if every 321-triple of w sits in exactly k p-patterns (as value sets)."""
+    if not _triples321(p):
         return Friendliness(None, False, False)
-    triples = [set(t) for t in pattern_occurrences(w, (3, 2, 1))]
+    triples = [set(t) for t in _triples321(w)]
     if not triples:
         return Friendliness(0, True, True)
-    occs = [set(o) for o in pattern_occurrences(w, p)]
+    occs = [{w[i] for i in o} for o in pattern_occurrences(w, p)]
     counts = {sum(1 for o in occs if t <= o) for t in triples}
     if len(counts) == 1:
         return Friendliness(counts.pop(), False, True)
@@ -214,7 +214,7 @@ def predicted_count_friendly(g: ClassGraph, word: Word, p: Perm) -> FriendlyPred
     sum of the lowest commutation class of w.
     """
     w = g.w
-    if pattern_count(p, (3, 2, 1)) != 1:
+    if len(_triples321(p)) != 1:
         raise InputError(f"pattern {p} must contain exactly one 321-pattern")
     fr = friendliness(w, p)
     if fr.k is None:

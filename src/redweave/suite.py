@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .bounds import _tally, aggregate_reports, size_bounds
 from .classes import ClassGraph, _sweep, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
@@ -11,7 +9,7 @@ from .perm import enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     _disjoint,
-    classify_edge_pair,
+    _edge_pair_verdicts,
     embed_hypercube,
     rectangle_label,
     rectangular_witness,
@@ -68,14 +66,12 @@ def check_permutation(g: ClassGraph) -> list[str]:
         # an induced 8-cycle of a 4321-avoider is a grid's rim, as in
         # G(436512), so its two edges at v also lie on a 6-cycle through the
         # grid's centre (true on S_5, S_6 and the 4321-avoiders of S_7)
-        for c in g.vertices:
-            for a, b in combinations(sorted(g.neighbors(c.id)), 2):
-                eight = classify_edge_pair(g, c.id, a, b) is CycleVerdict.EIGHT_CYCLE
-                if eight and not _on_six_cycle(g, c.id, a, b):
-                    out.append(
-                        f"4321-avoiding {w} has an induced 8-cycle at vertex "
-                        f"{c.id} on no 6-cycle"
-                    )
+        for v, a, b, verdict in _edge_pair_verdicts(g):
+            if verdict is CycleVerdict.EIGHT_CYCLE and not _on_six_cycle(g, v, a, b):
+                out.append(
+                    f"4321-avoiding {w} has an induced 8-cycle at vertex "
+                    f"{v} on no 6-cycle"
+                )
     return out
 
 

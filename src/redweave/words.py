@@ -258,7 +258,7 @@ def _warrington_count(n: int, classes: bool = False, budget: int = WORD_BUDGET_D
     if n < 1:
         raise InputError(f"n = {n} is below 1")
     w = longest_element(n)
-    _within_budget(count_reduced_words(w), budget)
+    _within_budget(w, budget)
     least, count = _least_weight_paths(w, _w0_letter_weights(n), classes)
     return count if least == 2 * comb(n, 4) else 0
 
@@ -293,14 +293,18 @@ def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:
     return y, tuple(word)
 
 
-def _within_budget(total: int, budget: int) -> None:  # the word budget's one check
+def _within_budget(w: Perm, budget: int, memo: dict | None = None) -> int:
+    """|R(w)| on ``memo`` (a fresh one if None), refused past budget: the word
+    budget's one check, made before any other walk of w."""
+    total = _word_count(w, {} if memo is None else memo)
     if total > budget:
         raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
+    return total
 
 
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:
     """Every reduced word of w exactly once, lexicographic by letters."""
-    _within_budget(count_reduced_words(w), budget)
+    _within_budget(w, budget)
     return (Word(ls, len(w)) for ls in reduced_letter_seqs(w))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from redweave import classes, enumerate_sn
+from redweave import classes, enumerate_sn, words
 from redweave.classes import build_graph
 from redweave.words import _SweepTables
 
@@ -61,14 +61,14 @@ def counted_dags(monkeypatch):
 
 @pytest.fixture
 def counted_guards(monkeypatch):
-    """The word-count memos that ``classes`` gives the budget guard from now
-    on: id of a memo -> (the memo, kept so that no other takes its id, and
-    the ``CountingDict`` the guard fills in its place)."""
+    """The word-count memos that the budget guard ``words._within_budget``
+    counts on from now on: id of a memo -> (the memo, kept so that no other
+    takes its id, and the ``CountingDict`` the guard fills in its place)."""
     guards = {}
-    real = classes._word_count
+    real = words._word_count
 
     def counted(w, memo):
         return real(w, guards.setdefault(id(memo), (memo, CountingDict()))[1])
 
-    monkeypatch.setattr(classes, "_word_count", counted)
+    monkeypatch.setattr(words, "_word_count", counted)
     return guards

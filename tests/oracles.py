@@ -23,6 +23,8 @@ of parenthesis encodings at each length with their number, where
 ``count_212`` counts a word's 212-subnetworks from its crossings, the rank
 statistic that ``build_poset`` reads as a popcount.
 ``contains`` is pattern containment by standardizing each subsequence.
+``friendliness_by_indices`` is p-friendliness read on the index sets of
+the patterns, where ``subnet.friendliness`` reads value triples.
 ``grid_labelling_ok`` checks a grid labelling of G(w) against its public
 edges and ranks alone, where ``rectangle_label`` reads the triple masks.
 """
@@ -426,6 +428,25 @@ def contains(w: Perm, p: Perm) -> bool:
     has as many smaller entries in it as p's entry there has in p."""
     return any(all(sum(y < x for y in sub) == q - 1 for x, q in zip(sub, p))
                for sub in combinations(w, len(p)))
+
+
+def _occurrences(w: Perm, p: Perm) -> list[set[int]]:
+    """The index sets of w's p-patterns, each subsequence standardized as in
+    ``contains``."""
+    return [set(idx) for idx in combinations(range(len(w)), len(p))
+            if all(sum(w[j] < w[i] for j in idx) == q - 1 for i, q in zip(idx, p))]
+
+
+def friendliness_by_indices(w: Perm, p: Perm) -> tuple:
+    """(k, vacuous, pattern_has_321) of ``subnet.friendliness``, on index sets:
+    k when every 321-pattern of w lies in exactly k of its p-patterns."""
+    if not _occurrences(p, (3, 2, 1)):
+        return None, False, False
+    triples = _occurrences(w, (3, 2, 1))
+    if not triples:
+        return 0, True, True
+    counts = {sum(t <= o for o in _occurrences(w, p)) for t in triples}
+    return counts.pop() if len(counts) == 1 else None, False, True
 
 
 def grid_labelling_ok(g, spec) -> bool:

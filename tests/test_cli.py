@@ -11,7 +11,7 @@ import pytest
 
 from redweave import InvariantViolation, bounds, classes, suite, words
 from redweave.bounds import aggregate_bound_check
-from redweave.cli import _threads, run
+from redweave.cli import _threads, build_parser, run
 from redweave.errors import THREADS_CAP
 
 
@@ -192,37 +192,31 @@ def test_cube(capsys):
     assert doc["dimension"] == 1 and len(doc["classes"]) == 2
 
 
+@pytest.mark.parametrize("command, rows", [("graph", {"vertices", "edges"}),
+                                           ("poset", {"ranks", "covers"})])
+def test_graph_and_poset_build_json_rows_for_json_alone(command, rows):
+    # text and DOT print no payload, so they build none of its rows
+    for fmt in ("text", "dot", "json"):
+        args = build_parser().parse_args([command, "4321", "--format", fmt])
+        assert (rows <= args.func(args).payload.keys()) == (fmt == "json"), fmt
+
+
 def test_scan_clean(capsys):
     assert run(["scan", "4", "--threads", "1"]) == 0
     assert "0 violation(s)" in out_of(capsys)
 
 
-def test_scan_env_threads(capsys, monkeypatch):
-    monkeypatch.setenv("REDWEAVE_THREADS", "1")
-    assert run(["scan", "3"]) == 0
-    monkeypatch.setenv("REDWEAVE_THREADS", "zig")
-    assert run(["scan", "3"]) == 1  # rejected before any work
-    for value in ("0", "-2"):  # like --threads 0, not a serial run
-        monkeypatch.setenv("REDWEAVE_THREADS", value)
-        assert run(["scan", "3"]) == 1
-        assert "below 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag, env", [(["--threads", "100000"], None), ([], "100000"),
-                                       (["--threads", str(THREADS_CAP + 1)], None)])
-def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, flag, env):
+@pytest.mark.parametrize("threads", ["100000", str(THREADS_CAP + 1)])
+def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, threads):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    if env is not None:
-        monkeypatch.setenv("REDWEAVE_THREADS", env)
-    assert run(["scan", "3", *flag]) == 1
+    assert run(["scan", "3", "--threads", threads]) == 1
     assert capsys.readouterr().err.endswith(f" is above {THREADS_CAP}\n")
 
 
 def test_threads_cap_is_allowed_and_bounds_the_default(monkeypatch):
-    monkeypatch.delenv("REDWEAVE_THREADS", raising=False)
     assert _threads(argparse.Namespace(threads=THREADS_CAP)) == THREADS_CAP
     monkeypatch.setattr(os, "cpu_count", lambda: 10 * THREADS_CAP)
     assert _threads(argparse.Namespace(threads=None)) == THREADS_CAP

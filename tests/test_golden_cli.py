@@ -159,11 +159,9 @@ def test_golden_covers_every_argv(golden):
 def test_golden(argv, golden, monkeypatch):
     for key, value in ENV.items():
         monkeypatch.setenv(key, value)
-    monkeypatch.delenv("REDWEAVE_THREADS", raising=False)
     assert capture(argv) == golden[tuple(argv)]
 
 
 if __name__ == "__main__":
     os.environ.update(ENV)
-    os.environ.pop("REDWEAVE_THREADS", None)
     GOLDEN.write_text(json.dumps([capture(argv) for argv in ARGVS], indent=1) + "\n")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_212, count_subnetworks_brute
+from oracles import contains, count_212, count_subnetworks_brute, friendliness_by_indices
 from redweave import BudgetExceeded, InputError
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import (
@@ -195,6 +195,15 @@ def test_friendliness_examples():
     assert friendliness((4, 3, 2, 1), (3, 2, 1)).k == 1
     # not friendly: the triples of 53421 sit in 1 or 2 of its 4321-patterns
     assert friendliness((5, 3, 4, 2, 1), (4, 3, 2, 1)).k is None
+
+
+def test_friendliness_matches_the_index_set_oracle(s5):
+    # friendliness reads w's 321-triples and p-patterns as value sets
+    patterns = [p for m in (3, 4) for p in enumerate_sn(m) if contains(p, (3, 2, 1))]
+    assert len(patterns) == 11
+    for w in s5:
+        for p in patterns:
+            assert tuple(friendliness(w, p)) == friendliness_by_indices(w, p), (w, p)
 
 
 def test_predicted_count_friendly():

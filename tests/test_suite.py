@@ -100,7 +100,7 @@ def test_eight_cycle_check_fires_on_an_overreport(monkeypatch):
     g = classes.build_graph((3, 5, 2, 6, 4, 1))
     assert suite.check_permutation(g) == []
     monkeypatch.setattr(
-        suite, "classify_edge_pair", lambda *args: structure.CycleVerdict.EIGHT_CYCLE
+        structure, "classify_edge_pair", lambda *args: structure.CycleVerdict.EIGHT_CYCLE
     )
     assert any("on no 6-cycle" in v for v in suite.check_permutation(g))
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,9 @@ from oracles import (
     commutation_class_bfs,
     list_moves,
 )
-from redweave import InputError, BudgetExceeded, words
+from redweave import InputError, BudgetExceeded, bounds, suite, words
+from redweave.classes import build_graph
+from redweave.cli import run
 from redweave.perm import enumerate_sn, identity, inversions, longest_element
 from redweave.words import (
     Word,
@@ -92,6 +95,63 @@ def test_first_word_comes_before_the_dag_is_built(monkeypatch):
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_reduced_words((3, 2, 1), budget=1))
+
+
+@pytest.fixture
+def guarded(monkeypatch):
+    """The w of each call of the word budget's guard ``words._within_budget``
+    from now on, in every module of redweave that holds it."""
+    calls = []
+    real = words._within_budget
+
+    def counted(w, budget, memo=None):
+        calls.append(w)
+        return real(w, budget, memo)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("redweave") and getattr(mod, "_within_budget", None) is real:
+            monkeypatch.setattr(mod, "_within_budget", counted)
+    return calls
+
+
+W0_4 = longest_element(4)
+LENGTH_3 = sorted((w for w in enumerate_sn(4) if inversions(w) == 3),
+                  key=lambda w: (-inversions(w), w))  # the order the sweep guards them in
+GUARDED = {  # an entry point of one or more w, called at a budget: the w it guards
+    "build_graph": (lambda budget: build_graph(W0_4, budget), [W0_4]),
+    "scan_sn": (lambda budget: suite.scan_sn(4, budget),
+                sorted(enumerate_sn(4), key=lambda w: (-inversions(w), w))),
+    "aggregate_bound_check": (lambda budget: bounds.aggregate_bound_check(4, 3, budget),
+                              LENGTH_3),
+    "_size_bounds_of": (lambda budget: bounds._size_bounds_of(W0_4, budget), [W0_4]),
+    "_warrington_count": (lambda budget: words._warrington_count(4, budget=budget), [W0_4]),
+    "enumerate_reduced_words": (lambda budget: list(enumerate_reduced_words(W0_4, budget)),
+                                [W0_4]),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_the_word_budget_has_one_guard(guarded, name):
+    # every entry point passes each of its w through words._within_budget
+    # once, and a refusal is its message, for the first w in its order
+    call, perms = GUARDED[name]
+    call(10**8)
+    assert guarded == perms
+    guarded.clear()
+    with pytest.raises(BudgetExceeded) as refusal:
+        call(1)
+    assert guarded == perms[:1]
+    total = count_reduced_words(perms[0])
+    assert str(refusal.value) == f"{total} reduced words exceed the budget of 1"
+
+
+def test_cli_words_has_the_one_guard(guarded, capsys):
+    assert run(["words", "4321"]) == 0
+    assert guarded == [W0_4]
+    assert capsys.readouterr().out.endswith("\ncount 16\n")
+    assert run(["words", "4321", "--budget-words", "15"]) == 3
+    assert guarded == [W0_4, W0_4]
+    assert capsys.readouterr().err == "budget refusal: 16 reduced words exceed the budget of 15\n"
 
 
 def test_words_match_bfs_closure_n4():
