@@ -324,8 +324,6 @@ class GraphReport(NamedTuple):
 
 
 def graph_checks(g: ClassGraph) -> GraphReport:
-    if not g.vertices:
-        return GraphReport(True, True)
     seen = {0}
     frontier = [0]
     while frontier:

@@ -20,7 +20,7 @@ import os
 import re
 import signal
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, InvariantViolation, THREADS_CAP, WORD_BUDGET_DEFAULT
@@ -165,11 +165,7 @@ def _cmd_poset(args) -> _Output:
 
     g = _graph(args)
     poset = build_poset(g)
-    payload = {
-        "w": list(g.w),
-        "ranks": {str(cid): r for cid, r in sorted(poset.rank.items())},
-        "covers": [list(c) for c in poset.covers],
-    } if args.format == "json" else {}  # text and DOT print none
+    payload = {"w": list(g.w), "ranks": poset.rank, "covers": poset.covers}
     lines = chain(
         (
             f"{cid}: rank {poset.rank[cid]}  "
@@ -363,9 +359,12 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-        if args.format == "json":
-            # default=list writes an iterator in a payload (the words of `words`) as a list
-            lines = [json.dumps({"schema": SCHEMA, **out.payload}, indent=2, default=list)]
+        if args.format == "json":  # default=list writes an iterator (`words`) as a list
+            chunks = json.JSONEncoder(indent=2, default=list).iterencode(
+                {"schema": SCHEMA, **out.payload})
+            while batch := "".join(islice(chunks, 8192)):  # written as encoded, never whole
+                sys.stdout.write(batch)
+            lines = [""]  # the newline that ends the document
         elif args.format == "dot":
             lines = out.dot
         elif out.text is None:

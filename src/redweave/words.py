@@ -159,20 +159,6 @@ class _Cache(dict):
         return self.setdefault(key, self.f(key))
 
 
-def _word_count(w: Perm, words: dict) -> int:
-    """|R(w)| on the memo ``words``: the paths from w's state to the identity."""
-    return _fill(words, inverse(w), kids, lambda ks: sum([words[p] for _, p in ks]) or 1)
-
-
-def count_reduced_words(w: Perm) -> int:
-    """|R(w)|, on a memo of its own.
-
-    >>> count_reduced_words((4, 3, 2, 1))
-    16
-    """
-    return _word_count(w, {})
-
-
 def reduced_letter_seqs(w: Perm) -> Iterator[Letters]:
     """The reduced letter sequences of w, streamed lexicographically: the
     DAG's paths from w, letters ascending.  The walk reads a state's
@@ -281,25 +267,40 @@ def _most_windows(w: Perm, best: dict) -> tuple[int, Letters]:
 
     key, word = (inverse(w), 0, 0), []
     y = left = _fill(best, key, options, lambda o: max([g + best[k] for _, k, g in o], default=0))
-    q, a, b = key
-    while kids_q := below(q):  # left: the windows still to gain from (q, a, b)
-        for i, p in kids_q:  # the first option, keyed as in options, that gains them all
-            key = (p, b if abs(b - i) == 1 else 0, i)
-            if (a == i) + best[key] == left:
-                break
+    while opts := options(key):  # take the first option that gains all ``left`` still to gain
+        i, key, gain = next(o for o in opts if o[2] + best[o[1]] == left)
         word.append(i)
-        left -= a == i
-        q, a, b = key
+        left -= gain
     return y, tuple(word)
 
 
 def _within_budget(w: Perm, budget: int, memo: dict | None = None) -> int:
     """|R(w)| on ``memo`` (a fresh one if None), refused past budget: the word
-    budget's one check, made before any other walk of w."""
-    total = _word_count(w, {} if memo is None else memo)
-    if total > budget:
-        raise BudgetExceeded(f"{total} reduced words exceed the budget of {budget}")
-    return total
+    budget's one check, made before any other walk of w, and the one count of |R(w)|.
+
+    It refuses at the first state it fills with more than budget paths to the
+    identity.  A state q below w has |R(q)| <= |R(w)|, as a path from w to q
+    goes in front of each word of q, so it refuses exactly the w with more
+    than budget words, and the memo it fills serves that budget alone.
+    """
+    words = {} if memo is None else memo
+
+    def count(ks: tuple) -> int:
+        total = sum([words[p] for _, p in ks]) or 1
+        if total > budget:
+            raise BudgetExceeded(f"at least {total} reduced words exceed the budget of {budget}")
+        return total
+
+    return _fill(words, inverse(w), kids, count)
+
+
+def count_reduced_words(w: Perm) -> int:
+    """|R(w)|, on a memo of its own.
+
+    >>> count_reduced_words((4, 3, 2, 1))
+    16
+    """
+    return _within_budget(w, inf)
 
 
 def enumerate_reduced_words(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> Iterator[Word]:

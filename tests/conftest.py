@@ -62,13 +62,19 @@ def counted_dags(monkeypatch):
 @pytest.fixture
 def counted_guards(monkeypatch):
     """The word-count memos that the budget guard ``words._within_budget``
-    counts on from now on: id of a memo -> (the memo, kept so that no other
-    takes its id, and the ``CountingDict`` the guard fills in its place)."""
+    counts on from now on, in every module of redweave that holds it: id of
+    a memo -> (the memo, kept so that no other takes its id, and the
+    ``CountingDict`` the guard fills in its place).  A call with no memo
+    keeps its fresh one."""
     guards = {}
-    real = words._word_count
+    real = words._within_budget
 
-    def counted(w, memo):
-        return real(w, guards.setdefault(id(memo), (memo, CountingDict()))[1])
+    def counted(w, budget, memo=None):
+        if memo is not None:
+            memo = guards.setdefault(id(memo), (memo, CountingDict()))[1]
+        return real(w, budget, memo)
 
-    monkeypatch.setattr(words, "_word_count", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("redweave") and getattr(mod, "_within_budget", None) is real:
+            monkeypatch.setattr(mod, "_within_budget", counted)
     return guards

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,16 +37,16 @@ def test_words_text_streams(capsys, monkeypatch):
 
 
 def test_words_counts_the_words_once(capsys, monkeypatch):
-    # one walk serves the budget guard and the printed count
-    walks = []
-    real = words._word_count
-    monkeypatch.setattr(words, "_word_count", lambda *args: walks.append(args) or real(*args))
-    assert run(["words", "4321"]) == 0
-    assert len(walks) == 1
-    assert out_of(capsys).endswith("\ncount 16\n")
-    assert run(["words", "4321", "--format", "json"]) == 0
-    assert len(walks) == 2
-    assert json.loads(out_of(capsys))["count"] == 16
+    # one walk serves the budget guard and the printed count: each of the 24
+    # states below 4321 is expanded once by the guard and once by the word DFS
+    read, real, outs = [], words.kids, []
+    monkeypatch.setattr(words, "kids", lambda q: read.append(q) or real(q))
+    for fmt in ("text", "json"):
+        read.clear()
+        assert run(["words", "4321", "--format", fmt]) == 0
+        assert len(read) == 48 and set(Counter(read).values()) == {2}, fmt
+        outs.append(out_of(capsys))
+    assert outs[0].endswith("\ncount 16\n") and json.loads(outs[1])["count"] == 16
 
 
 def test_words_identity(capsys):
@@ -192,13 +193,34 @@ def test_cube(capsys):
     assert doc["dimension"] == 1 and len(doc["classes"]) == 2
 
 
-@pytest.mark.parametrize("command, rows", [("graph", {"vertices", "edges"}),
-                                           ("poset", {"ranks", "covers"})])
-def test_graph_and_poset_build_json_rows_for_json_alone(command, rows):
+def test_graph_builds_json_rows_for_json_alone():
     # text and DOT print no payload, so they build none of its rows
     for fmt in ("text", "dot", "json"):
-        args = build_parser().parse_args([command, "4321", "--format", fmt])
-        assert (rows <= args.func(args).payload.keys()) == (fmt == "json"), fmt
+        args = build_parser().parse_args(["graph", "4321", "--format", fmt])
+        assert ({"vertices", "edges"} <= args.func(args).payload.keys()) == (fmt == "json"), fmt
+
+
+def test_poset_payload_is_p_of_w_itself(monkeypatch):
+    # the JSON of P(w) is its own rank dict and cover tuple, rebuilt in no format
+    posets, real = [], classes.build_poset
+    monkeypatch.setattr(classes, "build_poset", lambda g: posets.append(real(g)) or posets[-1])
+    for fmt in ("text", "dot", "json"):
+        args = build_parser().parse_args(["poset", "4321", "--format", fmt])
+        payload = args.func(args).payload
+        assert payload["ranks"] is posets[-1].rank and payload["covers"] is posets[-1].covers, fmt
+
+
+def test_json_is_streamed_not_rendered_whole(capsys, monkeypatch):
+    # the document is written as the encoder yields it, never as one string
+    assert run(["graph", "4321", "--format", "json"]) == 0
+    whole = out_of(capsys)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("the JSON document was rendered whole")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    assert run(["graph", "4321", "--format", "json"]) == 0
+    assert out_of(capsys) == whole and json.loads(whole)["w"] == [4, 3, 2, 1]
 
 
 def test_scan_clean(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -141,8 +142,8 @@ def test_the_word_budget_has_one_guard(guarded, name):
     with pytest.raises(BudgetExceeded) as refusal:
         call(1)
     assert guarded == perms[:1]
-    total = count_reduced_words(perms[0])
-    assert str(refusal.value) == f"{total} reduced words exceed the budget of 1"
+    least = re.fullmatch(r"at least (\d+) reduced words exceed the budget of 1", str(refusal.value))
+    assert 1 < int(least[1]) <= count_reduced_words(perms[0])
 
 
 def test_cli_words_has_the_one_guard(guarded, capsys):
@@ -151,7 +152,34 @@ def test_cli_words_has_the_one_guard(guarded, capsys):
     assert capsys.readouterr().out.endswith("\ncount 16\n")
     assert run(["words", "4321", "--budget-words", "15"]) == 3
     assert guarded == [W0_4, W0_4]
-    assert capsys.readouterr().err == "budget refusal: 16 reduced words exceed the budget of 15\n"
+    assert capsys.readouterr().err == (
+        "budget refusal: at least 16 reduced words exceed the budget of 15\n")
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 20, 40])
+def test_a_refusal_is_bounded(n):
+    # the guard stops at the first state past the budget: refusing w0_n fills
+    # about a thousand states at most of the n! below it (w0_40 has 1e940 words)
+    memo = {}
+    with pytest.raises(BudgetExceeded, match=r"^at least \d+ reduced words exceed the budget"):
+        words._within_budget(longest_element(n), 10**8, memo)
+    assert len(memo) < 5000
+
+
+def test_the_guard_refuses_exactly_past_the_word_count(s5):
+    # against the words closed under braid and commutation moves from one word:
+    # refused at budget |R(w)| - 1 with a count N in (budget, |R(w)|], passed at
+    # |R(w)| with |R(w)| returned, on a fresh memo and on one shared by all of S_5
+    shared = {}
+    for w in s5:
+        total = len(all_words_bfs(w))
+        with pytest.raises(BudgetExceeded) as refusal:
+            words._within_budget(w, total - 1)
+        least = re.fullmatch(r"at least (\d+) reduced words exceed the budget of (\d+)",
+                             str(refusal.value))
+        assert int(least[2]) == total - 1 < int(least[1]) <= total, w
+        assert words._within_budget(w, total) == total, w
+        assert words._within_budget(w, total, shared) == total, w
 
 
 def test_words_match_bfs_closure_n4():
