@@ -12,7 +12,9 @@ only on the first read of ``g.edges``, which only ``graph``/``poset`` output
 makes; a class size on each read.  Edges and ranks read one int per class,
 its ``_triple_masks`` bitmask over w's 321-triples, read off its value
 triples: a braid move flips one bit (probed per unset bit), and the popcount
-is its rank in P(w).  Every function of G(w), here and in ``subnet``,
+is its rank in P(w).  G(w) is the hypercube's subgraph induced on the masks:
+every graph read comes off them and their ``{mask: id}`` dict ``_ids``, with
+no adjacency stored.  Every function of G(w), here and in ``subnet``,
 ``structure``, ``bounds`` and ``suite``, takes the graph; the word budget of
 a G(w) is checked in ``_sweep`` alone, in the process that calls it.
 """
@@ -143,14 +145,20 @@ class ClassGraph:
         return tuple(_triple_masks(self._triples, self.n, (c.canonical for c in self.vertices)))
 
     @cached_property
+    def _ids(self) -> dict[int, int]:
+        """The class of each triple mask: G(w) as points of the hypercube."""
+        ids = {m: v for v, m in enumerate(self._masks)}
+        if len(ids) != len(self.vertices):
+            raise InvariantViolation(f"two classes of {self.w} share a triple mask")
+        return ids
+
+    @cached_property
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:
         """The bare edges: (u, v, j) for classes u < v one flip of bit j apart.
         Setting bit j turns a window i, i+1, i into i+1, i, i+1, and the greedy
         that builds a canonical (lexicographically greatest) word then takes i + 1
         where the lower class's takes at most i, at the first letter they differ."""
-        ids = {m: v for v, m in enumerate(self._masks)}
-        if len(ids) != len(self.vertices):
-            raise InvariantViolation(f"two classes of {self.w} share a triple mask")
+        ids = self._ids
         found, full = [], (1 << len(self._triples)) - 1
         for u, m in enumerate(self._masks):
             free = full ^ m
@@ -175,14 +183,6 @@ class ClassGraph:
         return tuple(out)
 
     @cached_property
-    def _adj(self) -> tuple[frozenset[int], ...]:
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for u, v, _ in self._pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(frozenset, adj))
-
-    @cached_property
     def _y(self) -> tuple[int, Letters]:
         return _most_windows(self.w, self._best)
 
@@ -194,10 +194,11 @@ class ClassGraph:
         return len(self.vertices)
 
     def neighbors(self, cid: int) -> frozenset[int]:
-        return self._adj[cid]
+        m, ids = self._masks[cid], self._ids
+        return frozenset(ids[x] for j in range(self.n321) if (x := m ^ (1 << j)) in ids)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return (self._masks[u] ^ self._masks[v]).bit_count() == 1
 
     def class_by_canonical(self, letters: Letters) -> CommClass:
         i = bisect_left(self.vertices, letters, key=lambda c: c.canonical.letters)
@@ -324,17 +325,9 @@ class GraphReport(NamedTuple):
 
 
 def graph_checks(g: ClassGraph) -> GraphReport:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    """Connected when all classes but one have an up-move (are the lower end of a
+    pair): up-moves from any class, each setting a bit, end at that one."""
     parity = {c.id: sum(c.canonical.letters) % 2 for c in g.vertices}
     bipartite = all(parity[u] != parity[v] for u, v, _ in g._pairs)
-    return GraphReport(len(seen) == len(g.vertices), bipartite)
+    return GraphReport(len({u for u, _, _ in g._pairs}) == len(g) - 1, bipartite)
 

@@ -169,19 +169,21 @@ class CycleVerdict(Enum):
 def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
     """The shortest induced cycle of G(w) through the edges (v,a) and (v,b).
 
-    A 4-cycle when a and b share a neighbour other than v.  Otherwise an
-    8-cycle when some path a -> b of 6 edges keeps its inner vertices
-    off v and its neighbours and has no chord; a DFS finds one, dropping
-    any vertex adjacent to an earlier vertex of the path.  Otherwise
-    there is none.
+    A 4-cycle when the mask v ^ a ^ b is a class: in the hypercube, it and v
+    are the only common neighbours of a and b.  Otherwise an 8-cycle when some
+    path a -> b of 6 edges keeps its inner vertices off v and its neighbours
+    and has no chord; a DFS finds one, dropping any vertex adjacent to an
+    earlier vertex of the path or more bit flips from b than the path has
+    edges left (an edge flips one bit).  Otherwise there is none.
     """
     if not all(0 <= x < len(g) for x in (v, a, b)):
         raise InputError(f"vertices {v}, {a}, {b} are not all in 0..{len(g) - 1}")
     if a == b or not g.has_edge(v, a) or not g.has_edge(v, b):
         raise InputError(f"need two distinct edges at vertex {v}")
-    if len(g.neighbors(a) & g.neighbors(b)) > 1:  # induced, as G(w) is bipartite
+    m = g._masks
+    if m[v] ^ m[a] ^ m[b] in g._ids:  # induced, as G(w) is bipartite
         return CycleVerdict.FOUR_CYCLE
-    found = _closes_chordless(g, [a], g.neighbors(v) | {v}, b)
+    found = _closes_chordless(g, [m[a]], m[v], m[b])
     return CycleVerdict.EIGHT_CYCLE if found else CycleVerdict.NO_INDUCED_CYCLE
 
 
@@ -193,16 +195,18 @@ def _edge_pair_verdicts(g: ClassGraph) -> Iterator[tuple[int, int, int, CycleVer
             yield v, a, b, classify_edge_pair(g, v, a, b)
 
 
-def _closes_chordless(g: ClassGraph, path: list[int], blocked: frozenset[int], b: int) -> bool:
-    """Whether path, off blocked, extends to a and five inner vertices that close
-    at b with no chord: a module function, so no closure cycle keeps G(w) alive."""
+def _closes_chordless(g: ClassGraph, path: list[int], v: int, b: int) -> bool:
+    """Whether path, off v and its neighbours (all masks), extends to a and five inner
+    vertices that close at b with no chord: a module function, so no closure keeps G(w) alive."""
     if len(path) == 6:
-        return g.has_edge(path[-1], b) and g.neighbors(b).isdisjoint(path[:-1])
-    for x in g.neighbors(path[-1]):
-        if x in blocked or not g.neighbors(x).isdisjoint(path[:-1]):
+        return (path[-1] ^ b).bit_count() == 1 and all((b ^ y).bit_count() > 1 for y in path[:-1])
+    for j in range(g.n321):
+        x = path[-1] ^ (1 << j)
+        if (x not in g._ids or (x ^ b).bit_count() > 6 - len(path) or (x ^ v).bit_count() < 2
+                or any((x ^ y).bit_count() == 1 for y in path[:-1])):
             continue
         path.append(x)
-        if _closes_chordless(g, path, blocked, b):
+        if _closes_chordless(g, path, v, b):
             return True
         path.pop()
     return False

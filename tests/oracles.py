@@ -27,6 +27,9 @@ statistic that ``build_poset`` reads as a popcount.
 the patterns, where ``subnet.friendliness`` reads value triples.
 ``grid_labelling_ok`` checks a grid labelling of G(w) against its public
 edges and ranks alone, where ``rectangle_label`` reads the triple masks.
+``OracleGraph`` is G(w) from ``classes_bfs`` and ``rewrite_neighbors``
+alone, with its own adjacency sets, BFS and parity: the graph reads of
+``ClassGraph`` come off the triple masks instead.
 """
 
 import sys
@@ -172,6 +175,40 @@ def local_rule_sets(w: Perm) -> list[frozenset]:
 
     extend(0, frozenset())
     return out
+
+
+class OracleGraph:
+    """G(w) by rewriting alone: the classes by commutation closure, an edge
+    where a braid rewrite joins two of them, vertex ids in order of the
+    lexicographically greatest word of each class (the library's canonical
+    word), and the ``graph_checks`` pair by BFS and index-sum parity."""
+
+    def __init__(self, w: Perm):
+        classes = sorted(classes_bfs(w), key=max)
+        self.canonical = [max(c) for c in classes]
+        where = {ls: k for k, c in enumerate(classes) for ls in c}
+        self.adj: list[set[int]] = [set() for _ in classes]
+        for ls, k in where.items():
+            for other in rewrite_neighbors(ls):
+                if where[other] != k:
+                    self.adj[k].add(where[other])
+        seen = frontier = {0}
+        while frontier:
+            frontier = {y for x in frontier for y in self.adj[x]} - seen
+            seen = seen | frontier
+        parity = [sum(ls) % 2 for ls in self.canonical]
+        self.connected = len(seen) == len(classes)
+        self.bipartite = all(parity[u] != parity[v] for u in range(len(classes))
+                             for v in self.adj[u])
+
+    def __len__(self) -> int:
+        return len(self.adj)
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(self.adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
 
 
 def induced_cycle_lengths(g, v: int, a: int, b: int) -> set[int]:

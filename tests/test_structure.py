@@ -6,9 +6,15 @@ import pytest
 from collections import Counter
 from itertools import combinations
 
-from oracles import contains, grid_labelling_ok, induced_cycle_lengths, word_walk_scan
+from oracles import (
+    OracleGraph,
+    contains,
+    grid_labelling_ok,
+    induced_cycle_lengths,
+    word_walk_scan,
+)
 from redweave import InputError
-from redweave.classes import build_graph
+from redweave.classes import build_graph, graph_checks
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.structure import (
     RECT_PATTERNS,
@@ -20,7 +26,7 @@ from redweave.structure import (
     rectangle_label,
     rectangular_witness,
 )
-from redweave.words import Word, canonical_letters, evaluate
+from redweave.words import Word, canonical_letters, count_reduced_words, evaluate
 
 
 def max_windows(w):
@@ -244,8 +250,8 @@ def test_classify_edge_pair_frees_the_graph_without_gc(w, v, a, b, verdict):
 
 
 def test_classify_edge_pair_refuses_vertices_outside_the_graph():
-    # -1 would read the edges of vertex 7 but not leave 7 out of the common
-    # neighbours, giving a 4-cycle where 7 has an 8-cycle; 99 an IndexError
+    # -1 would read vertex 7's mask and answer for vertex 7, a vertex not
+    # asked about, as -4 would for 4; 99 an IndexError
     g = build_graph((4, 3, 2, 1))
     assert classify_edge_pair(g, 7, 4, 6) is CycleVerdict.EIGHT_CYCLE
     for v, a, b in [(-1, 4, 6), (7, -4, 6), (7, 4, -2), (99, 4, 6), (7, 4, 8)]:
@@ -253,19 +259,29 @@ def test_classify_edge_pair_refuses_vertices_outside_the_graph():
             classify_edge_pair(g, v, a, b)
 
 
-def test_classify_matches_cycle_oracle_s4():
-    for w in enumerate_sn(4):
-        g = build_graph(w)
-        for c in g.vertices:
-            for a, b in combinations(sorted(g.neighbors(c.id)), 2):
-                verdict = classify_edge_pair(g, c.id, a, b)
-                lengths = induced_cycle_lengths(g, c.id, a, b)
-                if verdict is CycleVerdict.FOUR_CYCLE:
-                    assert 4 in lengths
-                elif verdict is CycleVerdict.EIGHT_CYCLE:
-                    assert lengths == {8}
-                else:
-                    assert not lengths
+def test_graph_reads_match_the_oracle_graph():
+    # the mask reads (neighbours, edges, connectivity, the 4-cycle probe and
+    # the pruned DFS) against a G(w) built by rewriting words, on S_4, S_5
+    # and the 652 w of S_6 with at most 2000 reduced words
+    small = [w for w in enumerate_sn(6) if count_reduced_words(w) <= 2000]
+    assert len(small) == 652
+    expected = {4: CycleVerdict.FOUR_CYCLE, 8: CycleVerdict.EIGHT_CYCLE}
+    pairs = 0
+    for w in [*enumerate_sn(4), *enumerate_sn(5), *small]:
+        g, o = build_graph(w), OracleGraph(w)
+        assert [c.canonical.letters for c in g.vertices] == o.canonical, w
+        assert graph_checks(g) == (o.connected, o.bipartite), w
+        for v in range(len(g)):
+            assert g.neighbors(v) == o.neighbors(v), (w, v)
+            assert [g.has_edge(v, u) for u in range(len(g))] == [
+                o.has_edge(v, u) for u in range(len(g))], (w, v)
+            for a, b in combinations(sorted(o.neighbors(v)), 2):
+                lengths = induced_cycle_lengths(o, v, a, b)
+                assert lengths <= {4, 8}, (w, v, a, b)
+                want = expected[min(lengths)] if lengths else CycleVerdict.NO_INDUCED_CYCLE
+                assert classify_edge_pair(g, v, a, b) is want, (w, v, a, b)
+                pairs += 1
+    assert pairs == 11 + 7520  # S_4's, then those of S_5 and the S_6 w
 
 
 def test_verdicts_by_shared_wires_s6(s6):

@@ -117,6 +117,18 @@ def test_failed_poset_leaves_no_grid_label(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("w", [(3, 2, 1), (4, 3, 2, 1), (4, 3, 6, 5, 1, 2)])
+def test_a_class_with_no_up_move_but_the_top_is_disconnected(w):
+    # the pairs with every up-move of the bottom class (mask 0) dropped leave
+    # it no edge at all: connectivity read off the up-moves must see that
+    g = classes.build_graph(w)
+    bottom = g._ids[0]
+    g._pairs = tuple(p for p in g._pairs if p[0] != bottom)
+    assert all(bottom not in p[:2] for p in g._pairs)
+    assert not classes.graph_checks(g).connected
+    assert f"G({w}) is not connected" in suite.check_permutation(g)
+
+
 @pytest.mark.parametrize("heaviest_first", [True, False])
 def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
     # s6_graphs and the S_5 graphs below are built with no tables installed
