@@ -109,9 +109,8 @@ def paren_decoding(text: str, l: int) -> Letters:
 def _tally(g: ClassGraph) -> tuple[int, bool]:
     """|G(w)|, and whether every canonical word of w decodes back from its
     parenthesis encoding: w's share of the aggregate bound at l(w)."""
-    l = len(g.vertices[0].canonical.letters)  # l(w): every reduced word's length
-    words = (c.canonical.letters for c in g.vertices)
-    return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in words)
+    l = len(g._canonical[0])  # l(w): every reduced word's length
+    return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in g._canonical)
 
 
 def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT) -> AggregateReport:

@@ -6,11 +6,13 @@ order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers.  The canonical words come up front, by a walk in
 ``words`` on the memos of the ``_SweepTables`` passed in: one per ``_run``,
 the sweep loop of every process, of which ``build_graph`` is a sweep of one.
+The graph keeps them alone, by id: the records of ``g.vertices`` are made
+on its first read, which only the ``classes`` command and library callers make.
 The bare mask-flip edges ``_pairs``, which every check reads, and Y, on the
 one memo the graph keeps, come on first read and are kept; the edge labels
-only on the first read of ``g.edges``, which only ``graph``/``poset`` output
-makes; a class size on each read.  Edges and ranks read one int per class,
-its ``_triple_masks`` bitmask over w's 321-triples, read off its value
+only on the first read of ``g.edges``, which only ``graph`` text and JSON
+output makes; a class size on each read.  Edges and ranks read one int per
+class, its ``_triple_masks`` bitmask over w's 321-triples, read off its value
 triples: a braid move flips one bit (probed per unset bit), and the popcount
 is its rank in P(w).  G(w) is the hypercube's subgraph induced on the masks:
 every graph read comes off them and their ``{mask: id}`` dict ``_ids``, with
@@ -78,8 +80,8 @@ def _class_size(letters: Letters, n: int) -> int:
     return sum(layer.values())
 
 
-def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> list[int]:
-    """The triple mask of each reduced word of w, in one crossing pass each.
+def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Letters]) -> list[int]:
+    """The triple mask of each reduced word (letter tuple) of w, in one crossing pass each.
 
     Bit j is set when (b, c) crosses before (a, b) for the j-th 321-triple
     a < b < c of w.  The mask fixes the commutation class, and a braid move
@@ -96,7 +98,7 @@ def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Word]) -> 
     for word in words:
         seq = list(range(n + 1))  # seq[p] is the wire at position p, from 1
         mask = crossed = 0
-        for i in word.letters:
+        for i in word:
             u, v = seq[i], seq[i + 1]
             seq[i], seq[i + 1] = v, u
             mask |= ab[u][v] & crossed
@@ -126,29 +128,34 @@ class ClassGraph:
 
     Vertex ids are dense integers in lexicographic order of the
     canonical words, so output is reproducible.  Y and the least word
-    attaining it ride along.  The graph is read-only.  Only the vertices
-    are built with it; each other layer but the class sizes is kept on
-    first read.
+    attaining it ride along.  The graph is read-only.  Only the canonical
+    words are built with it; each other layer but the class sizes is kept
+    on first read.
     """
 
-    def __init__(self, w: Perm, vertices: tuple[CommClass, ...], best: dict):
+    def __init__(self, w: Perm, canonical: tuple[Letters, ...], best: dict):
         self.w = w
         self.n = len(w)
-        self.vertices = vertices
+        self._canonical = canonical  # the canonical word of each class, by id
         self._best = best  # the memo Y fills: the sweep's, or the graph's own
+
+    @cached_property
+    def vertices(self) -> tuple[CommClass, ...]:
+        """The class records, made on first read: no check reads them."""
+        return tuple(CommClass(i, Word(c, self.n)) for i, c in enumerate(self._canonical))
 
     _triples = cached_property(lambda self: _triples321(self.w))  # a < b < c, by mask bit
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
         """The triple mask of each class, by id."""
-        return tuple(_triple_masks(self._triples, self.n, (c.canonical for c in self.vertices)))
+        return tuple(_triple_masks(self._triples, self.n, self._canonical))
 
     @cached_property
     def _ids(self) -> dict[int, int]:
         """The class of each triple mask: G(w) as points of the hypercube."""
         ids = {m: v for v, m in enumerate(self._masks)}
-        if len(ids) != len(self.vertices):
+        if len(ids) != len(self._canonical):
             raise InvariantViolation(f"two classes of {self.w} share a triple mask")
         return ids
 
@@ -176,8 +183,8 @@ class ClassGraph:
         out = []
         for u, v, j in self._pairs:
             if not out or out[-1].u != u:
-                word = self.vertices[u].canonical
-                at = dict(zip(crossing_events(word), word.letters))  # (a, b) -> letter
+                word = self._canonical[u]
+                at = dict(zip(crossing_events(Word(word, self.n)), word))  # (a, b) -> letter
             t = self._triples[j]
             out.append(Edge(u, v, ((at[t[:2]], t),)))
         return tuple(out)
@@ -191,7 +198,7 @@ class ClassGraph:
     n321 = property(lambda self: len(self._triples))  # N321(w), read off the triple masks' bits
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._canonical)
 
     def neighbors(self, cid: int) -> frozenset[int]:
         m, ids = self._masks[cid], self._ids
@@ -201,10 +208,10 @@ class ClassGraph:
         return (self._masks[u] ^ self._masks[v]).bit_count() == 1
 
     def class_by_canonical(self, letters: Letters) -> CommClass:
-        i = bisect_left(self.vertices, letters, key=lambda c: c.canonical.letters)
-        if i == len(self.vertices) or self.vertices[i].canonical.letters != letters:
+        i = bisect_left(self._canonical, letters)
+        if i == len(self) or self._canonical[i] != letters:
             raise KeyError(letters)
-        return self.vertices[i]
+        return CommClass(i, Word(self._canonical[i], self.n))
 
 
 def class_members(letters: Letters) -> set[Letters]:
@@ -234,9 +241,7 @@ def _scan_impl(w: Perm, dag: _SweepTables) -> ClassGraph:
     """G(w) on the memos of ``dag``, of which it keeps Y's alone, with no
     budget check.  The canonical words come in lexicographic order, so a
     class's id is its position."""
-    words = _canonical_words(w, dag.live)
-    vertices = tuple(CommClass(i, Word(c, len(w))) for i, c in enumerate(words))
-    return ClassGraph(w, vertices, dag.best)
+    return ClassGraph(w, tuple(_canonical_words(w, dag.live)), dag.best)
 
 
 def _run(job: Callable[[ClassGraph], object], perms: list[Perm]) -> list:
@@ -291,8 +296,8 @@ def build_poset(g: ClassGraph) -> RankedPoset:
     ``InvariantViolation`` unless every edge joins index sums one apart,
     every cover drops the rank by one, and the ranks fill 0..N321.
     """
-    ranks = {c.id: m.bit_count() for c, m in zip(g.vertices, g._masks)}
-    sums = {c.id: sum(c.canonical.letters) for c in g.vertices}
+    ranks = {i: m.bit_count() for i, m in enumerate(g._masks)}
+    sums = [sum(c) for c in g._canonical]
     covers = []
     for u, v, _ in g._pairs:
         upper, lower = (u, v) if sums[u] > sums[v] else (v, u)
@@ -312,7 +317,7 @@ def build_poset(g: ClassGraph) -> RankedPoset:
             f"expected 0..{g.n321}"
         )
     covers.sort()
-    return RankedPoset(tuple(c.id for c in g.vertices), tuple(covers), ranks)
+    return RankedPoset(tuple(range(len(g))), tuple(covers), ranks)
 
 
 class GraphReport(NamedTuple):
@@ -327,7 +332,7 @@ class GraphReport(NamedTuple):
 def graph_checks(g: ClassGraph) -> GraphReport:
     """Connected when all classes but one have an up-move (are the lower end of a
     pair): up-moves from any class, each setting a bit, end at that one."""
-    parity = {c.id: sum(c.canonical.letters) % 2 for c in g.vertices}
+    parity = [sum(c) % 2 for c in g._canonical]
     bipartite = all(parity[u] != parity[v] for u, v, _ in g._pairs)
     return GraphReport(len({u for u, _, _ in g._pairs}) == len(g) - 1, bipartite)
 

@@ -105,13 +105,8 @@ def _graph_payload(g: ClassGraph, poset: RankedPoset) -> dict:
         "n": g.n,
         "w": list(g.w),
         "vertices": [
-            {
-                "id": c.id,
-                "canonical": list(c.canonical.letters),
-                "index_sum": sum(c.canonical.letters),
-                "rank": poset.rank[c.id],
-            }
-            for c in g.vertices
+            {"id": cid, "canonical": list(c), "index_sum": sum(c), "rank": poset.rank[cid]}
+            for cid, c in enumerate(g._canonical)
         ],
         "edges": [
             {
@@ -138,16 +133,16 @@ def _graph_text(g: ClassGraph) -> Iterator[str]:
 def _dot(g: ClassGraph, poset: RankedPoset) -> Iterator[str]:
     """G(w) for graphviz, one row per rank of P(w)."""
     yield "graph G {"
-    for c in g.vertices:
-        yield f'  n{c.id} [label="{_csv(c.canonical.letters) or "e"}"];'
+    for cid, c in enumerate(g._canonical):
+        yield f'  n{cid} [label="{_csv(c) or "e"}"];'
     levels: dict[int, list[int]] = {}
     for cid, r in poset.rank.items():
         levels.setdefault(r, []).append(cid)
     for r in sorted(levels):
         ids = "; ".join(f"n{i}" for i in sorted(levels[r]))
         yield f"  {{ rank=same; {ids}; }}"
-    for e in g.edges:
-        yield f"  n{e.u} -- n{e.v};"
+    for u, v, _ in g._pairs:  # the edges' order, with no label made
+        yield f"  n{u} -- n{v};"
     yield "}"
 
 
@@ -169,7 +164,7 @@ def _cmd_poset(args) -> _Output:
     lines = chain(
         (
             f"{cid}: rank {poset.rank[cid]}  "
-            f"{_csv(g.vertices[cid].canonical.letters) or '(empty)'}"
+            f"{_csv(g._canonical[cid]) or '(empty)'}"
             for cid in poset.elements
         ),
         (f"  {upper} covers {lower}" for upper, lower in poset.covers),

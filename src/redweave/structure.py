@@ -140,11 +140,11 @@ def rectangle_label(g: ClassGraph) -> RectangleSpec | None:
         axes.append((bits, pairs))
     dims = [bits.bit_count() for bits, _ in axes]
     size = prod(d + 1 for d in dims)
-    if size != len(g.vertices):  # before any label: w0_7's box has 2^35 points
+    if size != len(g._canonical):  # before any label: w0_7's box has 2^35 points
         return None
     full = (1 << len(g._triples)) - 1
-    labels = {c.id: tuple(((full ^ m) & bits).bit_count() for bits, _ in axes)
-              for c, m in zip(g.vertices, g._masks)}
+    labels = {cid: tuple(((full ^ m) & bits).bit_count() for bits, _ in axes)
+              for cid, m in enumerate(g._masks)}
     # each label lies in the box, so distinct labels fill it; the edges
     # (distinct pairs) are then its unit pairs when each joins one and they
     # are as many
@@ -155,7 +155,7 @@ def rectangle_label(g: ClassGraph) -> RectangleSpec | None:
         return None
     basis = {pt.index(1): cid for cid, pt in labels.items() if sum(pt) == 1}  # axis -> e_j's class
     order = sorted(range(len(dims)),
-                   key=lambda j: (dims[j], g.vertices[basis[j]].canonical.letters))
+                   key=lambda j: (dims[j], g._canonical[basis[j]]))
     return RectangleSpec(tuple(dims[j] for j in order),
                          {cid: tuple(pt[j] for j in order) for cid, pt in labels.items()})
 

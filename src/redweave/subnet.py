@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
 from .perm import Perm, _ints, _triples321, longest_element, pattern_occurrences
-from .words import Letters, Word, _w0_letter_weights, crossing_events, evaluate, index_sum
+from .words import (Letters, Word, _w0_letter_weights, crossing_events, evaluate, index_sum,
+                    reduced_letter_seqs)
 
 
 class WordSet(NamedTuple):
@@ -145,17 +146,12 @@ def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
 
     When X is a union of commutation classes, the subnetwork count is
     constant on each class of w, so a class is tested once through its
-    canonical word and counted with its size.  Otherwise every member
-    word is tested.
+    canonical word and counted with its size.  Otherwise every reduced
+    word of w is tested, as ``reduced_letter_seqs`` streams it.
     """
     if all(class_members(ls) <= x.words for ls in x.words):
         return sum(c.size for c in g.vertices if _avoids(c.canonical, x))
-    return sum(
-        1
-        for c in g.vertices
-        for ls in class_members(c.canonical.letters)
-        if _avoids(Word(ls, g.n), x)
-    )
+    return sum(1 for ls in reduced_letter_seqs(g.w) if _avoids(Word(ls, g.n), x))
 
 
 def count_x_avoiding_classes(g: ClassGraph, x: WordSet) -> int:

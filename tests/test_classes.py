@@ -331,9 +331,28 @@ def test_local_rule_sets_are_the_classes_s5_s6(s5, s6):
 def test_two_classes_with_one_mask_are_refused():
     # a mask fixes its class, so a repeated canonical word cannot pass as two
     g = build_graph((3, 4, 2, 1))
-    twice = classes.ClassGraph(g.w, (g.vertices[0], classes.CommClass(1, g.vertices[0].canonical)), {})
+    twice = classes.ClassGraph(g.w, (g._canonical[0], g._canonical[0]), {})
     with pytest.raises(InvariantViolation, match="share a triple mask"):
         twice.edges
+
+
+@pytest.mark.parametrize("w", [longest_element(5), (3, 2, 6, 5, 1, 4), (4, 2, 3, 1), identity(4)])
+def test_checks_make_no_class_records(w):
+    # the checks read the canonical words by position: g.vertices stays unmade
+    g = build_graph(w)
+    for check in (suite.check_permutation, bounds._tally, structure.rectangle_label,
+                  lambda g: list(structure._edge_pair_verdicts(g)), structure.embed_hypercube):
+        check(g)
+        assert "vertices" not in vars(g), check
+
+
+def test_class_records_match_the_dfs_oracle(s5, s6):
+    for w in [w for n in range(1, 5) for w in enumerate_sn(n)] + s5 + s6:
+        g = build_graph(w)
+        want = [classes.CommClass(i, Word(c, len(w))) for i, c in enumerate(canonical_words_dfs(w))]
+        assert [g.class_by_canonical(c.canonical.letters) for c in want] == want, w
+        assert "vertices" not in vars(g) and len(g) == len(want), w
+        assert g.vertices == tuple(want), w
 
 
 def test_rank_is_the_212_count_s5_s6(s5, s6):

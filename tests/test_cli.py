@@ -91,6 +91,33 @@ def test_graph_dot_deterministic(capsys):
     assert "n0 -- n1;" in out and "rank=same" in out
 
 
+@pytest.mark.parametrize("command", ["graph", "poset"])
+def test_dot_labels_no_edge(capsys, monkeypatch, command):
+    # DOT prints the bare pairs: no crossing pass labels an edge
+    calls = Counter()
+
+    def counted(word, _real=words.crossing_events):
+        calls[word.letters] += 1
+        return _real(word)
+
+    for mod in (classes, words):
+        monkeypatch.setattr(mod, "crossing_events", counted)
+    assert run([command, "4321", "--format", "dot"]) == 0
+    assert "  n0 -- n1;\n" in out_of(capsys) and calls == {}
+
+
+def test_commands_but_classes_make_no_class_records(capsys, monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"G({g.w}) made its class records")
+
+    monkeypatch.setattr(classes.ClassGraph, "vertices", property(refuse))
+    for argv in (["scan", "5", "--threads", "1"], ["aggregate", "5", "6"], ["cycles", "4321"],
+                 ["rect", "326514"], ["cube", "326514"], ["graph", "4321"], ["poset", "4321"]):
+        for fmt in ("text", "json", "dot"):
+            if fmt != "dot" or argv[0] in ("graph", "poset"):
+                assert run([*argv, "--format", fmt]) == 0, (argv, fmt)
+
+
 def test_poset_json(capsys):
     assert run(["poset", "3421", "--format", "json"]) == 0
     doc = json.loads(out_of(capsys))

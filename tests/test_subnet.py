@@ -183,6 +183,15 @@ def test_x_avoiding_words_when_x_is_not_a_class_union():
     assert direct == 590
 
 
+def test_x_avoiding_words_of_a_non_closed_x_match_the_brute_oracle(s5):
+    # neither X is a union of classes: 121321 and 13 each leave class-mates out
+    for x in (word_set([(1, 2, 1, 3, 2, 1)], 4), word_set([(1, 3)], 4)):
+        for w in s5:
+            want = sum(1 for word in enumerate_reduced_words(w)
+                       if count_subnetworks_brute(word, x.words, x.m) == 0)
+            assert count_x_avoiding_words(build_graph(w), x) == want, (x.words, w)
+
+
 def test_friendliness_examples():
     fr = friendliness(longest_element(5), longest_element(4))
     assert fr.k == 2 and not fr.vacuous
