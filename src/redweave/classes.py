@@ -261,7 +261,8 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     before any G(w) is built, so the first refusal in that order is raised.  They
     are dealt to the shares back and forth (0, 1, ..., t-1, t-1, ..., 0,
     ...): each share gets heavy and light w alike and starts on one of the
-    heaviest, which fills most of its DAG.
+    heaviest, which fills most of its DAG.  The job runs on every w; that
+    of ``suite.scan_sn`` checks one w per symmetry orbit and tallies all.
     """
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     counts: dict[Perm, int] = {}  # the guard's memo, freed before any G(w)

@@ -65,6 +65,13 @@ def inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
+def _orbit(w: Perm) -> tuple[Perm, Perm, Perm, Perm]:
+    """w, w^-1, w0 w w0 and its inverse: G(w) is isomorphic to G of each, by
+    word reversal and the letter map i -> n - i."""
+    flip = tuple(len(w) + 1 - v for v in reversed(w))
+    return w, inverse(w), flip, inverse(flip)
+
+
 def inversions(w: Perm) -> int:
     """Number of pairs i < j with w(i) > w(j).
 

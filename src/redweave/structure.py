@@ -13,8 +13,9 @@ from .perm import Perm, _triples321
 from .words import Word, _Cache, braid_windows, canonical_letters
 
 # Containment of any of these makes G(w) fail to be a rectangle.  The
-# list is closed under inversion (G(w) and G(w^-1) are isomorphic via
-# word reversal) and verified complete against grid isomorphism for all
+# list is closed under inversion and under conjugation by w0 (G(w) is
+# isomorphic to G(w^-1) via word reversal, to G(w0 w w0) via the letter
+# map i -> n - i) and verified complete against grid isomorphism for all
 # of S_6: the classical triple 4321, 42531, 53142 alone misses e.g.
 # 45231, whose graph is a 4-cycle with two pendant edges.
 RECT_PATTERNS: tuple[Perm, ...] = (

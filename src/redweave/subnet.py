@@ -11,6 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+from . import classes
 from .classes import ClassGraph, build_graph, class_members
 from .errors import InputError
 from .perm import Perm, _ints, _triples321, longest_element, pattern_occurrences
@@ -52,7 +53,7 @@ TOP_212 = word_set([(2, 1, 2)], 3)
 def s4_longest_classes() -> list[WordSet]:
     """The commutation classes of the longest word of S_4, each as a WordSet."""
     g = build_graph((4, 3, 2, 1))
-    return [word_set(class_members(c.canonical.letters), 4) for c in g.vertices]
+    return [word_set(class_members(c), 4) for c in g._canonical]
 
 
 def _preset(text: str) -> WordSet:
@@ -150,7 +151,8 @@ def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
     word of w is tested, as ``reduced_letter_seqs`` streams it.
     """
     if all(class_members(ls) <= x.words for ls in x.words):
-        return sum(c.size for c in g.vertices if _avoids(c.canonical, x))
+        return sum(classes._class_size(c, g.n) for c in g._canonical
+                   if _avoids(Word(c, g.n), x))
     return sum(1 for ls in reduced_letter_seqs(g.w) if _avoids(Word(ls, g.n), x))
 
 
@@ -160,7 +162,7 @@ def count_x_avoiding_classes(g: ClassGraph, x: WordSet) -> int:
     The subnetwork count is constant on a class, so testing each
     canonical representative once suffices.
     """
-    return sum(1 for c in g.vertices if _avoids(c.canonical, x))
+    return sum(1 for c in g._canonical if _avoids(Word(c, g.n), x))
 
 
 class Friendliness(NamedTuple):
@@ -198,8 +200,8 @@ def _check_word_of(w: Perm, word: Word) -> None:
 
 def _top_class(p: Perm) -> WordSet:
     """The commutation class of p with the highest index sum, as a WordSet."""
-    top = max(build_graph(p).vertices, key=lambda c: (index_sum(c.canonical), c.canonical))
-    return word_set(class_members(top.canonical.letters), len(p))
+    top = max(build_graph(p)._canonical, key=lambda c: (sum(c), c))
+    return word_set(class_members(top), len(p))
 
 
 def predicted_count_friendly(g: ClassGraph, word: Word, p: Perm) -> FriendlyPrediction:
@@ -217,7 +219,7 @@ def predicted_count_friendly(g: ClassGraph, word: Word, p: Perm) -> FriendlyPred
         raise InputError(f"{w} is not {p}-friendly")
     _check_word_of(w, word)
     x = _top_class(p)
-    c = min(index_sum(v.canonical) for v in g.vertices)  # a class invariant
+    c = min(map(sum, g._canonical))  # the index sum, a class invariant
     predicted = fr.k * index_sum(word) - c
     return FriendlyPrediction(predicted, count_subnetworks(word, x), fr.k, c, x)
 

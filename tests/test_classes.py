@@ -338,10 +338,14 @@ def test_two_classes_with_one_mask_are_refused():
 
 @pytest.mark.parametrize("w", [longest_element(5), (3, 2, 6, 5, 1, 4), (4, 2, 3, 1), identity(4)])
 def test_checks_make_no_class_records(w):
-    # the checks read the canonical words by position: g.vertices stays unmade
+    # the checks and the class-wise subnetwork counts read the canonical
+    # words by position: g.vertices stays unmade
     g = build_graph(w)
+    friendly = lambda g: subnet.predicted_count_friendly(g, Word(g._canonical[0], g.n), (3, 2, 1))
     for check in (suite.check_permutation, bounds._tally, structure.rectangle_label,
-                  lambda g: list(structure._edge_pair_verdicts(g)), structure.embed_hypercube):
+                  lambda g: list(structure._edge_pair_verdicts(g)), structure.embed_hypercube,
+                  lambda g: subnet.count_x_avoiding_classes(g, WARRINGTON_X),
+                  lambda g: count_x_avoiding_words(g, WARRINGTON_X), friendly):
         check(g)
         assert "vertices" not in vars(g), check
 

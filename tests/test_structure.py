@@ -15,7 +15,7 @@ from oracles import (
 )
 from redweave import InputError
 from redweave.classes import build_graph, graph_checks
-from redweave.perm import enumerate_sn, identity, longest_element
+from redweave.perm import _orbit, enumerate_sn, identity, inverse, longest_element
 from redweave.structure import (
     RECT_PATTERNS,
     CycleVerdict,
@@ -101,6 +101,18 @@ def test_rect_patterns_start_with_4321():
     # the suite reads 4321-avoidance off the witness: w avoids 4321 exactly
     # when its first forbidden pattern is another one, or there is none
     assert RECT_PATTERNS[0] == (4, 3, 2, 1)
+
+
+def test_rect_patterns_are_closed_under_both_maps():
+    # G(w) is isomorphic to G(w^-1) and to G(w0 w w0), so containment of the
+    # list is an orbit invariant; both maps fix 4321, so avoiding it is too
+    w0 = longest_element(4)
+    assert _orbit(w0) == (w0,) * 4
+    for p in RECT_PATTERNS:
+        r = longest_element(len(p))
+        flip = tuple(r[p[r[i] - 1] - 1] for i in range(len(p)))  # w0 p w0, composed
+        assert inverse(p) in RECT_PATTERNS and flip in RECT_PATTERNS, p
+        assert set(_orbit(p)) == {p, inverse(p), flip, inverse(flip)}, p
 
 
 def test_rectangle_label_326514():

@@ -1,4 +1,5 @@
 import gc
+import random
 import multiprocessing
 import weakref
 from collections import Counter
@@ -305,3 +306,129 @@ def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch):
     # 4321 goes first, and its first state with more than 2 words has 3
     assert refusals == ["at least 3 reduced words exceed the budget of 2"] * 2
     assert FakePool.sizes == []
+
+
+def _per_w(n, budget=10**8, threads=1):
+    """The per-w oracle sweep: ``_check_and_tally`` on every w, reported as
+    ``scan_sn`` reports, and its tallies."""
+    perms = list(enumerate_sn(n))
+    by_perm = classes._sweep(perms, suite._check_and_tally, budget, threads)
+    tallies = {w: tally for w, (_, tally) in by_perm.items()}
+    out = [v for w in perms for v in by_perm[w][0]]
+    out += [f"aggregate bound fails for n={n}, l={rep.l}: {rep}"
+            for rep in bounds.aggregate_reports(n, tallies) if not rep.ok]
+    return out, tallies
+
+
+def _outcomes(g):
+    """What each check of ``check_permutation`` reads, in a form that G(w)'s
+    isomorphisms to G(w^-1) and G(w0 w w0) keep: ids, index sums and ranks
+    do not appear."""
+    w = g.w
+    rep = classes.graph_checks(g)
+    try:
+        poset = len(classes.build_poset(g).covers)
+    except InvariantViolation as exc:
+        poset = str(exc).replace(str(w), "w")
+    try:
+        cube = structure.embed_hypercube(g).dimension >= (g.max_windows + 1) // 2
+    except InvariantViolation:
+        cube = False
+    label = structure.rectangle_label(g)
+    witness = structure.rectangular_witness(w)
+    degrees = Counter(x for u, v, _ in g._pairs for x in (u, v))
+    eights = None
+    if witness != (4, 3, 2, 1):
+        verdicts = list(structure._edge_pair_verdicts(g))
+        eights = (Counter(verdict for *_, verdict in verdicts),
+                  sum(1 for v, a, b, verdict in verdicts
+                      if verdict is structure.CycleVerdict.EIGHT_CYCLE
+                      and not suite._on_six_cycle(g, v, a, b)))
+    return (rep, poset, tuple(bounds.size_bounds(g)[1:]), len(g), inversions(w), cube,
+            structure._disjoint(g._triples), witness is None,
+            None if label is None else sorted(label.dims),
+            sorted(Counter(degrees.values()).items()), len(g._pairs), eights)
+
+
+def _s7_sample():
+    # a seeded sample of S_7, w0_7 among it, closed under the orbits
+    sample = random.Random(29).sample(list(enumerate_sn(7)), 60) + [longest_element(7)]
+    return sorted({x for w in sample for x in perm._orbit(w)})
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_each_check_is_constant_on_every_orbit(n):
+    perms = list(enumerate_sn(n)) if n < 7 else _s7_sample()
+    outcomes = classes._sweep(perms, _outcomes, 10**12)
+    for w in perms:
+        assert outcomes[min(perm._orbit(w))] == outcomes[w], w
+
+
+def _class_map(g, h, image):
+    """Class ids of G(w) -> class ids of G(w') along a map of reduced words."""
+    return [h.class_by_canonical(words.canonical_letters(image(c))).id for c in g._canonical]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orbit_maps_carry_classes_index_sums_and_ranks(n):
+    # reversal keeps a class's index sum s and 212-rank r; the letter map
+    # i -> n - i sends them to n l(w) - s and N321 - r, so every cover of
+    # P(w) flips on both counts; both maps are isomorphisms of G(w)
+    graphs = classes._sweep(enumerate_sn(n), lambda g: g, 10**8)
+    for w, g in graphs.items():
+        l = inversions(w)
+        _, inv, flip, _ = perm._orbit(w)
+        maps = [(graphs[inv], lambda c: c[::-1], lambda s, r: (s, r)),
+                (graphs[flip], lambda c: tuple(n - x for x in c),
+                 lambda s, r: (n * l - s, g.n321 - r))]
+        for h, image, carry in maps:
+            to = _class_map(g, h, image)
+            assert sorted(to) == list(range(len(h))), w
+            for u, c in enumerate(g._canonical):
+                got = sum(h._canonical[to[u]]), h._masks[to[u]].bit_count()
+                assert got == carry(sum(c), g._masks[u].bit_count()), (w, c)
+            pairs = {frozenset((to[u], to[v])) for u, v, _ in g._pairs}
+            assert pairs == {frozenset((u, v)) for u, v, _ in h._pairs}, w
+
+
+def test_scan_checks_one_w_per_orbit(monkeypatch):
+    checked = []
+    real = suite.check_permutation
+    monkeypatch.setattr(suite, "check_permutation", lambda g: checked.append(g.w) or real(g))
+    assert suite.scan_sn(6, threads=1) == []
+    assert sorted(checked) == sorted({min(perm._orbit(w)) for w in enumerate_sn(6)})
+    assert len(checked) == 230
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fails", [
+    lambda g: min(perm._orbit(g.w)) == (2, 4, 5, 1, 3),  # one orbit of four
+    lambda g: len(g) == 3 and inversions(g.w) == 6,  # three orbits, by isomorphism invariants
+])
+def test_a_failing_orbit_is_checked_per_w(monkeypatch, threads, fails):
+    # a check patched to fail on whole orbits: scan_sn reports what the
+    # per-w sweep reports, each member of a failing orbit once, in order,
+    # and checks those members again in a second sweep of their own
+    def cube(g):
+        if fails(g):
+            raise InvariantViolation(f"no cube in G({g.w})")
+
+    monkeypatch.setattr(suite, "embed_hypercube", cube)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(FakePool, "shares", [])
+    want, _ = _per_w(5)
+    failing = [w for w, g in classes._sweep(enumerate_sn(5), lambda g: g, 10**8).items()
+               if fails(g)]
+    assert want == [f"no cube in G({w})" for w in sorted(failing)]
+    assert len(failing) >= 4
+    assert suite.scan_sn(5, threads=threads) == want
+    if threads > 1:
+        assert sorted(w for share in FakePool.shares[-1] for w in share) == sorted(failing)
+
+
+@pytest.mark.slow
+def test_orbit_sweep_matches_the_per_w_sweep_s7():
+    want, tallies = _per_w(7, 10**12, threads=2)
+    swept = classes._sweep(enumerate_sn(7), suite._check_orbit_and_tally, 10**12, threads=2)
+    assert {w: tally for w, (_, tally) in swept.items()} == tallies
+    assert suite.scan_sn(7, 10**12, threads=2) == want
