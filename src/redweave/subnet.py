@@ -142,6 +142,11 @@ def count_subnetworks(word: Word, x: WordSet) -> int:
     return sum(1 for _ in _subnetworks(word, x))
 
 
+def _closed(x: WordSet) -> bool:
+    """Whether X is a union of commutation classes."""
+    return all(class_members(ls) <= x.words for ls in x.words)
+
+
 def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
     """How many reduced words of w induce no X-subnetwork at all.
 
@@ -150,18 +155,18 @@ def count_x_avoiding_words(g: ClassGraph, x: WordSet) -> int:
     canonical word and counted with its size.  Otherwise every reduced
     word of w is tested, as ``reduced_letter_seqs`` streams it.
     """
-    if all(class_members(ls) <= x.words for ls in x.words):
+    if _closed(x):
         return sum(classes._class_size(c, g.n) for c in g._canonical
                    if _avoids(Word(c, g.n), x))
     return sum(1 for ls in reduced_letter_seqs(g.w) if _avoids(Word(ls, g.n), x))
 
 
 def count_x_avoiding_classes(g: ClassGraph, x: WordSet) -> int:
-    """How many commutation classes of w are X-avoiding.
-
-    The subnetwork count is constant on a class, so testing each
-    canonical representative once suffices.
-    """
+    """How many commutation classes of w are X-avoiding, each tested through
+    its canonical word: sound only if X is a union of commutation classes, so
+    any other X is refused, as a class of w could both avoid and contain it."""
+    if not _closed(x):
+        raise InputError("X is not a union of commutation classes")
     return sum(1 for c in g._canonical if _avoids(Word(c, g.n), x))
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import inf
 
 from .bounds import _tally, aggregate_reports, size_bounds
-from .classes import ClassGraph, _sweep, build_poset, graph_checks
+from .classes import ClassGraph, _sweep, build_graph, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
-from .perm import _orbit, enumerate_sn, inversions
+from .perm import Perm, _orbit, enumerate_sn, inversions
 from .structure import (
     CycleVerdict,
     _disjoint,
@@ -86,21 +87,23 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return b in seen
 
 
-def _check_and_tally(g: ClassGraph) -> tuple[list[str], tuple[int, bool]]:
-    """The per-w sweep job: the violations and ``_tally`` of G(w)."""
-    return check_permutation(g), _tally(g)
-
-
-def _check_orbit_and_tally(g: ClassGraph) -> tuple[list[str], tuple[int, bool]]:
-    """``scan_sn``'s job: ``_check_and_tally``, checking only the least w of an orbit."""
-    return check_permutation(g) if g.w == min(_orbit(g.w)) else [], _tally(g)
+def _check_orbit_and_tally(g: ClassGraph) -> tuple[dict[Perm, list[str]], tuple[int, bool]]:
+    """``scan_sn``'s one job: the violations of w's orbit, keyed by w, and
+    ``_tally(g)``.  Only an orbit's least w is checked; if it fails, so is each
+    other member x, on a G(x) built with no budget: x has as many words as w
+    (both maps are bijections), and ``_sweep`` checked that count before any job ran."""
+    found: dict[Perm, list[str]] = {}
+    if g.w == min(orbit := _orbit(g.w)) and (mine := check_permutation(g)):
+        found = {x: mine if x == g.w else check_permutation(build_graph(x, inf))
+                 for x in set(orbit)}
+    return found, _tally(g)
 
 
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    Each w is one ``_check_orbit_and_tally`` job of ``classes._sweep``, in this
-    process or a pool of up to ``threads``; it keeps no G(w) and returns
+    Each w is one ``_check_orbit_and_tally`` job of one ``classes._sweep``, in
+    this process or a pool of up to ``threads``; it keeps no G(w) and returns
     two numbers for the aggregate bound.  The budget is checked for every w
     here before any job runs; the jobs of a process share one DAG of S_n.
     ``_tally`` runs on every w (its paren round trip is per word), the
@@ -113,16 +116,13 @@ def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list
     index sum s and 212-rank r, the letter map sends them to n l(w) - s and
     N321 - r, so parity and the covers' drops carry over.  ``embed_hypercube``
     passes or fails alike, but its witness differs (k = 2 on 35241, 1 on
-    52413).  The w of an orbit with a violation are checked again, each by
-    ``_check_and_tally``, so the violations are the per-w sweep's, in
-    lexicographic order of w.
+    52413).  The job checks each w of a failing orbit on its own G(w), so the
+    violations are the per-w sweep's, in lexicographic order of w.
     """
     perms = list(enumerate_sn(n))
     by_perm = _sweep(perms, _check_orbit_and_tally, budget, threads)
-    failed = {x for w, (found, _) in by_perm.items() if found for x in _orbit(w)}
-    if failed:
-        by_perm.update(_sweep(failed, _check_and_tally, budget, threads))
-    out = [v for w in perms for v in by_perm[w][0]]
+    found = {x: v for by_w, _ in by_perm.values() for x, v in by_w.items()}
+    out = [v for w in perms for v in found.get(w, [])]
     # aggregate bound, one check per nontrivial word length
     for rep in aggregate_reports(n, {w: tally for w, (_, tally) in by_perm.items()}):
         if not rep.ok:

@@ -15,7 +15,9 @@ one word, as ``rewrite_neighbors`` does without naming them.
 ``local_rule_sets`` finds the classes of w as the sets of 321-triples
 that a local rule on every 4 values allows (the higher Bruhat order), with
 the rule read off ``classes_bfs`` of the 4-patterns; ``triple_set`` gives
-a word's set by replaying its wires.
+a word's set by replaying its wires.  ``order_by_covers`` is a poset's
+order as the transitive closure of its covers, to be compared with
+inclusion of the triple masks.
 ``aggregate_by_encodings`` checks the aggregate bound by comparing the set
 of parenthesis encodings at each length with their number, where
 ``bounds.aggregate_reports`` decodes each word back instead.
@@ -175,6 +177,24 @@ def local_rule_sets(w: Perm) -> list[frozenset]:
 
     extend(0, frozenset())
     return out
+
+
+def order_by_covers(covers, size: int) -> list[int]:
+    """Bit v of entry u is set when v = u or v lies below u: the reflexive and
+    transitive closure of (upper, lower) covers over elements 0..size-1."""
+    below: list[list[int]] = [[] for _ in range(size)]
+    for upper, lower in covers:
+        below[upper].append(lower)
+    down: dict[int, int] = {}
+
+    def fill(u: int) -> int:
+        if u not in down:
+            down[u] = 1 << u  # set first, so a cycle of covers cannot loop
+            for v in below[u]:
+                down[u] |= fill(v)
+        return down[u]
+
+    return [fill(u) for u in range(size)]
 
 
 class OracleGraph:

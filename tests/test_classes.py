@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
-    canonical_words_dfs, classes_bfs, count_212, graph_as_scan, local_rule_sets, triple_set,
-    word_walk_scan,
+    canonical_words_dfs, classes_bfs, count_212, graph_as_scan, local_rule_sets,
+    order_by_covers, triple_set, word_walk_scan,
 )
 from redweave import (
     BudgetExceeded, InvariantViolation, bounds, classes, structure, subnet, suite, words
@@ -326,6 +326,53 @@ def test_local_rule_sets_are_the_classes_s5_s6(s5, s6):
         assert Counter(sets) == Counter(local_rule_sets(w)), w
         masks = [{t for j, t in enumerate(g._triples) if m >> j & 1} for m in g._masks]
         assert masks == sets, w
+
+
+def test_poset_order_is_mask_inclusion_s4_s6(s5, s6):
+    # P(w)'s order, the closure of its covers, is inclusion of triple masks
+    # (Felsner-Weil for B(n, 2), here on every w)
+    for w in [*enumerate_sn(4), *s5, *s6]:
+        g = build_graph(w)
+        below = order_by_covers(classes.build_poset(g).covers, len(g))
+        masks = g._masks
+        assert below == [sum(1 << v for v, m in enumerate(masks) if m & ~top == 0)
+                         for top in masks], w
+
+
+# Each mutant below must fail an oracle comparison above: the differential
+# tests would let a wrong engine through otherwise.
+
+def test_an_inverted_triple_order_fails_the_local_rule(monkeypatch, s5):
+    # triple 0's bit is set when (a, b) crosses before (b, c), not after
+    real = classes._triple_masks
+
+    def inverted(triples, n, words):
+        return [m ^ (1 if triples else 0) for m in real(triples, n, words)]
+
+    monkeypatch.setattr(classes, "_triple_masks", inverted)
+    with pytest.raises(AssertionError):
+        test_local_rule_sets_are_the_classes_s5_s6(s5, [])
+
+
+def test_a_dropped_pair_fails_the_word_walk_and_mask_inclusion(monkeypatch, s5):
+    real = classes.ClassGraph._pairs.func
+    monkeypatch.setattr(classes.ClassGraph, "_pairs", property(lambda g: real(g)[1:]))
+    with pytest.raises(AssertionError):
+        test_scan_matches_word_walk_s5_s6(s5, {})
+    with pytest.raises(AssertionError):
+        test_poset_order_is_mask_inclusion_s4_s6(s5, [])
+
+
+def test_a_reversed_cover_fails_mask_inclusion(monkeypatch, s5):
+    real = classes.build_poset
+
+    def reversed_first(g):
+        poset = real(g)
+        return poset._replace(covers=tuple(c[::-1] for c in poset.covers[:1]) + poset.covers[1:])
+
+    monkeypatch.setattr(classes, "build_poset", reversed_first)
+    with pytest.raises(AssertionError):
+        test_poset_order_is_mask_inclusion_s4_s6(s5, [])
 
 
 def test_two_classes_with_one_mask_are_refused():

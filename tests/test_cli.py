@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from redweave import InvariantViolation, bounds, classes, suite, words
+from redweave import InvariantViolation, bounds, classes, perm, suite, words
 from redweave.bounds import aggregate_bound_check
 from redweave.cli import _threads, build_parser, run
 from redweave.errors import THREADS_CAP
@@ -253,6 +253,26 @@ def test_json_is_streamed_not_rendered_whole(capsys, monkeypatch):
 def test_scan_clean(capsys):
     assert run(["scan", "4", "--threads", "1"]) == 0
     assert "0 violation(s)" in out_of(capsys)
+
+
+def test_scan_reports_each_member_of_a_failing_orbit(capsys, monkeypatch):
+    # a check patched to fail on one whole orbit: the job of its least w
+    # checks every member again, in the pool's workers too (forks of this
+    # process, so they see the patch), and each is reported once, in order
+    orbit = sorted(set(perm._orbit((2, 4, 5, 1, 3))))
+    assert len(orbit) == 4
+
+    def cube(g):
+        if g.w in orbit:
+            raise InvariantViolation(f"no cube in G({g.w})")
+
+    monkeypatch.setattr(suite, "embed_hypercube", cube)
+    outs = []
+    for threads in ("1", "2"):
+        assert run(["scan", "5", "--threads", threads]) == 2
+        outs.append(out_of(capsys))
+    assert outs[0] == outs[1] == "".join(f"no cube in G({w})\n" for w in orbit) + (
+        "S_5: 4 violation(s)\n")
 
 
 @pytest.mark.parametrize("threads", ["100000", str(THREADS_CAP + 1)])

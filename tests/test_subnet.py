@@ -168,6 +168,29 @@ def test_x_avoiding_counts():
     assert count_x_avoiding_classes(g, top) == 1
 
 
+def test_x_avoiding_classes_refuses_an_x_that_splits_a_class():
+    # G(2143) has one class, {13, 31}: tested through its canonical word 31
+    # alone, it would avoid {13} and contain {31}
+    g = build_graph((2, 1, 4, 3))
+    for x in ([(1, 3)], [(3, 1)]):
+        with pytest.raises(InputError, match="not a union of commutation classes"):
+            count_x_avoiding_classes(g, word_set(x, 4))
+    assert count_x_avoiding_classes(g, word_set([(1, 3), (3, 1)], 4)) == 0
+
+
+def test_x_avoiding_classes_of_class_unions_count_as_before():
+    # each preset is a union of classes: a class avoids it when every word
+    # of the class does, and the counts on w0_5 are those of the canonical
+    # words alone
+    g = build_graph(longest_element(5))
+    presets = [WARRINGTON_X, *s4_longest_classes()]
+    counts = [count_x_avoiding_classes(g, x) for x in presets]
+    assert counts == [8, 39, 40, 40, 38, 40, 38, 40, 39]
+    assert counts == [sum(1 for c in g._canonical
+                          if not any(count_subnetworks(Word(ls, 5), x) for ls in class_members(c)))
+                      for x in presets]
+
+
 def test_x_avoiding_words_when_x_is_not_a_class_union():
     # 121321 shares its class with 123121 and 121231; summing class sizes
     # would wrongly count all three as containing X

@@ -195,22 +195,28 @@ def test_scan_leaves_no_cyclic_garbage():
         gc.garbage.clear()
 
 
+def _check_and_tally(g):
+    """The per-w job, the oracle of ``scan_sn``'s: the violations and
+    ``_tally`` of G(w), every w checked."""
+    return suite.check_permutation(g), bounds._tally(g)
+
+
 def test_pool_job_caches_no_graph(s5):
     # the one sweep job, serial or pooled, reads each G(w) once, keeps none
-    # alive once checked, and returns two numbers for the aggregate bound
+    # alive once checked, and returns what the per-w job finds, keyed by w,
+    # and two numbers for the aggregate bound
     refs = []
 
     def job(g):
         refs.append(weakref.ref(g))
-        return suite._check_and_tally(g)
+        return suite._check_orbit_and_tally(g)
 
     jobs = classes._sweep(s5, job, 10**8)
     gc.collect()
     assert len(refs) == len(s5) and all(ref() is None for ref in refs)
-    graphs = [classes.build_graph(w) for w in s5]
-    assert [jobs[g.w] for g in graphs] == [
-        (suite.check_permutation(g), bounds._tally(g)) for g in graphs
-    ]
+    for g in map(classes.build_graph, s5):
+        found, tally = _check_and_tally(g)
+        assert jobs[g.w] == ({g.w: found} if found else {}, tally), g.w
     assert all(isinstance(size, int) and ok is True for _, (size, ok) in jobs.values())
 
 
@@ -312,7 +318,7 @@ def _per_w(n, budget=10**8, threads=1):
     """The per-w oracle sweep: ``_check_and_tally`` on every w, reported as
     ``scan_sn`` reports, and its tallies."""
     perms = list(enumerate_sn(n))
-    by_perm = classes._sweep(perms, suite._check_and_tally, budget, threads)
+    by_perm = classes._sweep(perms, _check_and_tally, budget, threads)
     tallies = {w: tally for w, (_, tally) in by_perm.items()}
     out = [v for w in perms for v in by_perm[w][0]]
     out += [f"aggregate bound fails for n={n}, l={rep.l}: {rep}"
@@ -407,23 +413,23 @@ def test_scan_checks_one_w_per_orbit(monkeypatch):
 ])
 def test_a_failing_orbit_is_checked_per_w(monkeypatch, threads, fails):
     # a check patched to fail on whole orbits: scan_sn reports what the
-    # per-w sweep reports, each member of a failing orbit once, in order,
-    # and checks those members again in a second sweep of their own
+    # per-w sweep reports, each member of a failing orbit once, in order;
+    # the members are checked again inside the job of the orbit's least w,
+    # so one pool serves the whole sweep
     def cube(g):
         if fails(g):
             raise InvariantViolation(f"no cube in G({g.w})")
 
     monkeypatch.setattr(suite, "embed_hypercube", cube)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "shares", [])
+    monkeypatch.setattr(FakePool, "sizes", [])
     want, _ = _per_w(5)
     failing = [w for w, g in classes._sweep(enumerate_sn(5), lambda g: g, 10**8).items()
                if fails(g)]
     assert want == [f"no cube in G({w})" for w in sorted(failing)]
     assert len(failing) >= 4
     assert suite.scan_sn(5, threads=threads) == want
-    if threads > 1:
-        assert sorted(w for share in FakePool.shares[-1] for w in share) == sorted(failing)
+    assert FakePool.sizes == ([threads] if threads > 1 else [])
 
 
 @pytest.mark.slow
