@@ -1,5 +1,14 @@
 """Counting bounds: per-permutation class-count bounds and the aggregate
-Catalan bound via the balanced-parenthesis encoding of representatives."""
+Catalan bound via the balanced-parenthesis encoding of representatives.
+
+Both read |G(w)| off the weak-order DAG and build no G(w).  The aggregate
+needs only |G(w)| for each w of one length: the encoding is injective on
+the canonical words of that length, so their number is at most the
+Catalan number of its pair count.  That holds by a lemma, not a check run
+per word: the encoding is decoded back on every letter sequence with no
+ascent of two or more (its first letter is the pair count less l - 1, and
+each later ``)^d(`` run steps down by d - 1), and every canonical word is
+such a sequence.  ``tests/test_bounds.py`` checks the lemma."""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, _triples321, check_perm, enumerate_sn, inversions
-from .words import Letters, _class_count, _most_windows, _within_budget
+from .words import Letters, _all_within_budget, _class_count, _most_windows, _within_budget
 
 if TYPE_CHECKING:  # the bounds of one w read the DAG, and load no G(w)
     from .classes import ClassGraph
@@ -90,56 +99,35 @@ class AggregateReport(NamedTuple):
         return self.sum_classes < self.catalan < self.four_power and self.injective
 
 
-def paren_decoding(text: str, l: int) -> Letters:
-    """The canonical word of length l whose ``paren_encoding`` is text, a left
-    inverse at each length: the first letter is the pair count less l - 1,
-    and each later ``)^d(`` run steps down by d - 1.
-
-    >>> paren_decoding('(())((())())', 5)
-    (2, 1, 2, 3, 2)
-    """
-    if not l:
-        return ()
-    letters = [x := len(text) // 2 - l + 1]
-    for run in text[x:].split("(")[:-1]:
-        letters.append(x := x + 1 - len(run))
-    return tuple(letters)
-
-
-def _tally(g: ClassGraph) -> tuple[int, bool]:
-    """|G(w)|, and whether every canonical word of w decodes back from its
-    parenthesis encoding: w's share of the aggregate bound at l(w)."""
-    l = len(g._canonical[0])  # l(w): every reduced word's length
-    return len(g), all(paren_decoding(paren_encoding(c), l) == c for c in g._canonical)
-
-
 def aggregate_bound_check(n: int, l: int, budget: int = WORD_BUDGET_DEFAULT) -> AggregateReport:
     """Sum |G(w)| over all w in S_n with l(w) = l against C_{l+n-1} < 4^(l+n).
 
-    Also checks that the parenthesis encodings of all canonical
-    representatives across those w are pairwise distinct, by decoding each
-    back, in one ``_sweep`` of ``_tally``.  Stated for l >= 1: at l = 0 the
-    one empty class meets C_{n-1} = 1 for n <= 2.
+    Each w of length l passes ``_within_budget``, in lexicographic order on
+    one word-count memo, before any class is counted; then each |G(w)| is
+    the path count of ``_class_count`` on one live-run memo, and no G(w) is
+    built.  Stated for l >= 1: at l = 0 the one empty class meets
+    C_{n-1} = 1 for n <= 2.
     """
-    from .classes import _sweep
-
     perms = enumerate_sn(n)  # refuses n < 1 and n over the S_n cap before the checks below
     if n == 1:
         raise InputError("S_1 has no nontrivial length: its only permutation has length 0")
     if not 1 <= l <= n * (n - 1) // 2:
         raise InputError(f"length {l} is outside 1..{n * (n - 1) // 2} for S_{n}")
-    tallies = _sweep([w for w in perms if inversions(w) == l], _tally, budget)
-    return aggregate_reports(n, tallies)[l - 1]
+    perms = [w for w in perms if inversions(w) == l]
+    _all_within_budget(perms, budget)  # before any class is counted
+    live: dict = {}
+    return aggregate_reports(n, {w: _class_count(w, live) for w in perms})[l - 1]
 
 
-def aggregate_reports(n: int, tallies: Mapping[Perm, tuple[int, bool]]) -> list[AggregateReport]:
+def aggregate_reports(n: int, sizes: Mapping[Perm, int]) -> list[AggregateReport]:
     """``aggregate_bound_check(n, l)`` for every l >= 1, in one pass over the
-    ``_tally`` of each given w.  Injective means every word decodes back: the
-    canonical words of different w differ, as they evaluate to different w."""
-    groups: dict[int, list[tuple[int, bool]]] = {l: [] for l in range(1, n * (n - 1) // 2 + 1)}
-    for w, tally in tallies.items():
-        if l := inversions(w):
-            groups[l].append(tally)
-    return [AggregateReport(n, l, len(group), sum(size for size, _ in group), catalan(l + n - 1),
-                            4 ** (l + n), all(ok for _, ok in group))
-            for l, group in groups.items()]
+    given {w: |G(w)|}.  Injective holds by the module's lemma: canonical
+    words of different w differ, as they evaluate to different w."""
+    sums = [0] * (n * (n - 1) // 2 + 1)
+    perms = sums.copy()
+    for w, size in sizes.items():
+        l = inversions(w)
+        sums[l] += size
+        perms[l] += 1
+    return [AggregateReport(n, l, perms[l], sums[l], catalan(l + n - 1), 4 ** (l + n), True)
+            for l in range(1, len(sums))]

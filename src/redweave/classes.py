@@ -33,9 +33,9 @@ from .words import (
     Letters,
     Word,
     _SweepTables,
+    _all_within_budget,
     _canonical_words,
     _most_windows,
-    _within_budget,
     crossing_events,
 )
 
@@ -261,14 +261,11 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
     before any G(w) is built, so the first refusal in that order is raised.  They
     are dealt to the shares back and forth (0, 1, ..., t-1, t-1, ..., 0,
     ...): each share gets heavy and light w alike and starts on one of the
-    heaviest, which fills most of its DAG.  The job runs on every w; that
-    of ``suite.scan_sn`` checks each symmetry orbit in its least w's job.
+    heaviest, which fills most of its DAG.  The job runs on every w given:
+    ``suite.scan_sn`` gives the least w of each symmetry orbit alone.
     """
     order = sorted(perms, key=lambda w: (-inversions(w), w))
-    counts: dict[Perm, int] = {}  # the guard's memo, freed before any G(w)
-    for w in order:
-        _within_budget(w, budget, counts)
-    del counts
+    _all_within_budget(order, budget)  # before any G(w)
     threads = min(threads, len(order))
     if threads <= 1:
         return dict(zip(order, _run(job, order)))

@@ -46,8 +46,9 @@ def _csv(letters) -> str:
 
 
 def _threads(args) -> int:
-    if args.threads is None:
-        return min(os.cpu_count() or 1, THREADS_CAP)
+    if args.threads is None:  # the CPUs this process may run on, where the platform says
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, THREADS_CAP)
     if args.threads < 1:
         raise InputError(f"--threads {args.threads} is below 1")
     if args.threads > THREADS_CAP:  # refused before a pool starts

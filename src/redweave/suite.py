@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from math import inf
 
-from .bounds import _tally, aggregate_reports, size_bounds
+from .bounds import aggregate_reports, size_bounds
 from .classes import ClassGraph, _sweep, build_graph, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, _orbit, enumerate_sn, inversions
@@ -87,44 +87,46 @@ def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
     return b in seen
 
 
-def _check_orbit_and_tally(g: ClassGraph) -> tuple[dict[Perm, list[str]], tuple[int, bool]]:
-    """``scan_sn``'s one job: the violations of w's orbit, keyed by w, and
-    ``_tally(g)``.  Only an orbit's least w is checked; if it fails, so is each
-    other member x, on a G(x) built with no budget: x has as many words as w
+def _check_orbit(g: ClassGraph) -> tuple[dict[Perm, list[str]], int]:
+    """``scan_sn``'s one job, on an orbit's least w: the violations of its
+    orbit, keyed by w, and |G(w)|.  If w fails, each other member x is
+    checked too, on a G(x) built with no budget: x has as many words as w
     (both maps are bijections), and ``_sweep`` checked that count before any job ran."""
     found: dict[Perm, list[str]] = {}
-    if g.w == min(orbit := _orbit(g.w)) and (mine := check_permutation(g)):
+    if mine := check_permutation(g):
         found = {x: mine if x == g.w else check_permutation(build_graph(x, inf))
-                 for x in set(orbit)}
-    return found, _tally(g)
+                 for x in set(_orbit(g.w))}
+    return found, len(g)
 
 
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    Each w is one ``_check_orbit_and_tally`` job of one ``classes._sweep``, in
-    this process or a pool of up to ``threads``; it keeps no G(w) and returns
-    two numbers for the aggregate bound.  The budget is checked for every w
-    here before any job runs; the jobs of a process share one DAG of S_n.
-    ``_tally`` runs on every w (its paren round trip is per word), the
-    checks once per orbit of w -> w^-1 and w -> w0 w w0: G(w) is isomorphic
-    to the graph of each, by word reversal and i -> n - i, and each check
-    passes or fails alike on them.  The graph checks (connected, path, |G|,
-    the 8-cycle check, as both maps fix 4321) are isomorphism invariants; so
-    are Y, N321, l(w), ``_disjoint`` of the triples, the grid labelling and
-    ``RECT_PATTERNS`` (closed under both maps).  Reversal keeps a class's
-    index sum s and 212-rank r, the letter map sends them to n l(w) - s and
-    N321 - r, so parity and the covers' drops carry over.  ``embed_hypercube``
-    passes or fails alike, but its witness differs (k = 2 on 35241, 1 on
-    52413).  The job checks each w of a failing orbit on its own G(w), so the
-    violations are the per-w sweep's, in lexicographic order of w.
+    One ``classes._sweep``, in this process or a pool of up to ``threads``,
+    runs ``_check_orbit`` on the least w of each orbit of w -> w^-1 and
+    w -> w0 w w0 alone; it keeps no G(w).  The budget is checked for each
+    of them here before any job runs (w0 among them, which every w lies
+    below); the jobs of a process share one DAG of S_n.  G(w) is isomorphic
+    to the graph of each member, by word reversal and i -> n - i, so each
+    member is credited its least w's |G(w)| for the aggregate bound, and
+    each check passes or fails alike on them.  The graph checks (connected,
+    path, |G|, the 8-cycle check, as both maps fix 4321) are isomorphism
+    invariants; so are Y, N321, l(w), ``_disjoint`` of the triples, the
+    grid labelling and ``RECT_PATTERNS`` (closed under both maps).  Reversal
+    keeps a class's index sum s and 212-rank r, the letter map sends them
+    to n l(w) - s and N321 - r, so parity and the covers' drops carry over.
+    ``embed_hypercube`` passes or fails alike, but its witness differs
+    (k = 2 on 35241, 1 on 52413).  The job checks each w of a failing orbit
+    on its own G(w), so the violations are the per-w sweep's, in
+    lexicographic order of w.
     """
     perms = list(enumerate_sn(n))
-    by_perm = _sweep(perms, _check_orbit_and_tally, budget, threads)
-    found = {x: v for by_w, _ in by_perm.values() for x, v in by_w.items()}
+    by_rep = _sweep([w for w in perms if w == min(_orbit(w))], _check_orbit, budget, threads)
+    found = {x: v for by_w, _ in by_rep.values() for x, v in by_w.items()}
     out = [v for w in perms for v in found.get(w, [])]
     # aggregate bound, one check per nontrivial word length
-    for rep in aggregate_reports(n, {w: tally for w, (_, tally) in by_perm.items()}):
+    sizes = {x: size for w, (_, size) in by_rep.items() for x in _orbit(w)}
+    for rep in aggregate_reports(n, sizes):
         if not rep.ok:
             out.append(f"aggregate bound fails for n={n}, l={rep.l}: {rep}")
     return out

@@ -14,7 +14,7 @@ The Warrington counts are a least-weight path fold on the same DAG.
 from __future__ import annotations
 
 from math import comb, inf
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InputError, WORD_BUDGET_DEFAULT
 from .perm import Perm, _ints, identity, inverse, inversions, longest_element
@@ -292,6 +292,14 @@ def _within_budget(w: Perm, budget: int, memo: dict | None = None) -> int:
         return total
 
     return _fill(words, inverse(w), kids, count)
+
+
+def _all_within_budget(perms: Iterable[Perm], budget: int) -> None:
+    """``_within_budget`` on each w of perms in turn, on one word-count memo
+    that is freed on return: the first refusal in that order is raised."""
+    counts: dict[Perm, int] = {}
+    for w in perms:
+        _within_budget(w, budget, counts)
 
 
 def count_reduced_words(w: Perm) -> int:

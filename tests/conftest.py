@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from redweave import classes, enumerate_sn, words
+from redweave import classes, enumerate_sn, suite, words
 from redweave.classes import build_graph
 from redweave.words import _SweepTables
 
@@ -78,3 +78,14 @@ def counted_guards(monkeypatch):
         if name.startswith("redweave") and getattr(mod, "_within_budget", None) is real:
             monkeypatch.setattr(mod, "_within_budget", counted)
     return guards
+
+
+@pytest.fixture
+def credited_sizes(monkeypatch):
+    """The {w: |G(w)|} that each ``scan_sn`` from now on hands to the
+    aggregate bound, one mapping a run, in order."""
+    seen = []
+    real = suite.aggregate_reports
+    monkeypatch.setattr(suite, "aggregate_reports",
+                        lambda n, sizes: seen.append(sizes) or real(n, sizes))
+    return seen

@@ -20,7 +20,9 @@ order as the transitive closure of its covers, to be compared with
 inclusion of the triple masks.
 ``aggregate_by_encodings`` checks the aggregate bound by comparing the set
 of parenthesis encodings at each length with their number, where
-``bounds.aggregate_reports`` decodes each word back instead.
+``bounds.aggregate_reports`` rests on a lemma instead: ``paren_decoding``
+inverts ``bounds.paren_encoding`` on every canonical word.  The oracle reads
+the encoding through its module, so a patched encoding reaches it.
 ``global_dags`` names the module globals of redweave that hold a DAG.
 ``count_212`` counts a word's 212-subnetworks from its crossings, the rank
 statistic that ``build_poset`` reads as a popcount.
@@ -41,7 +43,8 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from redweave import InputError, Word
-from redweave.bounds import AggregateReport, catalan, paren_encoding
+from redweave import bounds
+from redweave.bounds import AggregateReport, catalan
 from redweave.classes import build_poset
 from redweave.perm import Perm, identity, inverse
 from redweave.words import (
@@ -371,7 +374,7 @@ def aggregate_by_encodings(n: int, canonicals: dict) -> list:
             groups[l].append(canon)
     reports = []
     for l, group in groups.items():
-        encodings = [paren_encoding(c) for canon in group for c in canon]
+        encodings = [bounds.paren_encoding(c) for canon in group for c in canon]
         reports.append(AggregateReport(
             n=n,
             l=l,
@@ -382,6 +385,22 @@ def aggregate_by_encodings(n: int, canonicals: dict) -> list:
             injective=len(set(encodings)) == len(encodings),
         ))
     return reports
+
+
+def paren_decoding(text: str, l: int) -> tuple[int, ...]:
+    """The letter sequence of length l, with no ascent of two or more, whose
+    ``paren_encoding`` is text: the first letter is the pair count less
+    l - 1, and each later ``)^d(`` run steps down by d - 1.
+
+    >>> paren_decoding('(())((())())', 5)
+    (2, 1, 2, 3, 2)
+    """
+    if not l:
+        return ()
+    letters = [x := len(text) // 2 - l + 1]
+    for run in text[x:].split("(")[:-1]:
+        letters.append(x := x + 1 - len(run))
+    return tuple(letters)
 
 
 def graph_as_scan(g) -> dict:

@@ -1,20 +1,19 @@
 import inspect
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import aggregate_by_encodings, global_dags
-from redweave import BudgetExceeded, InputError, bounds, classes, suite
+from oracles import aggregate_by_encodings, global_dags, paren_decoding
+from redweave import BudgetExceeded, InputError, bounds, classes
 from redweave.bounds import (
-    _tally,
     aggregate_bound_check,
     aggregate_reports,
     catalan,
-    paren_decoding,
     paren_encoding,
     size_bounds,
 )
 from redweave.classes import build_graph
-from redweave.perm import enumerate_sn, identity, longest_element, pattern_count
+from redweave.perm import enumerate_sn, identity, inversions, longest_element, pattern_count
 
 
 def catalan_recurrence(m: int) -> int:
@@ -112,11 +111,60 @@ def test_aggregate_bound_is_stated_for_length_at_least_1():
 
 
 def test_aggregate_reports_match_per_length_checks():
-    # the one-pass reports scan_sn builds from its sweep's tallies
+    # the one-pass reports scan_sn builds from the sizes of the G(w) it built
     for n in range(2, 6):
-        tallies = classes._sweep(enumerate_sn(n), _tally, 10**8)
+        sizes = classes._sweep(enumerate_sn(n), len, 10**8)
         expected = [aggregate_bound_check(n, l) for l in range(1, n * (n - 1) // 2 + 1)]
-        assert aggregate_reports(n, tallies) == expected
+        assert aggregate_reports(n, sizes) == expected
+
+
+def _no_big_ascent(top: int, length: int) -> list[tuple[int, ...]]:
+    """Every sequence over letters 1..top of the given length with no ascent
+    of two or more, lexicographically."""
+    seqs = [()]
+    for _ in range(length):
+        seqs = [s + (x,) for s in seqs for x in range(1, min(top, s[-1] + 1 if s else top) + 1)]
+    return seqs
+
+
+def _lemma_fails_on(top: int, longest: int) -> tuple[int, ...] | None:
+    """The first sequence over letters 1..top, of length at most longest and
+    with no ascent of two or more, that ``paren_decoding`` does not get back
+    from its encoding or that shares its encoding with another of its
+    length; None when there is none.  Every canonical word is such a
+    sequence, so where there is none the encoding is injective at each length."""
+    for length in range(longest + 1):
+        seen: dict[str, tuple[int, ...]] = {}
+        for seq in _no_big_ascent(top, length):
+            text = bounds.paren_encoding(seq)
+            if paren_decoding(text, length) != seq or seen.setdefault(text, seq) != seq:
+                return seq
+    return None
+
+
+def test_the_encoding_is_decoded_back_on_every_sequence_with_no_big_ascent():
+    # the lemma the aggregate's injective rests on, exhaustively: 38,706 sequences
+    assert sum(len(_no_big_ascent(7, length)) for length in range(8)) == 38706
+    assert _lemma_fails_on(7, 7) is None
+
+
+@st.composite
+def no_big_ascent(draw, length: int | None = None) -> tuple[int, ...]:
+    """A sequence over letters 1..8 of at most 28 letters (of length, if
+    given) with no ascent of two or more: every word of S_8 is one."""
+    lo, hi = (0, 28) if length is None else (length, length)
+    seq: list[int] = []
+    for x in draw(st.lists(st.integers(1, 8), min_size=lo, max_size=hi)):
+        seq.append(min(x, seq[-1] + 1) if seq else x)
+    return tuple(seq)
+
+
+@given(st.data())
+def test_the_encoding_is_decoded_back_and_injective_up_to_s8(data):
+    seq = data.draw(no_big_ascent())
+    assert paren_decoding(paren_encoding(seq), len(seq)) == seq
+    other = data.draw(no_big_ascent(len(seq)))
+    assert (paren_encoding(other) == paren_encoding(seq)) == (other == seq)
 
 
 def test_paren_decoding_inverts_the_encoding(s6_graphs):
@@ -131,45 +179,55 @@ def _canonicals(g):
     return [c.canonical.letters for c in g.vertices]
 
 
-def _tallies_and_canonicals(graphs):
+def _sizes_and_canonicals(graphs):
     graphs = list(graphs)
-    return {g.w: _tally(g) for g in graphs}, {g.w: _canonicals(g) for g in graphs}
+    return {g.w: len(g) for g in graphs}, {g.w: _canonicals(g) for g in graphs}
 
 
 def test_aggregate_reports_match_the_set_of_encodings(s6_graphs):
     for n in range(2, 6):
-        tallies, canonicals = _tallies_and_canonicals(build_graph(w) for w in enumerate_sn(n))
-        assert aggregate_reports(n, tallies) == aggregate_by_encodings(n, canonicals)
-    tallies, canonicals = _tallies_and_canonicals(s6_graphs.values())
-    assert aggregate_reports(6, tallies) == aggregate_by_encodings(6, canonicals)
+        sizes, canonicals = _sizes_and_canonicals(build_graph(w) for w in enumerate_sn(n))
+        assert aggregate_reports(n, sizes) == aggregate_by_encodings(n, canonicals)
+    sizes, canonicals = _sizes_and_canonicals(s6_graphs.values())
+    assert aggregate_reports(6, sizes) == aggregate_by_encodings(6, canonicals)
 
 
 @pytest.mark.slow
 def test_aggregate_reports_match_the_set_of_encodings_s7():
     # built by a sweep, on one DAG, keeping the canonical words but no graph
-    swept = classes._sweep(enumerate_sn(7), lambda g: (_tally(g), _canonicals(g)), 10**12)
-    tallies = {w: tally for w, (tally, _) in swept.items()}
+    swept = classes._sweep(enumerate_sn(7), lambda g: (len(g), _canonicals(g)), 10**12)
+    sizes = {w: size for w, (size, _) in swept.items()}
     canonicals = {w: cs for w, (_, cs) in swept.items()}
     del swept
-    reports = aggregate_reports(7, tallies)
+    reports = aggregate_reports(7, sizes)
     assert reports == aggregate_by_encodings(7, canonicals)
     assert sum(rep.sum_classes for rep in reports) == 361071 - 1  # all but the identity's
     assert all(rep.ok for rep in reports)
 
 
 def test_a_non_injective_encoding_fails_the_aggregate(monkeypatch):
-    # every word of one length gets one encoding, which decodes to 1, 1, ..., 1
+    # every word of one length gets one encoding, which decodes to 1, 1, ..., 1:
+    # the lemma fails on (2,), and the set of encodings tells the reports apart
     monkeypatch.setattr(bounds, "paren_encoding", lambda letters: "()" * len(letters))
-    assert not aggregate_bound_check(4, 3).injective
-    assert any(
-        v.startswith("aggregate bound fails for n=4, l=3:") for v in suite.scan_sn(4, threads=1)
-    )
+    assert _lemma_fails_on(7, 7) == (2,)
+    graphs = classes._sweep(enumerate_sn(4), lambda g: g, 10**8)
+    sizes, canonicals = _sizes_and_canonicals(graphs.values())
+    by_encodings = aggregate_by_encodings(4, canonicals)
+    assert not by_encodings[3 - 1].injective
+    assert aggregate_reports(4, sizes) != by_encodings
+    assert aggregate_bound_check(4, 3) != by_encodings[3 - 1]
 
 
-def test_aggregate_is_one_sweep_on_one_dag(counted_dags):
-    # every G(w) of the aggregate reads the same DAG, and the DAG is gone after
+def test_aggregate_is_one_sweep_on_one_dag(monkeypatch, counted_dags):
+    # each |G(w)| is a path count on one live-run memo: no G(w) and no DAG
+    # of classes is made, and no memo outlives the check
+    live = []
+    real = bounds._class_count
+    monkeypatch.setattr(bounds, "_class_count", lambda w, memo: live.append(memo) or real(w, memo))
     assert aggregate_bound_check(5, 5).ok
-    assert len(counted_dags) == 1
+    assert len(live) == sum(1 for w in enumerate_sn(5) if inversions(w) == 5)
+    assert all(memo is live[0] for memo in live)
+    assert counted_dags == []
     assert global_dags() == []
 
 

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import pickle
+import random
 import types
 import weakref
 from collections import Counter
@@ -215,9 +216,44 @@ def test_class_count_of_w0_9():
     assert words._class_count(longest_element(9), {}) == 112_018_190
 
 
-def test_class_count_is_the_number_of_classes_s5(s5):
-    for w in s5:
-        assert words._class_count(w, {}) == len(build_graph(w)), w
+def test_class_count_is_the_number_of_classes_s4_s6(s5, s6_graphs, credited_sizes):
+    # |G(w)| by its two routes: the live-run fold on one memo for all of S_n,
+    # as aggregate reads it, and scan_sn's sizes, each credited to a whole
+    # orbit off its least w's graph; both against the classes of each G(w)
+    for n, perms in (4, list(enumerate_sn(4))), (5, s5), (6, list(s6_graphs)):
+        sizes = {w: len(s6_graphs[w] if n == 6 else build_graph(w)) for w in perms}
+        live: dict = {}
+        assert {w: words._class_count(w, live) for w in perms} == sizes, n
+        assert suite.scan_sn(n, threads=1) == []
+        assert credited_sizes.pop() == sizes, n
+
+
+def _past_s9(seed: int, size: int) -> list[tuple[int, ...]]:
+    """A seeded sample of w in S_10..S_14 of length at most 12 with at most
+    3,000 reduced words: each swaps a random ascent of the identity, then
+    of what it has made, once for each unit of length."""
+    rng, out = random.Random(seed), []
+    while len(out) < size:
+        n = rng.randint(10, 14)
+        seq = list(range(1, n + 1))
+        for _ in range(rng.randint(1, 12)):
+            i = rng.choice([i for i in range(n - 1) if seq[i] < seq[i + 1]])
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        if count_reduced_words(w := tuple(seq)) <= 3000:
+            out.append(w)
+    return out
+
+
+def test_engine_matches_the_oracles_past_s9():
+    # letters reach two digits: the word walk, the canonical-word DFS and
+    # the live-run count on w that no S_n sweep reaches
+    sample = _past_s9(10, 150)
+    assert sum(1 for w in sample if max(w[:10]) > 10) >= 40  # a word of w has letter 10
+    for w in sample:
+        g = build_graph(w)
+        assert graph_as_scan(g) == word_walk_scan(w), w
+        assert list(g._canonical) == canonical_words_dfs(w), w
+        assert words._class_count(w, {}) == len(g), w
 
 
 @pytest.fixture
@@ -339,6 +375,15 @@ def test_poset_order_is_mask_inclusion_s4_s6(s5, s6):
                          for top in masks], w
 
 
+@pytest.mark.slow
+def test_local_rule_and_mask_order_on_a_sample_of_s7():
+    # a seeded fifth of S_7, w0_7 left out, through the two tests above
+    perms = [w for w in enumerate_sn(7) if w != longest_element(7)]
+    sample = sorted(random.Random(32).sample(perms, 1000))
+    test_local_rule_sets_are_the_classes_s5_s6(sample, [])
+    test_poset_order_is_mask_inclusion_s4_s6(sample, [])
+
+
 # Each mutant below must fail an oracle comparison above: the differential
 # tests would let a wrong engine through otherwise.
 
@@ -389,7 +434,7 @@ def test_checks_make_no_class_records(w):
     # words by position: g.vertices stays unmade
     g = build_graph(w)
     friendly = lambda g: subnet.predicted_count_friendly(g, Word(g._canonical[0], g.n), (3, 2, 1))
-    for check in (suite.check_permutation, bounds._tally, structure.rectangle_label,
+    for check in (suite.check_permutation, structure.rectangle_label,
                   lambda g: list(structure._edge_pair_verdicts(g)), structure.embed_hypercube,
                   lambda g: subnet.count_x_avoiding_classes(g, WARRINGTON_X),
                   lambda g: count_x_avoiding_words(g, WARRINGTON_X), friendly):

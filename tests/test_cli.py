@@ -288,7 +288,21 @@ def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, 
 def test_threads_cap_is_allowed_and_bounds_the_default(monkeypatch):
     assert _threads(argparse.Namespace(threads=THREADS_CAP)) == THREADS_CAP
     monkeypatch.setattr(os, "cpu_count", lambda: 10 * THREADS_CAP)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10 * THREADS_CAP)),
+                        raising=False)
     assert _threads(argparse.Namespace(threads=None)) == THREADS_CAP
+
+
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    # a container held to 2 CPUs of a 64-core host starts 2 workers, not 64
+    default = argparse.Namespace(threads=None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert _threads(default) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+    assert _threads(default) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _threads(default) == 1
 
 
 def test_scan_refuses_past_the_cap_before_any_work(capsys, monkeypatch):

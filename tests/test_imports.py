@@ -48,7 +48,7 @@ def loaded_after(*argvs: list[str]) -> dict[str, set[str]]:
 def test_a_command_loads_only_its_own_layers():
     loaded = loaded_after(["warrington", "6"], ["warrington", "5", "--classes"],
                           ["bounds", "4321", "--actual"], ["bounds", "4321"],
-                          ["graph", "4321"],
+                          ["aggregate", "4", "3"], ["graph", "4321"],
                           ["subnet", "3421", "--word", "21323", "--set", "212", "--predict"],
                           ["scan", "4", "--threads", "1"])  # the last loads every layer
     assert {m for m in loaded["redweave"] if m.startswith("redweave")} == {
@@ -58,6 +58,7 @@ def test_a_command_loads_only_its_own_layers():
         assert not HEAVY & loaded[step], step
     # the bounds of one w read the DAG: no class list, so no G(w) layer
     assert "redweave.classes" not in loaded["bounds 4321 --actual"]
+    assert "redweave.classes" not in loaded["aggregate 4 3"]  # nor does the aggregate
     assert HEAVY - {"dataclasses"} <= loaded["scan 4 --threads 1"]
     for step, modules in loaded.items():  # the records are NamedTuples
         assert "dataclasses" not in modules, step

@@ -195,29 +195,29 @@ def test_scan_leaves_no_cyclic_garbage():
         gc.garbage.clear()
 
 
-def _check_and_tally(g):
-    """The per-w job, the oracle of ``scan_sn``'s: the violations and
-    ``_tally`` of G(w), every w checked."""
-    return suite.check_permutation(g), bounds._tally(g)
+def _check_and_size(g):
+    """The per-w job, the oracle of ``scan_sn``'s: the violations of G(w)
+    and |G(w)|, every w checked."""
+    return suite.check_permutation(g), len(g)
 
 
 def test_pool_job_caches_no_graph(s5):
     # the one sweep job, serial or pooled, reads each G(w) once, keeps none
     # alive once checked, and returns what the per-w job finds, keyed by w,
-    # and two numbers for the aggregate bound
+    # and |G(w)| for the aggregate bound
     refs = []
 
     def job(g):
         refs.append(weakref.ref(g))
-        return suite._check_orbit_and_tally(g)
+        return suite._check_orbit(g)
 
-    jobs = classes._sweep(s5, job, 10**8)
+    reps = [w for w in s5 if w == min(perm._orbit(w))]
+    jobs = classes._sweep(reps, job, 10**8)
     gc.collect()
-    assert len(refs) == len(s5) and all(ref() is None for ref in refs)
-    for g in map(classes.build_graph, s5):
-        found, tally = _check_and_tally(g)
-        assert jobs[g.w] == ({g.w: found} if found else {}, tally), g.w
-    assert all(isinstance(size, int) and ok is True for _, (size, ok) in jobs.values())
+    assert len(refs) == len(reps) and all(ref() is None for ref in refs)
+    for g in map(classes.build_graph, reps):
+        found, size = _check_and_size(g)
+        assert jobs[g.w] == ({g.w: found} if found else {}, size), g.w
 
 
 def test_sweep_reports_in_lexicographic_order(monkeypatch):
@@ -265,10 +265,11 @@ class FakePool:
 
 
 @pytest.mark.parametrize("n, threads, started", [
-    (3, 8, [6]), (3, 2, [2]), (4, 24, [24]), (2, 2, [2]), (1, 8, []), (3, 1, []),
+    (3, 8, [4]), (3, 2, [2]), (4, 24, [13]), (2, 2, [2]), (1, 8, []), (3, 1, []),
 ])
 def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
-    # a pool has no more workers than permutations, and one would run alone
+    # a pool has no more workers than jobs, one per orbit (4 on S_3, 13 on
+    # S_4), and one would run alone
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
     assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
@@ -280,13 +281,15 @@ def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch):
     # one share a worker, dealt back and forth down the heaviest-first order:
     # each w lands in one share, each share keeps that order, the shares
     # differ in size by at most one w, each starts on one of the heaviest
-    # (not on a block of its own), and the first holds w0
+    # (not on a block of its own), and the first holds w0; a w is the least
+    # of its orbit, as scan_sn deals no other
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     for n, threads in [(3, 2), (4, 3), (5, 7), (6, 2), (6, 5)]:
         monkeypatch.setattr(FakePool, "shares", [])
         assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
         [shares] = FakePool.shares
-        order = sorted(enumerate_sn(n), key=lambda w: (-inversions(w), w))
+        reps = [w for w in enumerate_sn(n) if w == min(perm._orbit(w))]
+        order = sorted(reps, key=lambda w: (-inversions(w), w))
         assert len(shares) == threads
         assert sorted(w for share in shares for w in share) == sorted(order)
         assert all(share == sorted(share, key=order.index) for share in shares)
@@ -315,15 +318,15 @@ def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch):
 
 
 def _per_w(n, budget=10**8, threads=1):
-    """The per-w oracle sweep: ``_check_and_tally`` on every w, reported as
-    ``scan_sn`` reports, and its tallies."""
+    """The per-w oracle sweep: ``_check_and_size`` on every w, reported as
+    ``scan_sn`` reports, and each |G(w)|."""
     perms = list(enumerate_sn(n))
-    by_perm = classes._sweep(perms, _check_and_tally, budget, threads)
-    tallies = {w: tally for w, (_, tally) in by_perm.items()}
+    by_perm = classes._sweep(perms, _check_and_size, budget, threads)
+    sizes = {w: size for w, (_, size) in by_perm.items()}
     out = [v for w in perms for v in by_perm[w][0]]
     out += [f"aggregate bound fails for n={n}, l={rep.l}: {rep}"
-            for rep in bounds.aggregate_reports(n, tallies) if not rep.ok]
-    return out, tallies
+            for rep in bounds.aggregate_reports(n, sizes) if not rep.ok]
+    return out, sizes
 
 
 def _outcomes(g):
@@ -398,11 +401,13 @@ def test_orbit_maps_carry_classes_index_sums_and_ranks(n):
 
 
 def test_scan_checks_one_w_per_orbit(monkeypatch):
-    checked = []
-    real = suite.check_permutation
+    # and builds G(w) for that w alone: the other members are credited its |G(w)|
+    checked, built = [], []
+    real, real_scan = suite.check_permutation, classes._scan_impl
     monkeypatch.setattr(suite, "check_permutation", lambda g: checked.append(g.w) or real(g))
+    monkeypatch.setattr(classes, "_scan_impl", lambda w, dag: built.append(w) or real_scan(w, dag))
     assert suite.scan_sn(6, threads=1) == []
-    assert sorted(checked) == sorted({min(perm._orbit(w)) for w in enumerate_sn(6)})
+    assert sorted(checked) == sorted(built) == sorted({min(perm._orbit(w)) for w in enumerate_sn(6)})
     assert len(checked) == 230
 
 
@@ -433,8 +438,8 @@ def test_a_failing_orbit_is_checked_per_w(monkeypatch, threads, fails):
 
 
 @pytest.mark.slow
-def test_orbit_sweep_matches_the_per_w_sweep_s7():
-    want, tallies = _per_w(7, 10**12, threads=2)
-    swept = classes._sweep(enumerate_sn(7), suite._check_orbit_and_tally, 10**12, threads=2)
-    assert {w: tally for w, (_, tally) in swept.items()} == tallies
+def test_orbit_sweep_matches_the_per_w_sweep_s7(credited_sizes):
+    want, sizes = _per_w(7, 10**12, threads=2)
     assert suite.scan_sn(7, 10**12, threads=2) == want
+    assert credited_sizes == [sizes]
+    assert sum(sizes.values()) == 361071

@@ -16,7 +16,7 @@ from oracles import (
 from redweave import InputError, BudgetExceeded, bounds, suite, words
 from redweave.classes import build_graph
 from redweave.cli import run
-from redweave.perm import enumerate_sn, identity, inversions, longest_element
+from redweave.perm import _orbit, enumerate_sn, identity, inversions, longest_element
 from redweave.words import (
     Word,
     canonical_form,
@@ -120,8 +120,9 @@ LENGTH_3 = sorted((w for w in enumerate_sn(4) if inversions(w) == 3),
                   key=lambda w: (-inversions(w), w))  # the order the sweep guards them in
 GUARDED = {  # an entry point of one or more w, called at a budget: the w it guards
     "build_graph": (lambda budget: build_graph(W0_4, budget), [W0_4]),
-    "scan_sn": (lambda budget: suite.scan_sn(4, budget),
-                sorted(enumerate_sn(4), key=lambda w: (-inversions(w), w))),
+    "scan_sn": (lambda budget: suite.scan_sn(4, budget),  # the least w of each orbit
+                sorted((w for w in enumerate_sn(4) if w == min(_orbit(w))),
+                       key=lambda w: (-inversions(w), w))),
     "aggregate_bound_check": (lambda budget: bounds.aggregate_bound_check(4, 3, budget),
                               LENGTH_3),
     "_size_bounds_of": (lambda budget: bounds._size_bounds_of(W0_4, budget), [W0_4]),
