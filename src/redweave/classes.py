@@ -254,8 +254,9 @@ def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: i
            threads: int = 1) -> dict:
     """{w: job(G(w))} for each w of perms, by one ``_run`` here if
     ``min(threads, len(perms))`` is 1, else one per share in a pool of that
-    many, started by the platform's default method (fork on Linux and Python
-    <= 3.13: a worker is a copy of this process); job must then pickle.  The
+    many, started by the platform's default method, whose workers may import
+    redweave afresh (spawn, forkserver): each ``_run`` fills its own DAG under
+    any method, the refill accepted over choosing one; job must then pickle.  The
     w go longest first, lexicographic among equals, and each passes
     ``words._within_budget`` here, in that order on one word-count memo,
     before any G(w) is built, so the first refusal in that order is raised.  They

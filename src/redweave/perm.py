@@ -81,15 +81,16 @@ def inversions(w: Perm) -> int:
     return sum(starmap(gt, combinations(w, 2)))
 
 
+def _pattern(vals: tuple[int, ...]) -> Perm:
+    """The pattern of a subsequence: each entry its rank among 0 and them."""
+    return tuple(map(sorted((0, *vals)).index, vals))
+
+
 def pattern_occurrences(w: Perm, p: Perm) -> Iterator[tuple[int, ...]]:
-    """Yield the 0-based index tuples of w that carry a p-pattern: those whose
-    values sort their positions in the same order as p does (equal argsorts)."""
-    k = len(p)
-    order = sorted(range(k), key=p.__getitem__)
-    positions = range(k)
-    for idx, vals in zip(combinations(range(len(w)), k), combinations(w, k)):
-        if sorted(positions, key=vals.__getitem__) == order:
-            yield idx
+    """The 0-based index tuples of w whose values have the pattern p, lazily."""
+    k, p = len(p), tuple(p)
+    return (idx for idx, vals in zip(combinations(range(len(w)), k), combinations(w, k))
+            if _pattern(vals) == p)
 
 
 def _triples321(w: Perm) -> tuple[tuple[int, int, int], ...]:

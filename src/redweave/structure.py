@@ -9,7 +9,7 @@ from typing import Iterator, NamedTuple
 
 from .classes import ClassGraph
 from .errors import InputError, InvariantViolation
-from .perm import Perm, _triples321
+from .perm import Perm, _pattern, _triples321
 from .words import Word, _Cache, braid_windows, canonical_letters
 
 # Containment of any of these makes G(w) fail to be a rectangle.  The
@@ -102,8 +102,8 @@ def rectangular_witness(w: Perm) -> Perm | None:
 
 
 def _patterns(w: Perm, k: int) -> set[Perm]:
-    """The patterns of w's k-subsequences: each entry its rank among 0 and them."""
-    return {tuple(map(sorted((0, *vals)).index, vals)) for vals in combinations(w, k)}
+    """The patterns of w's k-subsequences, by ``perm._pattern``."""
+    return set(map(_pattern, combinations(w, k)))
 
 
 def is_rectangular(w: Perm) -> bool:

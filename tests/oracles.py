@@ -31,6 +31,8 @@ statistic that ``build_poset`` reads as a popcount.
 the patterns, where ``subnet.friendliness`` reads value triples.
 ``grid_labelling_ok`` checks a grid labelling of G(w) against its public
 edges and ranks alone, where ``rectangle_label`` reads the triple masks.
+``within_four_off`` is a BFS over ``g.neighbors``, where ``suite._on_six_cycle``
+probes the ``{mask: id}`` dict.
 ``OracleGraph`` is G(w) from ``classes_bfs`` and ``rewrite_neighbors``
 alone, with its own adjacency sets, BFS and parity: the graph reads of
 ``ClassGraph`` come off the triple masks instead.
@@ -264,6 +266,20 @@ def induced_cycle_lengths(g, v: int, a: int, b: int) -> set[int]:
         if found:
             break  # shortest induced cycle decides the verdict
     return found
+
+
+def within_four_off(g, v: int, a: int, b: int) -> bool:
+    """Whether a and b are at most 4 apart in G(w) - v: whether their balls
+    of radius 2 there, each found by a BFS over ``g.neighbors``, meet."""
+
+    def ball(x: int) -> set[int]:
+        seen = frontier = {x}
+        for _ in range(2):
+            frontier = {y for z in frontier for y in g.neighbors(z)} - seen - {v}
+            seen = seen | frontier
+        return seen
+
+    return not ball(a).isdisjoint(ball(b))
 
 
 def count_subnetworks_brute(word: Word, members: set, m: int) -> int:

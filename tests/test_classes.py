@@ -327,6 +327,40 @@ def test_poset_326514_levels():
     assert levels == {0: 1, 1: 2, 2: 2, 3: 1}
 
 
+def test_poset_refuses_an_edge_between_index_sums_two_apart(monkeypatch):
+    # classes 0 and 3 of G(4321) have index sums 10 and 12
+    g = build_graph((4, 3, 2, 1))
+    monkeypatch.setattr(g, "_pairs", g._pairs + ((0, 3, 0),))
+    with pytest.raises(InvariantViolation) as refused:
+        build_poset(g)
+    assert str(refused.value) == "edge 0-3 of G((4, 3, 2, 1)) joins index sums 10 and 12"
+
+
+def test_poset_refuses_a_cover_that_drops_two_ranks(monkeypatch):
+    # the pair of G(321) is read, then its upper class's mask gains a bit
+    g = build_graph((3, 2, 1))
+    assert g._pairs == ((0, 1, 0),) and g._masks == (0, 1)
+    monkeypatch.setattr(g, "_masks", (0, 0b11))
+    with pytest.raises(InvariantViolation) as refused:
+        build_poset(g)
+    assert str(refused.value) == "cover 1->0 of P((3, 2, 1)) drops the 212-count by 2, not 1"
+
+
+def test_poset_refuses_ranks_short_of_n321(monkeypatch):
+    monkeypatch.setattr(classes.ClassGraph, "n321", property(lambda g: len(g._triples) + 1))
+    with pytest.raises(InvariantViolation) as refused:
+        build_poset(build_graph((3, 2, 1)))
+    assert str(refused.value) == "ranks of P((3, 2, 1)) are [0, 1], expected 0..2"
+
+
+@pytest.mark.parametrize("letters", [(2, 2), (4,)])
+def test_a_word_that_is_no_canonical_word_has_no_class(letters):
+    # (2, 2) sorts between the canonical words of G(4321), (4,) after them all
+    g = build_graph((4, 3, 2, 1))
+    with pytest.raises(KeyError):
+        g.class_by_canonical(letters)
+
+
 def test_poset_builds_for_all_s4():
     for w in enumerate_sn(4):
         p = build_poset(build_graph(w))

@@ -13,7 +13,7 @@ from oracles import (
     induced_cycle_lengths,
     word_walk_scan,
 )
-from redweave import InputError
+from redweave import InputError, InvariantViolation, structure
 from redweave.classes import build_graph, graph_checks
 from redweave.perm import _orbit, enumerate_sn, identity, inverse, longest_element
 from redweave.structure import (
@@ -85,6 +85,31 @@ def test_embed_hypercube_large_example():
         for j in range(wit.dimension):
             flip = bits[:j] + (1 - bits[j],) + bits[j + 1 :]
             assert g.has_edge(cid, wit.classes[flip])
+
+
+def _cube_refusal(g) -> str:
+    with pytest.raises(InvariantViolation) as refused:
+        embed_hypercube(g)
+    return str(refused.value)
+
+
+def test_embed_hypercube_refuses_too_few_windows(monkeypatch):
+    # Y = 2 on G(4321), from (1, 2, 3, 2, 1, 2): one down-move and one up-move
+    g = build_graph(longest_element(4))
+    monkeypatch.setattr(g, "_y", (5, g.max_window_word))
+    assert _cube_refusal(g) == "same-direction moves of (1, 2, 3, 2, 1, 2) are not 3 disjoint windows"
+
+
+def test_embed_hypercube_refuses_colliding_subsets(monkeypatch):
+    g = build_graph(longest_element(4))
+    monkeypatch.setattr(structure, "canonical_letters", lambda letters: g._canonical[0])
+    assert _cube_refusal(g) == "subsets of moves of (1, 2, 3, 2, 1, 2) collide in G((4, 3, 2, 1))"
+
+
+def test_embed_hypercube_refuses_a_missing_edge(monkeypatch):
+    g = build_graph(longest_element(4))
+    monkeypatch.setattr(g, "has_edge", lambda u, v: False)
+    assert _cube_refusal(g) == "missing hypercube edge (0,) -- (1,) in G((4, 3, 2, 1))"
 
 
 def test_rectangular_pattern_route():

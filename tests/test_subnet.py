@@ -252,6 +252,17 @@ def test_predicted_count_friendly():
         predicted_count_friendly(g, Word((2, 1, 3, 2, 3), 4), (3, 4, 1, 2))
 
 
+def test_predicted_count_refuses_a_w_that_is_not_friendly(s5):
+    # 3241 has one 321-pattern; the first w of S_5 not 3241-friendly, by the oracle
+    p = (3, 2, 4, 1)
+    w = next(w for w in s5 if friendliness_by_indices(w, p)[0] is None)
+    assert w == (3, 2, 5, 4, 1)
+    g = build_graph(w)
+    with pytest.raises(InputError) as refused:
+        predicted_count_friendly(g, Word(g._canonical[0], 5), p)
+    assert str(refused.value) == f"{w} is not {p}-friendly"
+
+
 def test_predicted_count_w0_s4_examples():
     assert predicted_count_w0_s4(Word((3, 2, 3, 1, 2, 3), 4), 4) == 0
     assert predicted_count_w0_s4(Word((2, 3, 2, 1, 2, 3), 4), 4) == 1

@@ -8,7 +8,7 @@ from math import inf
 
 import pytest
 
-from oracles import global_dags, graph_as_scan
+from oracles import global_dags, graph_as_scan, grid_labelling_ok, within_four_off
 from redweave import (
     BudgetExceeded,
     InvariantViolation,
@@ -105,6 +105,80 @@ def test_eight_cycle_check_fires_on_an_overreport(monkeypatch):
         structure, "classify_edge_pair", lambda *args: structure.CycleVerdict.EIGHT_CYCLE
     )
     assert any("on no 6-cycle" in v for v in suite.check_permutation(g))
+
+
+def test_a_pair_within_one_parity_is_not_bipartite(monkeypatch):
+    # an extra pair joining classes 0 and 3 of G(4321), index sums 10 and 12
+    w = (4, 3, 2, 1)
+    g = classes.build_graph(w)
+    assert [sum(c) for c in g._canonical[:4]] == [10, 11, 11, 12]
+    monkeypatch.setattr(g, "_pairs", g._pairs + ((0, 3, 0),))
+    assert classes.graph_checks(g) == classes.GraphReport(True, False)
+    assert f"G({w}) is not bipartite by index-sum parity" in suite.check_permutation(g)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("y", "freely braided (3, 2, 1) has 2 classes, expected 2^2"),
+    ("n321", "G((3, 2, 1)) is a path with 2 != N321+1 = 3 vertices"),
+])
+def test_a_size_bound_off_by_one_fails_its_check(monkeypatch, field, message):
+    # G(321) is a path of two classes, freely braided with Y = N321 = 1
+    real = suite.size_bounds
+    monkeypatch.setattr(suite, "size_bounds",
+                        lambda g: real(g)._replace(**{field: getattr(real(g), field) + 1}))
+    assert suite.check_permutation(classes.build_graph((3, 2, 1))) == [message]
+
+
+def test_a_failing_aggregate_report_fails_the_scan(monkeypatch):
+    rep = bounds.AggregateReport(3, 1, 2, 99, 3, 256, True)
+    monkeypatch.setattr(suite, "aggregate_reports", lambda n, sizes: [rep])
+    assert suite.scan_sn(3, threads=1) == [f"aggregate bound fails for n=3, l=1: {rep}"]
+
+
+def _incident_pairs(graphs):
+    """(G(w), v, a, b) for each vertex v of each graph and neighbours a < b of v."""
+    return [(g, v, a, b) for g in graphs for v in range(len(g))
+            for a, b in combinations(sorted(g.neighbors(v)), 2)]
+
+
+def _six_cycle_mismatches(pairs):
+    return [(g.w, v, a, b) for g, v, a, b in pairs
+            if suite._on_six_cycle(g, v, a, b) != within_four_off(g, v, a, b)]
+
+
+def test_six_cycle_probe_matches_the_bfs_s5_s6_and_s7_sample(s5, s6_graphs):
+    pairs = _incident_pairs([*map(classes.build_graph, s5), *s6_graphs.values()])
+    assert len(pairs) == 43964
+    assert _six_cycle_mismatches(pairs) == []
+    sample = classes._sweep(random.Random(35).sample(list(enumerate_sn(7)), 40), lambda g: g, 10**12)
+    assert _six_cycle_mismatches(_incident_pairs(sample.values())) == []
+
+
+@pytest.mark.slow
+def test_six_cycle_probe_matches_the_bfs_w0_7():
+    g = classes.build_graph(longest_element(7), 10**12)
+    assert _six_cycle_mismatches(_incident_pairs([g])) == []
+
+
+class _Cube:
+    """A graph of bare masks, as G(w) is: the hypercube's subgraph induced on them."""
+
+    def __init__(self, masks, n321):
+        self._masks, self.n321 = tuple(masks), n321
+        self._ids = {m: v for v, m in enumerate(masks)}
+
+    def neighbors(self, cid):
+        m = self._masks[cid]
+        return frozenset(self._ids[m ^ 1 << k] for k in range(self.n321) if m ^ 1 << k in self._ids)
+
+
+@pytest.mark.parametrize("far, found", [((0b111,), True), ((), False)])
+def test_six_cycle_probe_takes_the_path_through_the_far_corner(far, found):
+    # v = 000, a = 001, b = 010, with 101 and 110 but neither 011 nor 100:
+    # with 111, the one path of 4 edges from a to b off v runs a ^ e_2,
+    # v ^ e_0 ^ e_1 ^ e_2, b ^ e_2, which no pair of S_5, S_6 or S_7's sample needs
+    g = _Cube([0b000, 0b001, 0b010, 0b101, 0b110, *far], 3)
+    assert suite._on_six_cycle(g, 0, 1, 2) is within_four_off(g, 0, 1, 2) is found
 
 
 def test_failed_poset_leaves_no_grid_label(monkeypatch):
@@ -228,6 +302,16 @@ def test_sweep_reports_in_lexicographic_order(monkeypatch):
 
 def test_pool_sweep_matches_serial():
     assert suite.scan_sn(5, threads=2) == suite.scan_sn(5, threads=1)
+
+
+@pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                    if m in multiprocessing.get_all_start_methods()])
+def test_pool_sweep_runs_in_workers_that_inherit_nothing(monkeypatch, method):
+    # a spawned or forkserver worker imports redweave afresh, fills its own
+    # DAG and gets the job and its share by pickle
+    want = suite.scan_sn(5)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    assert suite.scan_sn(5, threads=2) == want
 
 
 def test_sweep_expands_each_guard_state_once(counted_dags, counted_guards):
@@ -443,3 +527,40 @@ def test_orbit_sweep_matches_the_per_w_sweep_s7(credited_sizes):
     assert suite.scan_sn(7, 10**12, threads=2) == want
     assert credited_sizes == [sizes]
     assert sum(sizes.values()) == 361071
+
+
+def _past_s8_sample(n, quotas, seed, cap=2 * 10**4):
+    """Seeded orbit representatives of S_n with |G(w)| <= cap, read off one
+    live-run memo by ``_class_count`` before any G(w) is built: quotas[0]
+    rectangular w, quotas[1] other 4321-avoiders, and quotas[2] of the rest,
+    at most three of each length."""
+    rng, live, seen = random.Random(seed), {}, set()
+    rect, avoiders, rest = [], [], {}  # rest: length -> its w
+    while (len(rect) < quotas[0] or len(avoiders) < quotas[1]
+           or sum(map(len, rest.values())) < quotas[2]):
+        w = min(perm._orbit(tuple(rng.sample(range(1, n + 1), n))))
+        if w in seen:
+            continue
+        seen.add(w)
+        if structure.is_rectangular(w):
+            kept, quota = rect, quotas[0]
+        elif perm.avoids(w, (4, 3, 2, 1)):
+            kept, quota = avoiders, quotas[1]
+        else:  # three of a length, while the rest's quota has room
+            kept = rest.setdefault(inversions(w), [])
+            quota = min(3, len(kept) + quotas[2] - sum(map(len, rest.values())))
+        if len(kept) < quota and words._class_count(w, live) <= cap:
+            kept.append(w)
+    return rect, avoiders, [w for ws in rest.values() for w in ws]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, quotas", [(9, (60, 100, 60)), (10, (30, 50, 30))])
+def test_the_suite_holds_on_a_sample_past_s8(n, quotas):
+    # each G(w) is built with no word budget: a w with 2*10^4 classes can
+    # have more than 10^8 words; a rectangular w's labels are judged twice
+    rect, avoiders, rest = _past_s8_sample(n, quotas, 35)
+    for w in rect + avoiders + rest:
+        g = classes.build_graph(w, inf)
+        assert suite.check_permutation(g) == [], w
+        assert w not in rect or grid_labelling_ok(g, structure.rectangle_label(g)), w
