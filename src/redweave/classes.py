@@ -27,43 +27,40 @@ from bisect import bisect_left
 from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
+from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, _triples321, check_perm, inversions
-from .words import (
-    Letters,
-    Word,
-    _SweepTables,
-    _all_within_budget,
-    _canonical_words,
-    _most_windows,
-    crossing_events,
-)
+from .words import (Letters, Word, _Cache, _SweepTables, _all_within_budget, _canonical_words,
+                    _most_windows, _paths, crossing_events)
 
 Wires = tuple[int, int, int]
 EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
 
 
-def _class_size(letters: Letters, n: int) -> int:
-    """Words in the class of a canonical word: linear extensions of its heap.
+def _heap(letters: Letters, n: int) -> tuple[int, dict]:
+    """The heap of a word over letters 1..n-1, as (mask, moves by letter).
 
     Pieces of one letter form a chain, and the k-th piece of letter x can
     be placed once the pieces of x, x-1 and x+1 written before it in the
     word are placed.  An order ideal is thus its vector of per-letter
-    counts, packed into one int; the DP walks the ideals by size,
-    keeping one layer at a time.
+    counts, packed into one int of fields ``mask`` wide; moves[x] is (the
+    shift of x's field, those of x-1 and x+1, the (lo, hi) needs of each
+    piece of x then None, the step that adds one piece of x).
     """
     bits = max(len(letters), 1).bit_length()
-    mask = (1 << bits) - 1
     seen = [0] * (n + 1)
     needs: list[list] = [[] for _ in range(n + 1)]  # letter -> (lo, hi) per piece
     for x in letters:
         needs[x].append((seen[x - 1], seen[x + 1]))
         seen[x] += 1
-    moves = [
-        (x * bits, (x - 1) * bits, (x + 1) * bits, needs[x] + [None], 1 << (x * bits))
-        for x in range(1, n)
-        if needs[x]
-    ]
+    return (1 << bits) - 1, {x: (x * bits, (x - 1) * bits, (x + 1) * bits, needs[x] + [None],
+                                 1 << (x * bits)) for x in range(1, n) if needs[x]}
+
+
+def _class_size(letters: Letters, n: int) -> int:
+    """Words in the class of a canonical word: linear extensions of its heap,
+    counted by a DP over its order ideals by size, one layer at a time."""
+    mask, heap = _heap(letters, n)
+    moves = tuple(heap.values())
     layer = {0: 1}
     for _ in letters:
         nxt: dict[int, int] = {}
@@ -215,20 +212,16 @@ class ClassGraph:
 
 
 def class_members(letters: Letters) -> set[Letters]:
-    """Every word in the commutation class of the given word (BFS over swaps)."""
-    seen = {tuple(letters)}
-    frontier = [tuple(letters)]
-    while frontier:
-        nxt = []
-        for ls in frontier:
-            for p in range(len(ls) - 1):
-                if abs(ls[p] - ls[p + 1]) >= 2:
-                    other = ls[:p] + (ls[p + 1], ls[p]) + ls[p + 2 :]
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-        frontier = nxt
-    return seen
+    """Every word in the commutation class of the given word: the paths of
+    ``words._paths`` over its heap's order ideals, each a linear extension."""
+    if bad := sorted({x for x in letters if x < 1}):
+        raise InputError(f"letters {bad} are below 1")
+    mask, heap = _heap(letters, max(letters, default=0) + 1)
+    steps = _Cache(lambda ideal: [
+        ((x,), ideal + step) for x, (shift, lo, hi, need, step) in heap.items()
+        if (req := need[(ideal >> shift) & mask]) is not None
+        and (ideal >> lo) & mask >= req[0] and (ideal >> hi) & mask >= req[1]])
+    return set(_paths(steps.__getitem__, 0))
 
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:

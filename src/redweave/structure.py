@@ -171,11 +171,8 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
     """The shortest induced cycle of G(w) through the edges (v,a) and (v,b).
 
     A 4-cycle when the mask v ^ a ^ b is a class: in the hypercube, it and v
-    are the only common neighbours of a and b.  Otherwise an 8-cycle when some
-    path a -> b of 6 edges keeps its inner vertices off v and its neighbours
-    and has no chord; a DFS finds one, dropping any vertex adjacent to an
-    earlier vertex of the path or more bit flips from b than the path has
-    edges left (an edge flips one bit).  Otherwise there is none.
+    are the only common neighbours of a and b.  Otherwise an 8-cycle when a
+    walk of ``_OCTAGONS`` stays on classes, else there is none.
     """
     if not all(0 <= x < len(g) for x in (v, a, b)):
         raise InputError(f"vertices {v}, {a}, {b} are not all in 0..{len(g) - 1}")
@@ -184,7 +181,7 @@ def classify_edge_pair(g: ClassGraph, v: int, a: int, b: int) -> CycleVerdict:
     m = g._masks
     if m[v] ^ m[a] ^ m[b] in g._ids:  # induced, as G(w) is bipartite
         return CycleVerdict.FOUR_CYCLE
-    found = _closes_chordless(g, [m[a]], m[v], m[b])
+    found = _closes(g, v, a, b, _OCTAGONS)
     return CycleVerdict.EIGHT_CYCLE if found else CycleVerdict.NO_INDUCED_CYCLE
 
 
@@ -196,19 +193,29 @@ def _edge_pair_verdicts(g: ClassGraph) -> Iterator[tuple[int, int, int, CycleVer
             yield v, a, b, classify_edge_pair(g, v, a, b)
 
 
-def _closes_chordless(g: ClassGraph, path: list[int], v: int, b: int) -> bool:
-    """Whether path, off v and its neighbours (all masks), extends to a and five inner
-    vertices that close at b with no chord: a module function, so no closure keeps G(w) alive."""
-    if len(path) == 6:
-        return (path[-1] ^ b).bit_count() == 1 and all((b ^ y).bit_count() > 1 for y in path[:-1])
-    for j in range(g.n321):
-        x = path[-1] ^ (1 << j)
-        if (x not in g._ids or (x ^ b).bit_count() > 6 - len(path) or (x ^ v).bit_count() < 2
-                or any((x ^ y).bit_count() == 1 for y in path[:-1])):
-            continue
-        path.append(x)
-        if _closes_chordless(g, path, v, b):
-            return True
-        path.pop()
-    return False
+# The flip orders that ``_closes`` walks after i (v -> a) and a bit K, before j
+# (b -> v).  A chord comes exactly from three cyclically consecutive flips that
+# repeat a bit, so an induced 8-cycle flips i, j, K and a bit L twice each, in one
+# of the 7 orders that brute force over {i, j, K, L}^6 leaves.  A 4-edge path from
+# a to b off v and v ^ a ^ b flips K, i, j, K.  Those that closed most often first.
+_OCTAGONS = ("LijLK", "LijKL", "LjiKL", "jLiKL", "jLKiL", "LjiLK", "LjKiL")
+_HEXAGONS = ("ijK", "jiK")
 
+
+def _closes(g: ClassGraph, v: int, a: int, b: int, orders: tuple[str, ...]) -> bool:
+    """Whether a walk from a = v ^ e_i flips a bit K and then one of orders through
+    classes alone: K, and L where an order has it, are each unused bit whose flip of
+    the mask reached is a class.  A module function, so no closure keeps G(w) alive."""
+    ms, ids = g._masks, g._ids
+    bits = [1 << k for k in range(g.n321)]
+    flip = {"i": ms[a] ^ ms[v], "j": ms[b] ^ ms[v]}
+    for k in [y for y in bits if not y & (flip["i"] | flip["j"]) and ms[a] ^ y in ids]:
+        flip["K"], used = k, flip["i"] | flip["j"] | k
+        for head, sep, tail in (order.partition("L") for order in orders):
+            x = ms[a] ^ k
+            if all((x := x ^ flip[c]) in ids for c in head):
+                for flip["L"] in [y for y in bits if not y & used and x ^ y in ids] if sep else [0]:
+                    y = x
+                    if all((y := y ^ flip[c]) in ids for c in sep + tail):
+                        return True
+    return False

@@ -10,7 +10,9 @@ from .classes import ClassGraph, _sweep, build_graph, build_poset, graph_checks
 from .errors import InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, _orbit, enumerate_sn, inversions
 from .structure import (
+    _HEXAGONS,
     CycleVerdict,
+    _closes,
     _disjoint,
     _edge_pair_verdicts,
     embed_hypercube,
@@ -77,12 +79,10 @@ def check_permutation(g: ClassGraph) -> list[str]:
 
 
 def _on_six_cycle(g: ClassGraph, v: int, a: int, b: int) -> bool:
-    """Whether a and b are at most 4 apart in G(w) - v, by probes of ``g._ids``:
-    such a path from a = v ^ e_i to b = v ^ e_j flips i, j and a bit x twice,
-    through a ^ x, v ^ x or a ^ b ^ v ^ x, b ^ x (x = e_i or e_j: via a ^ b ^ v)."""
-    ma, mb, mv, ids = g._masks[a], g._masks[b], g._masks[v], g._ids
-    return any(ma ^ x in ids and mb ^ x in ids and (mv ^ x in ids or ma ^ mb ^ mv ^ x in ids)
-               for x in (1 << k for k in range(g.n321)))
+    """Whether a and b are at most 4 apart in G(w) - v: through the mask
+    v ^ a ^ b, or along a walk of ``structure._HEXAGONS``."""
+    m = g._masks
+    return m[v] ^ m[a] ^ m[b] in g._ids or _closes(g, v, a, b, _HEXAGONS)
 
 
 def _check_orbit(g: ClassGraph) -> tuple[dict[Perm, list[str]], int]:

@@ -32,7 +32,13 @@ the patterns, where ``subnet.friendliness`` reads value triples.
 ``grid_labelling_ok`` checks a grid labelling of G(w) against its public
 edges and ranks alone, where ``rectangle_label`` reads the triple masks.
 ``within_four_off`` is a BFS over ``g.neighbors``, where ``suite._on_six_cycle``
-probes the ``{mask: id}`` dict.
+walks the hexagon flip orders of ``structure``.  ``_closes_chordless`` is a
+6-edge DFS for an induced 8-cycle, the reference for the octagon flip orders
+that ``classify_edge_pair`` walks.
+``x_avoiding_by_local_masks`` counts the classes of w that avoid a union X
+of classes of 4321's words through the higher Bruhat order: a class has an
+X-subnetwork on 4 values exactly when they carry 4321 in w and its triple
+set there is one of X's, where ``subnet`` replays the induced words.
 ``OracleGraph`` is G(w) from ``classes_bfs`` and ``rewrite_neighbors``
 alone, with its own adjacency sets, BFS and parity: the graph reads of
 ``ClassGraph`` come off the triple masks instead.
@@ -280,6 +286,44 @@ def within_four_off(g, v: int, a: int, b: int) -> bool:
         return seen
 
     return not ball(a).isdisjoint(ball(b))
+
+
+def _closes_chordless(g, path: list[int], v: int, b: int) -> bool:
+    """Whether path, off v and its neighbours (all masks), extends to a and five
+    inner vertices that close at b with no chord: an induced 8-cycle through the
+    edges (v, a) and (v, b) when path is [a], by a DFS over one-bit flips that
+    drops any mask adjacent to an earlier one of the path or more flips from b
+    than the path has edges left."""
+    if len(path) == 6:
+        return (path[-1] ^ b).bit_count() == 1 and all((b ^ y).bit_count() > 1 for y in path[:-1])
+    for j in range(g.n321):
+        x = path[-1] ^ (1 << j)
+        if (x not in g._ids or (x ^ b).bit_count() > 6 - len(path) or (x ^ v).bit_count() < 2
+                or any((x ^ y).bit_count() == 1 for y in path[:-1])):
+            continue
+        path.append(x)
+        if _closes_chordless(g, path, v, b):
+            return True
+        path.pop()
+    return False
+
+
+def x_avoiding_by_local_masks(g, x) -> int:
+    """The classes of G(w) with no X-subnetwork, for X a union of classes of
+    4321's words: a 4-set S of values carries one exactly when S carries 4321
+    in w and the class's triples inside S, standardized, are the triple set
+    of one of X's classes (its local mask)."""
+    banned = {triple_set(ls, 4) for ls in x.words}
+    pos = {val: p for p, val in enumerate(g.w)}
+    quads = [s for s in combinations(range(1, g.n + 1), 4)
+             if pos[s[3]] < pos[s[2]] < pos[s[1]] < pos[s[0]]]
+    count = 0
+    for m in g._masks:
+        chosen = {t for j, t in enumerate(g._triples) if m >> j & 1}
+        count += not any(
+            frozenset(tuple(s.index(u) + 1 for u in t) for t in combinations(s, 3) if t in chosen)
+            in banned for s in quads)
+    return count
 
 
 def count_subnetworks_brute(word: Word, members: set, m: int) -> int:

@@ -5,16 +5,19 @@ import random
 import types
 import weakref
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
-    canonical_words_dfs, classes_bfs, count_212, graph_as_scan, local_rule_sets,
+    canonical_words_dfs, classes_bfs, commutation_class_bfs, count_212, graph_as_scan,
+    local_rule_sets,
     order_by_covers, triple_set, word_walk_scan,
 )
 from redweave import (
-    BudgetExceeded, InvariantViolation, bounds, classes, structure, subnet, suite, words
+    BudgetExceeded, InputError, InvariantViolation, bounds, classes, structure, subnet, suite,
+    words,
 )
 from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import build_graph, build_poset, class_members, graph_checks
@@ -66,6 +69,25 @@ def test_class_members():
     assert class_members((2, 1, 2, 3, 2)) == {(2, 1, 2, 3, 2)}
     assert class_members((1, 3)) == {(1, 3), (3, 1)}
     assert class_members((1, 2, 3, 1, 2)) == {(1, 2, 3, 1, 2), (1, 2, 1, 3, 2)}
+
+
+def test_class_members_match_the_bfs_on_every_short_word():
+    # every word over letters 1..5 of length at most 6, non-reduced ones too
+    words_ = [ls for k in range(7) for ls in product(range(1, 6), repeat=k)]
+    assert len(words_) == 19531
+    assert [ls for ls in words_ if class_members(ls) != commutation_class_bfs(ls)] == []
+
+
+def test_class_members_match_the_bfs_on_every_class_to_s6(s6_graphs):
+    graphs = [build_graph(w) for n in range(1, 6) for w in enumerate_sn(n)]
+    for g in [*graphs, *s6_graphs.values()]:
+        assert all(class_members(c) == commutation_class_bfs(c) for c in g._canonical), g.w
+
+
+@pytest.mark.parametrize("letters", [(0,), (2, -1, 3)])
+def test_class_members_refuse_a_letter_below_1(letters):
+    with pytest.raises(InputError, match="below 1"):
+        class_members(letters)
 
 
 def test_classes_match_bfs_components():

@@ -4,16 +4,17 @@ import weakref
 
 import pytest
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from oracles import (
     OracleGraph,
+    _closes_chordless,
     contains,
     grid_labelling_ok,
     induced_cycle_lengths,
     word_walk_scan,
 )
-from redweave import InputError, InvariantViolation, structure
+from redweave import InputError, InvariantViolation, classes, structure
 from redweave.classes import build_graph, graph_checks
 from redweave.perm import _orbit, enumerate_sn, identity, inverse, longest_element
 from redweave.structure import (
@@ -274,7 +275,8 @@ def test_classify_edge_pair_examples():
     ((3, 4, 2, 1), 1, 0, 2, CycleVerdict.NO_INDUCED_CYCLE),
 ])
 def test_classify_edge_pair_frees_the_graph_without_gc(w, v, a, b, verdict):
-    # a verdict that reaches the DFS leaves no reference cycle holding G(w)
+    # a verdict that reaches the flip-order walk leaves no reference cycle
+    # holding G(w)
     gc.disable()
     try:
         g = build_graph(w)
@@ -298,7 +300,7 @@ def test_classify_edge_pair_refuses_vertices_outside_the_graph():
 
 def test_graph_reads_match_the_oracle_graph():
     # the mask reads (neighbours, edges, connectivity, the 4-cycle probe and
-    # the pruned DFS) against a G(w) built by rewriting words, on S_4, S_5
+    # the flip-order walk) against a G(w) built by rewriting words, on S_4, S_5
     # and the 652 w of S_6 with at most 2000 reduced words
     small = [w for w in enumerate_sn(6) if count_reduced_words(w) <= 2000]
     assert len(small) == 652
@@ -319,6 +321,62 @@ def test_graph_reads_match_the_oracle_graph():
                 assert classify_edge_pair(g, v, a, b) is want, (w, v, a, b)
                 pairs += 1
     assert pairs == 11 + 7520  # S_4's, then those of S_5 and the S_6 w
+
+
+def _dfs_verdict(g, v, a, b):
+    """The verdict by the 4-cycle probe, then the 6-edge DFS of ``oracles``."""
+    m = g._masks
+    if m[v] ^ m[a] ^ m[b] in g._ids:
+        return CycleVerdict.FOUR_CYCLE
+    if _closes_chordless(g, [m[a]], m[v], m[b]):
+        return CycleVerdict.EIGHT_CYCLE
+    return CycleVerdict.NO_INDUCED_CYCLE
+
+
+def _verdict_mismatches(graphs):
+    return [(g.w, v, a, b) for g in graphs for v in range(len(g))
+            for a, b in combinations(sorted(g.neighbors(v)), 2)
+            if classify_edge_pair(g, v, a, b) is not _dfs_verdict(g, v, a, b)]
+
+
+def test_verdicts_match_the_dfs_s5_s6_and_s7_sample(s5, s6_graphs):
+    assert _verdict_mismatches([*map(build_graph, s5), *s6_graphs.values()]) == []
+    sample = random.Random(36).sample(list(enumerate_sn(7)), 60)
+    assert _verdict_mismatches(classes._sweep(sample, lambda g: g, 10**12).values()) == []
+
+
+@pytest.mark.slow
+def test_verdicts_match_the_dfs_w0_7():
+    assert _verdict_mismatches([build_graph(longest_element(7), 10**12)]) == []
+
+
+def _closed_walks(length, chordless):
+    """The flip orders, as strings over i, j, K and L, of the closed walks of
+    ``length`` flips from v = 0, with bits i = 1, j = 2, K = 4 and L = 8,
+    that flip i, then K, and last j, through distinct masks, none of them
+    v ^ a ^ b = 3; if ``chordless``, no two masks but consecutive ones are one
+    flip apart.  The order is the flips between K and j."""
+    bit = dict(zip("ijKL", (1, 2, 4, 8)))
+    out = []
+    for middle in product("ijKL", repeat=length - 3):
+        masks = [0]
+        for c in "iK" + "".join(middle):
+            masks.append(masks[-1] ^ bit[c])
+        chords = [(p, q) for p, q in combinations(range(length), 2)
+                  if (masks[p] ^ masks[q]).bit_count() == 1 and q - p not in (1, length - 1)]
+        if (masks[-1] == bit["j"] and len(set(masks)) == length and 3 not in masks
+                and not (chordless and chords)):
+            out.append("".join(middle))
+    return out
+
+
+def test_the_flip_order_tables_are_every_order_brute_force_leaves():
+    # an induced 8-cycle through (v, a = v ^ e_i) and (v, b = v ^ e_j): K
+    # names its second flip and L its fourth bit
+    assert sorted(_closed_walks(8, chordless=True)) == sorted(structure._OCTAGONS)
+    assert len(structure._OCTAGONS) == 7
+    # a path of 4 edges from a to b off v and v ^ a ^ b, chords allowed
+    assert sorted(_closed_walks(6, chordless=False)) == sorted(structure._HEXAGONS)
 
 
 def test_verdicts_by_shared_wires_s6(s6):

@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import contains, count_212, count_subnetworks_brute, friendliness_by_indices
-from redweave import BudgetExceeded, InputError
+from oracles import (
+    contains, count_212, count_subnetworks_brute, friendliness_by_indices,
+    x_avoiding_by_local_masks,
+)
+from redweave import BudgetExceeded, InputError, classes
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import (
     TOP_212,
@@ -189,6 +192,32 @@ def test_x_avoiding_classes_of_class_unions_count_as_before():
     assert counts == [sum(1 for c in g._canonical
                           if not any(count_subnetworks(Word(ls, 5), x) for ls in class_members(c)))
                       for x in presets]
+
+
+def _local_mask_mismatches(perms):
+    """(w, X) where ``count_x_avoiding_classes`` and the local-mask oracle
+    disagree, for X the Warrington set and each class of w0_4's words."""
+    presets = [WARRINGTON_X, *s4_longest_classes()]
+    graphs = classes._sweep(perms, lambda g: g, 10**12)
+    return [(w, k) for w, g in graphs.items() for k, x in enumerate(presets)
+            if count_x_avoiding_classes(g, x) != x_avoiding_by_local_masks(g, x)]
+
+
+def test_x_avoiding_classes_match_the_local_masks_s4_s5():
+    assert _local_mask_mismatches([w for n in (4, 5) for w in enumerate_sn(n)]) == []
+
+
+@pytest.mark.slow
+def test_x_avoiding_classes_match_the_local_masks_s6():
+    assert _local_mask_mismatches(list(enumerate_sn(6))) == []
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_warrington_classes_match_the_local_masks(n):
+    # the counts run 1, 1, 2, 4, ..., 32 here: 2^(n-2) from n = 2 on
+    g = build_graph(longest_element(n), budget=10**12)
+    assert (_warrington_count(n, classes=True, budget=10**12)
+            == x_avoiding_by_local_masks(g, WARRINGTON_X) == 2 ** max(n - 2, 0))
 
 
 def test_x_avoiding_words_when_x_is_not_a_class_union():

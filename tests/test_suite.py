@@ -8,7 +8,9 @@ from math import inf
 
 import pytest
 
-from oracles import global_dags, graph_as_scan, grid_labelling_ok, within_four_off
+from oracles import (
+    global_dags, graph_as_scan, grid_labelling_ok, induced_cycle_lengths, within_four_off,
+)
 from redweave import (
     BudgetExceeded,
     InvariantViolation,
@@ -167,9 +169,26 @@ class _Cube:
         self._masks, self.n321 = tuple(masks), n321
         self._ids = {m: v for v, m in enumerate(masks)}
 
+    def __len__(self):
+        return len(self._masks)
+
     def neighbors(self, cid):
         m = self._masks[cid]
         return frozenset(self._ids[m ^ 1 << k] for k in range(self.n321) if m ^ 1 << k in self._ids)
+
+    def has_edge(self, u, v):
+        return (self._masks[u] ^ self._masks[v]).bit_count() == 1
+
+
+def _walk_stub(order):
+    """A ``_Cube`` of the masks that v = 0 passes by flipping i = 1, K = 4 and
+    then the order, over i, j = 2, K and L = 8: a path from a = 1 to its last
+    mask b = 2, which closes the one cycle through (v, a) and (v, b)."""
+    bit = dict(zip("ijKL", (1, 2, 4, 8)))
+    masks = [0]
+    for c in "iK" + order:
+        masks.append(masks[-1] ^ bit[c])
+    return _Cube(masks, 4)
 
 
 @pytest.mark.parametrize("far, found", [((0b111,), True), ((), False)])
@@ -179,6 +198,23 @@ def test_six_cycle_probe_takes_the_path_through_the_far_corner(far, found):
     # v ^ e_0 ^ e_1 ^ e_2, b ^ e_2, which no pair of S_5, S_6 or S_7's sample needs
     g = _Cube([0b000, 0b001, 0b010, 0b101, 0b110, *far], 3)
     assert suite._on_six_cycle(g, 0, 1, 2) is within_four_off(g, 0, 1, 2) is found
+
+
+@pytest.mark.parametrize("order", ["LijLK", "LijKL", "LjiKL", "jLiKL", "jLKiL", "LjiLK", "LjKiL"])
+def test_each_octagon_order_closes_the_cycle_that_takes_it(order):
+    # S_4 to S_6 and 300 seeded w of S_7 close octagons by the first three
+    # orders alone; each order must close the one cycle of its own stub
+    g = _walk_stub(order)
+    assert len(g) == 8 and induced_cycle_lengths(g, 0, 1, 7) == {8}
+    assert structure.classify_edge_pair(g, 0, 1, 7) is structure.CycleVerdict.EIGHT_CYCLE
+
+
+def test_six_cycle_probe_takes_the_path_through_v_and_k():
+    # v = 000, a = 001, b = 010 and the path a ^ e_2, v ^ e_2, b ^ e_2 alone:
+    # the order ijK, where the far-corner stub takes jiK
+    g = _walk_stub("ijK")
+    assert [*g._masks] == [0b000, 0b001, 0b101, 0b100, 0b110, 0b010]
+    assert suite._on_six_cycle(g, 0, 1, 5) is within_four_off(g, 0, 1, 5) is True
 
 
 def test_failed_poset_leaves_no_grid_label(monkeypatch):
