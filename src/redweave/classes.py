@@ -3,20 +3,19 @@
 ``build_graph(w, budget)`` is G(w), built afresh and guarded by the word budget:
 ``g.vertices`` are the classes (id, canonical word, size) in lexicographic
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
-G(w) is built in layers.  The canonical words come up front, by a walk in
-``words`` on the memos of the ``_SweepTables`` passed in: one per ``_run``,
-the sweep loop of every process, of which ``build_graph`` is a sweep of one.
-The graph keeps them alone, by id: the records of ``g.vertices`` are made
-on its first read, which only the ``classes`` command and library callers make.
-The bare mask-flip edges ``_pairs``, which every check reads, and Y, on the
-one memo the graph keeps, come on first read and are kept; the edge labels
-only on the first read of ``g.edges``, which only ``graph`` text and JSON
-output makes; a class size on each read.  Edges and ranks read one int per
-class, its ``_triple_masks`` bitmask over w's 321-triples, read off its value
-triples: a braid move flips one bit (probed per unset bit), and the popcount
-is its rank in P(w).  G(w) is the hypercube's subgraph induced on the masks:
-every graph read comes off them and their ``{mask: id}`` dict ``_ids``, with
-no adjacency stored.  Every function of G(w), here and in ``subnet``,
+G(w) is built in layers.  The canonical words and their triple masks (one
+int per class, a bitmask over w's 321-triples) come up front, by one walk in
+``words`` on the memos of the one ``_SweepTables`` of a ``_sweep``, which
+``build_graph`` is a sweep of one.  The graph keeps them alone, by id: the
+records of ``g.vertices`` are made on first read, which only the ``classes``
+command and library callers make.  The bare mask-flip edges ``_pairs``, which
+every check reads, and Y, on the one memo the graph keeps, come on first read
+and are kept; the edge labels only on the first read of ``g.edges``, which
+only ``graph`` text and JSON output makes; a class size on each read.  A
+braid move flips one bit of a mask (probed per unset bit), and its popcount
+is its rank in P(w): G(w) is the hypercube's subgraph induced on the masks,
+and every graph read comes off them and their ``{mask: id}`` dict ``_ids``,
+with no adjacency stored.  Every function of G(w), here and in ``subnet``,
 ``structure``, ``bounds`` and ``suite``, takes the graph; the word budget of
 a G(w) is checked in ``_sweep`` alone, in the process that calls it.
 """
@@ -24,13 +23,13 @@ a G(w) is checked in ``_sweep`` alone, in the process that calls it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, _triples321, check_perm, inversions
 from .words import (Letters, Word, _Cache, _SweepTables, _all_within_budget, _canonical_words,
-                    _most_windows, _paths, crossing_events)
+                    _class_count, _most_windows, _paths, crossing_events)
 
 Wires = tuple[int, int, int]
 EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
@@ -77,33 +76,6 @@ def _class_size(letters: Letters, n: int) -> int:
     return sum(layer.values())
 
 
-def _triple_masks(triples: tuple[Wires, ...], n: int, words: Iterable[Letters]) -> list[int]:
-    """The triple mask of each reduced word (letter tuple) of w, in one crossing pass each.
-
-    Bit j is set when (b, c) crosses before (a, b) for the j-th 321-triple
-    a < b < c of w.  The mask fixes the commutation class, and a braid move
-    flips one bit (the higher Bruhat order; Ziegler 1993, Elnitsky 1997).
-    Crossing the pair (u, v) marks the triples it is the (b, c) of, in
-    ``bc[u][v]``, and sets the bits of the marked ones it is the (a, b) of.
-    """
-    ab = [[0] * (n + 1) for _ in range(n + 1)]
-    bc = [[0] * (n + 1) for _ in range(n + 1)]
-    for j, (a, b, c) in enumerate(triples):
-        ab[a][b] |= 1 << j
-        bc[b][c] |= 1 << j
-    out = []
-    for word in words:
-        seq = list(range(n + 1))  # seq[p] is the wire at position p, from 1
-        mask = crossed = 0
-        for i in word:
-            u, v = seq[i], seq[i + 1]
-            seq[i], seq[i + 1] = v, u
-            mask |= ab[u][v] & crossed
-            crossed |= bc[u][v]
-        out.append(mask)
-    return out
-
-
 class CommClass(NamedTuple):
     id: int
     canonical: Word
@@ -126,14 +98,14 @@ class ClassGraph:
     Vertex ids are dense integers in lexicographic order of the
     canonical words, so output is reproducible.  Y and the least word
     attaining it ride along.  The graph is read-only.  Only the canonical
-    words are built with it; each other layer but the class sizes is kept
-    on first read.
+    words and their masks are built with it; each other layer but the class
+    sizes is kept on first read.
     """
 
-    def __init__(self, w: Perm, canonical: tuple[Letters, ...], best: dict):
+    def __init__(self, w: Perm, live: dict, best: dict):
         self.w = w
         self.n = len(w)
-        self._canonical = canonical  # the canonical word of each class, by id
+        self._canonical, self._masks = _canonical_words(w, live, self._triples)  # by id
         self._best = best  # the memo Y fills: the sweep's, or the graph's own
 
     @cached_property
@@ -142,11 +114,6 @@ class ClassGraph:
         return tuple(CommClass(i, Word(c, self.n)) for i, c in enumerate(self._canonical))
 
     _triples = cached_property(lambda self: _triples321(self.w))  # a < b < c, by mask bit
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """The triple mask of each class, by id."""
-        return tuple(_triple_masks(self._triples, self.n, self._canonical))
 
     @cached_property
     def _ids(self) -> dict[int, int]:
@@ -231,45 +198,73 @@ def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
 
 
 def _scan_impl(w: Perm, dag: _SweepTables) -> ClassGraph:
-    """G(w) on the memos of ``dag``, of which it keeps Y's alone, with no
-    budget check.  The canonical words come in lexicographic order, so a
-    class's id is its position."""
-    return ClassGraph(w, tuple(_canonical_words(w, dag.live)), dag.best)
+    """G(w) on the memos of ``dag``, of which it keeps Y's alone, with no budget
+    check; a class's id is its canonical word's place in lexicographic order."""
+    return ClassGraph(w, dag.live, dag.best)
 
 
-def _run(job: Callable[[ClassGraph], object], perms: list[Perm]) -> list:
-    """[job(G(w)) for w in perms] on one DAG: the sweep loop of every process."""
-    dag = _SweepTables()
+def _run(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTables) -> list:
+    """[job(G(w)) for w in perms] on ``dag``: the sweep loop of every process."""
     return [job(_scan_impl(w, dag)) for w in perms]
+
+
+def _work(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTables, out) -> None:
+    """A worker's ``_run``, sent over the pipe end ``out`` as (True, results) or (False, error)."""
+    try:
+        out.send((True, _run(job, perms, dag)))
+    except Exception as exc:
+        out.send((False, exc))
 
 
 def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
            threads: int = 1) -> dict:
-    """{w: job(G(w))} for each w of perms, by one ``_run`` here if
-    ``min(threads, len(perms))`` is 1, else one per share in a pool of that
-    many, started by the platform's default method, whose workers may import
-    redweave afresh (spawn, forkserver): each ``_run`` fills its own DAG under
-    any method, the refill accepted over choosing one; job must then pickle.  The
-    w go longest first, lexicographic among equals, and each passes
-    ``words._within_budget`` here, in that order on one word-count memo,
-    before any G(w) is built, so the first refusal in that order is raised.  They
-    are dealt to the shares back and forth (0, 1, ..., t-1, t-1, ..., 0,
-    ...): each share gets heavy and light w alike and starts on one of the
-    heaviest, which fills most of its DAG.  The job runs on every w given:
-    ``suite.scan_sn`` gives the least w of each symmetry orbit alone.
-    """
+    """{w: job(G(w))} for each w of perms, on one DAG, by one ``_run`` here if
+    ``min(threads, len(perms))`` is 1, else one per share: share 0 here, each
+    other in a worker process of the default start method.  The w go longest
+    first, lexicographic among equals, and pass ``words._within_budget`` here,
+    in that order on one word-count memo, before any G(w) is built.  The DAG
+    below the first w (w0 in a scan, above every w) is then filled here: a
+    forked worker inherits it, a spawn or forkserver one gets it by pickle,
+    with job (which must then pickle) and its share.  The w are dealt back and
+    forth (0, 1, ..., t-1, t-1, ..., 0, ...), so each share gets heavy and light
+    w and starts on one of the heaviest.  A worker's error is raised here
+    (``ChildProcessError`` if it exits with nothing sent), and any error stops
+    the other workers.  ``suite.scan_sn`` gives the least w of each orbit."""
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     _all_within_budget(order, budget)  # before any G(w)
-    threads = min(threads, len(order))
+    threads, dag = min(threads, len(order)), _SweepTables()
     if threads <= 1:
-        return dict(zip(order, _run(job, order)))
-    from multiprocessing import Pool
+        return dict(zip(order, _run(job, order, dag)))
+    _class_count(order[0], dag.live), _most_windows(order[0], dag.best)  # every process's DAG
+    import multiprocessing.connection
 
     turn = 2 * threads  # share k takes places k and 2t - 1 - k of every 2t
     shares = [[w for p, w in enumerate(order) if p % turn in (k, turn - 1 - k)]
               for k in range(threads)]
-    with Pool(threads) as pool:
-        done = pool.map(partial(_run, job), shares)
+    done, procs, ends = [None] * threads, [], {}  # ends: a worker's pipe end -> (share, worker)
+    try:
+        for k, share in enumerate(shares[1:], 1):
+            get, put = multiprocessing.Pipe(duplex=False)
+            procs.append(multiprocessing.Process(target=_work, args=(job, share, dag, put)))
+            procs[-1].start()
+            put.close()  # the worker holds the one copy left: EOF once it exits
+            ends[get] = k, procs[-1]
+        done[0] = _run(job, shares[0], dag)
+        while ends:
+            for get in multiprocessing.connection.wait(list(ends)):
+                k, proc = ends.pop(get)
+                try:
+                    ok, done[k] = get.recv()
+                except EOFError:
+                    proc.join()
+                    raise ChildProcessError(f"a scan worker exited with code {proc.exitcode} "
+                                            "before it sent its results") from None
+                if not ok:
+                    raise done[k]
+    finally:
+        for proc in procs:  # one that has sent its results is only exiting
+            proc.terminate()
+            proc.join()
     return {w: out for share, outs in zip(shares, done) for w, out in zip(share, outs)}
 
 

@@ -9,7 +9,7 @@ or text (``key: value`` lines of the payload unless the command has its
 own), and then it raises the failed invariant.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation,
-3 enumeration budget refused.
+3 enumeration budget refused, 4 a ``scan`` worker exited before it sent its results.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _threads(args) -> int:
         return min(cpus or 1, THREADS_CAP)
     if args.threads < 1:
         raise InputError(f"--threads {args.threads} is below 1")
-    if args.threads > THREADS_CAP:  # refused before a pool starts
+    if args.threads > THREADS_CAP:  # refused before any worker starts
         raise InputError(f"--threads {args.threads} is above {THREADS_CAP}")
     return args.threads
 
@@ -381,6 +381,9 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
+    except ChildProcessError as exc:  # a scan worker killed, say when memory ran out
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

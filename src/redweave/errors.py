@@ -6,7 +6,7 @@ WORD_BUDGET_DEFAULT = 10**8
 # enumerate_sn refuses S_n above this size.
 SN_CAP_DEFAULT = 8
 
-# scan refuses more pool workers than this (--threads).
+# scan refuses to run in more processes than this (--threads): its own and workers.
 THREADS_CAP = 64
 
 

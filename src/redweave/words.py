@@ -5,9 +5,9 @@ positions i and i+1 of the one-line notation.  A word is reduced when its
 length equals the inversion number of the permutation it evaluates to.
 The reduced words of w are the paths from w to the identity in the
 weak-order DAG, whose children ``kids`` computes afresh.  The walks over
-it (|R(w)|, the reduced words, the canonical words and their count |G(w)|,
-and Y) live here, each on a memo it is given, of the layout that
-``_SweepTables`` holds; the word and canonical walks are one path walker.
+it (|R(w)|, the reduced words, the canonical words with their triple masks
+and their count |G(w)|, and Y) live here, each on a memo it is given, of the
+layout that ``_SweepTables`` holds.
 The Warrington counts are a least-weight path fold on the same DAG.
 """
 
@@ -93,8 +93,8 @@ class _SweepTables:
     cap (empty at the identity), and c > 0 counts the canonical words
     through it.  ``best`` is the Y DP's memo.  A walk fills the memo it is
     given and expands only the states that it does not hold yet.  A G(w)
-    built alone gets a holder of its own, and a sweep one per process for
-    all of S_n, so that each state is expanded once per memo in the sweep.
+    built alone gets a holder of its own, and a sweep one for all its w,
+    filled below the first (w0 of S_n in a scan) before any worker starts.
     """
 
     def __init__(self) -> None:
@@ -183,15 +183,37 @@ def _live_runs(w: Perm, live: dict) -> tuple:
     return _fill(live, inverse(w), kids, runs)
 
 
-def _canonical_words(w: Perm, live: dict) -> list[Letters]:
-    """The canonical word of every class of w, in lexicographic order.
-
-    A reduced word is canonical (the lexicographically greatest of its
-    class) exactly when no letter exceeds its predecessor by two or more.
-    These are the paths over the live runs, letters ascending: each run
-    reaches the identity, and a frame is pushed only where paths branch.
-    """
-    return list(_paths(lambda runs: runs, _live_runs(w, live)))
+def _canonical_words(w: Perm, live: dict, triples: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """The canonical words of w in lexicographic order (no letter exceeds its
+    predecessor by two or more: the greatest of a class), the paths over the
+    live runs, and their masks: bit j is set when (b, c) crosses before (a, b)
+    for the j-th of ``triples``.  A frame, pushed only where paths branch, holds
+    the word, wires, mask and triples whose (b, c) crossed, so each run is
+    crossed once per branch of the prefix tree."""
+    n = len(w)
+    ab, bc = ([[0] * (n + 1) for _ in range(n + 1)] for _ in "ab")  # the triples of each pair
+    for j, (a, b, c) in enumerate(triples):
+        ab[a][b] |= 1 << j
+        bc[b][c] |= 1 << j
+    found, masks = [], []
+    frames = [(iter(_live_runs(w, live) or (((), (), 1),)), (), list(range(n + 1)), 0, 0)]
+    while frames:
+        more, word, seq, mask, crossed = frames[-1]  # seq[p]: the wire at position p
+        if (run := next(more, None)) is None:
+            frames.pop()
+            continue
+        word, seq = word + run[0], seq[:]
+        for i in run[0]:
+            u, v = seq[i], seq[i + 1]
+            seq[i], seq[i + 1] = v, u
+            mask |= ab[u][v] & crossed
+            crossed |= bc[u][v]
+        if run[1]:
+            frames.append((iter(run[1]), word, seq, mask, crossed))
+        else:
+            found.append(word)
+            masks.append(mask)
+    return tuple(found), tuple(masks)
 
 
 def _class_count(w: Perm, live: dict) -> int:

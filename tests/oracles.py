@@ -15,7 +15,9 @@ one word, as ``rewrite_neighbors`` does without naming them.
 ``local_rule_sets`` finds the classes of w as the sets of 321-triples
 that a local rule on every 4 values allows (the higher Bruhat order), with
 the rule read off ``classes_bfs`` of the 4-patterns; ``triple_set`` gives
-a word's set by replaying its wires.  ``order_by_covers`` is a poset's
+a word's set by replaying its wires, and ``_triple_masks`` its mask, one
+word at a time, where ``words._canonical_words`` carries the masks along its
+walk of the live runs.  ``order_by_covers`` is a poset's
 order as the transitive closure of its covers, to be compared with
 inclusion of the triple masks.
 ``aggregate_by_encodings`` checks the aggregate bound by comparing the set
@@ -145,6 +147,32 @@ def triple_set(ls: tuple[int, ...], n: int) -> frozenset[tuple[int, int, int]]:
         for b in range(a + 1, c)
         if (a, b) in when and (b, c) in when and when[b, c] < when[a, b]
     )
+
+
+def _triple_masks(triples: tuple, n: int, words) -> list[int]:
+    """The triple mask of each reduced word (letter tuple) of w, in one crossing pass each.
+
+    Bit j is set when (b, c) crosses before (a, b) for the j-th 321-triple
+    a < b < c of w.  Crossing the pair (u, v) marks the triples it is the
+    (b, c) of, in ``bc[u][v]``, and sets the bits of the marked ones it is
+    the (a, b) of.
+    """
+    ab = [[0] * (n + 1) for _ in range(n + 1)]
+    bc = [[0] * (n + 1) for _ in range(n + 1)]
+    for j, (a, b, c) in enumerate(triples):
+        ab[a][b] |= 1 << j
+        bc[b][c] |= 1 << j
+    out = []
+    for word in words:
+        seq = list(range(n + 1))  # seq[p] is the wire at position p, from 1
+        mask = crossed = 0
+        for i in word:
+            u, v = seq[i], seq[i + 1]
+            seq[i], seq[i + 1] = v, u
+            mask |= ab[u][v] & crossed
+            crossed |= bc[u][v]
+        out.append(mask)
+    return out
 
 
 @cache

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import (
     canonical_words_dfs, classes_bfs, commutation_class_bfs, count_212, graph_as_scan,
     local_rule_sets,
-    order_by_covers, triple_set, word_walk_scan,
+    order_by_covers, triple_set, word_walk_scan, _triple_masks,
 )
 from redweave import (
     BudgetExceeded, InputError, InvariantViolation, bounds, classes, structure, subnet, suite,
@@ -21,7 +21,7 @@ from redweave import (
 )
 from redweave.bounds import aggregate_bound_check, size_bounds
 from redweave.classes import build_graph, build_poset, class_members, graph_checks
-from redweave.perm import enumerate_sn, identity, inverse, longest_element
+from redweave.perm import _triples321, enumerate_sn, identity, inverse, longest_element
 from redweave.subnet import WARRINGTON_X, count_x_avoiding_words
 from redweave.words import Word, count_reduced_words, index_sum
 
@@ -216,14 +216,14 @@ def test_scan_matches_word_walk_s5_s6(s5, s6_graphs):
 def test_canonical_words_match_the_dfs_oracle(s5, s6):
     # compared by pickling, so the order and the types count too
     for w in [w for n in range(1, 5) for w in enumerate_sn(n)] + s5 + s6 + [longest_element(7)]:
-        got = pickle.dumps(words._canonical_words(w, {}))
+        got = pickle.dumps(list(words._canonical_words(w, {}, ())[0]))
         assert got == pickle.dumps(canonical_words_dfs(w)), w
 
 
 @pytest.mark.slow
 def test_canonical_words_match_the_dfs_oracle_s7():
     for w in enumerate_sn(7):
-        got = pickle.dumps(words._canonical_words(w, {}))
+        got = pickle.dumps(list(words._canonical_words(w, {}, ())[0]))
         assert got == pickle.dumps(canonical_words_dfs(w)), w
 
 
@@ -282,7 +282,7 @@ def test_engine_matches_the_oracles_past_s9():
 def layer_calls(monkeypatch):
     """Calls of each layer G(w) computes on first read."""
     calls = Counter()
-    for name in ("_class_size", "_triple_masks", "_most_windows"):
+    for name in ("_class_size", "_most_windows"):
         def counted(*args, _name=name, _real=getattr(classes, name)):
             calls[_name] += 1
             return _real(*args)
@@ -307,12 +307,16 @@ def test_aggregate_reads_canonical_words_only(layer_calls):
     assert layer_calls == {}
 
 
-def test_suite_reads_no_sizes_and_each_layer_once(layer_calls, s5):
+def test_suite_reads_no_sizes_and_each_layer_once(monkeypatch, layer_calls, s5):
+    walks = []
+    real = classes._canonical_words
+    monkeypatch.setattr(classes, "_canonical_words",
+                        lambda *args: walks.append(args) or real(*args))
     for w in s5:
         assert suite.check_permutation(build_graph(w)) == []
     assert layer_calls["_class_size"] == 0
     assert layer_calls["_most_windows"] == len(s5)
-    assert layer_calls["_triple_masks"] == len(s5)  # one pass over each graph's classes
+    assert len(walks) == len(s5)  # one walk over each graph's classes, the masks along it
 
 
 @st.composite
@@ -420,6 +424,28 @@ def test_local_rule_sets_are_the_classes_s5_s6(s5, s6):
         assert masks == sets, w
 
 
+def _walk_mismatches(perms) -> list:
+    """The w whose masks from the walk of the live runs differ from the
+    replay of each canonical word's crossings."""
+    out = []
+    for w in perms:
+        canonical, masks = words._canonical_words(w, {}, _triples321(w))
+        if list(masks) != _triple_masks(_triples321(w), len(w), canonical):
+            out.append(w)
+    return out
+
+
+def test_masks_along_the_walk_match_the_replay(s5, s6):
+    # every w of S_4-S_6, and a seeded sample of S_7
+    assert _walk_mismatches([*enumerate_sn(4), *s5, *s6]) == []
+    assert _walk_mismatches(random.Random(37).sample(list(enumerate_sn(7)), 150)) == []
+
+
+@pytest.mark.slow
+def test_masks_along_the_walk_match_the_replay_on_w0_7():
+    assert _walk_mismatches([longest_element(7)]) == []
+
+
 def test_poset_order_is_mask_inclusion_s4_s6(s5, s6):
     # P(w)'s order, the closure of its covers, is inclusion of triple masks
     # (Felsner-Weil for B(n, 2), here on every w)
@@ -445,12 +471,13 @@ def test_local_rule_and_mask_order_on_a_sample_of_s7():
 
 def test_an_inverted_triple_order_fails_the_local_rule(monkeypatch, s5):
     # triple 0's bit is set when (a, b) crosses before (b, c), not after
-    real = classes._triple_masks
+    real = classes._canonical_words
 
-    def inverted(triples, n, words):
-        return [m ^ (1 if triples else 0) for m in real(triples, n, words)]
+    def inverted(w, live, triples):
+        canonical, masks = real(w, live, triples)
+        return canonical, [m ^ (1 if triples else 0) for m in masks]
 
-    monkeypatch.setattr(classes, "_triple_masks", inverted)
+    monkeypatch.setattr(classes, "_canonical_words", inverted)
     with pytest.raises(AssertionError):
         test_local_rule_sets_are_the_classes_s5_s6(s5, [])
 
@@ -478,8 +505,8 @@ def test_a_reversed_cover_fails_mask_inclusion(monkeypatch, s5):
 
 def test_two_classes_with_one_mask_are_refused():
     # a mask fixes its class, so a repeated canonical word cannot pass as two
-    g = build_graph((3, 4, 2, 1))
-    twice = classes.ClassGraph(g.w, (g._canonical[0], g._canonical[0]), {})
+    twice = build_graph((3, 4, 2, 1))
+    twice._canonical, twice._masks = twice._canonical[:1] * 2, twice._masks[:1] * 2
     with pytest.raises(InvariantViolation, match="share a triple mask"):
         twice.edges
 

@@ -277,10 +277,10 @@ def test_scan_reports_each_member_of_a_failing_orbit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["100000", str(THREADS_CAP + 1)])
 def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, threads):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started")
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_worker)
     assert run(["scan", "3", "--threads", threads]) == 1
     assert capsys.readouterr().err.endswith(f" is above {THREADS_CAP}\n")
 
@@ -383,6 +383,31 @@ def src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_worker_that_dies_stops_the_scan():
+    # the worker's share's job kills its own process, as an out-of-memory
+    # kill would: the scan ends, with the worker's exit code on one line and
+    # no traceback, instead of waiting for results that never come
+    code = """if 1:
+        import multiprocessing, os, signal, sys
+        from redweave import suite
+        from redweave.cli import run
+        here, real = os.getpid(), suite._check_orbit
+        def job(g):
+            if os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(g)
+        suite._check_orbit = job
+        multiprocessing.set_start_method("fork")
+        sys.exit(run(["scan", "6", "--threads", "2"]))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env(), timeout=30)
+    assert (out.returncode, out.stdout) == (4, "")
+    assert out.stderr == (f"worker failure: a scan worker exited with code {-signal.SIGKILL} "
+                          "before it sent its results\n")
 
 
 @pytest.mark.parametrize("module", ["redweave", "redweave.cli"])

@@ -343,71 +343,102 @@ def test_pool_sweep_matches_serial():
 @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_pool_sweep_runs_in_workers_that_inherit_nothing(monkeypatch, method):
-    # a spawned or forkserver worker imports redweave afresh, fills its own
-    # DAG and gets the job and its share by pickle
+    # a spawned or forkserver worker imports redweave afresh and gets the
+    # filled DAG, the job and its share by pickle
     want = suite.scan_sn(5)
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context(method).Process)
     assert suite.scan_sn(5, threads=2) == want
 
 
-def test_sweep_expands_each_guard_state_once(counted_dags, counted_guards):
+class FakeProcess:
+    """A stand-in for ``multiprocessing.Process`` that records the share it
+    is given and works it here, in this process, when started, so no test
+    starts a worker.  Its results wait in the sweep's own pipe, which holds
+    the few of a test, until the sweep reads them."""
+
+    shares: list[list] = []  # the share of each worker started, in order
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.shares.append(self.args[1])
+        self.target(*self.args)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.fixture
+def fake_workers(monkeypatch):
+    """The shares of the workers that sweeps start from now on, each run by
+    a ``FakeProcess``, in order."""
+    monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
+    monkeypatch.setattr(FakeProcess, "shares", [])
+    return FakeProcess.shares
+
+
+def _started(workers: list) -> list[int]:
+    """The processes that work the shares of a sweep, this one included:
+    [] if this one works alone."""
+    return [len(workers) + 1] if workers else []
+
+
+def test_sweep_expands_each_guard_state_once(monkeypatch, counted_dags, counted_guards,
+                                             fake_workers):
     # the budget guard reads one word-count memo, in this process, and one
     # DAG serves the canonical words and Y: each memo gets each state of S_5
-    # once, not once per walk or per w
-    assert suite.scan_sn(5, threads=1) == []
-    [dag] = counted_dags
-    [(_, guard)] = counted_guards.values()
+    # once, not once per walk or per w; with workers, this process fills the
+    # live runs of every state before the first starts, so none expands one
+    ready = []
+    real = classes._work
+    monkeypatch.setattr(classes, "_work",
+                        lambda job, perms, dag, out: ready.append(set(dag.live)) or
+                        real(job, perms, dag, out))
     states = {inverse(w) for w in enumerate_sn(5)}
-    assert dag.once(states)
-    assert set(guard.filled) == states and max(guard.filled.values()) == 1
-
-
-class FakePool:
-    """A stand-in for ``multiprocessing.Pool`` that records its size and the
-    shares it maps, and runs them here, in this process, so no test starts a
-    worker."""
-
-    sizes: list[int] = []
-    shares: list[list] = []  # the shares of each map
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def map(self, func, iterable):
-        self.shares.append(list(iterable))
-        return list(map(func, self.shares[-1]))
+    for threads in (1, 2, 3):
+        for made in (counted_dags, counted_guards, ready, fake_workers):
+            made.clear()
+        assert suite.scan_sn(5, threads=threads) == []
+        [dag] = counted_dags
+        [(_, guard)] = counted_guards.values()
+        assert dag.once(states)
+        assert set(guard.filled) == states and max(guard.filled.values()) == 1
+        assert ready == [states] * (threads - 1) and len(fake_workers) == threads - 1
 
 
 @pytest.mark.parametrize("n, threads, started", [
     (3, 8, [4]), (3, 2, [2]), (4, 24, [13]), (2, 2, [2]), (1, 8, []), (3, 1, []),
 ])
-def test_sweep_starts_no_idle_worker(monkeypatch, n, threads, started):
-    # a pool has no more workers than jobs, one per orbit (4 on S_3, 13 on
-    # S_4), and one would run alone
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
+def test_sweep_starts_no_idle_worker(fake_workers, n, threads, started):
+    # a sweep has no more processes than jobs, one per orbit (4 on S_3, 13
+    # on S_4), and one would run alone
     assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
-    assert FakePool.sizes == started
+    assert _started(fake_workers) == started
     assert global_dags() == []
 
 
-def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch):
-    # one share a worker, dealt back and forth down the heaviest-first order:
-    # each w lands in one share, each share keeps that order, the shares
-    # differ in size by at most one w, each starts on one of the heaviest
-    # (not on a block of its own), and the first holds w0; a w is the least
-    # of its orbit, as scan_sn deals no other
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch, fake_workers):
+    # one share a process, dealt back and forth down the heaviest-first
+    # order: each w lands in one share, each share keeps that order, the
+    # shares differ in size by at most one w, each starts on one of the
+    # heaviest (not on a block of its own), and the first, which this
+    # process works once every worker has started, holds w0; a w is the
+    # least of its orbit, as scan_sn deals no other
+    ran = []
+    real = classes._run
+    monkeypatch.setattr(classes, "_run", lambda job, perms, dag: ran.append(perms) or
+                        real(job, perms, dag))
     for n, threads in [(3, 2), (4, 3), (5, 7), (6, 2), (6, 5)]:
-        monkeypatch.setattr(FakePool, "shares", [])
-        assert suite.scan_sn(n, threads=threads) == suite.scan_sn(n, threads=1)
-        [shares] = FakePool.shares
+        want = suite.scan_sn(n, threads=1)
+        ran.clear()
+        fake_workers.clear()
+        assert suite.scan_sn(n, threads=threads) == want
+        assert ran[:-1] == fake_workers
+        shares = ran[-1:] + fake_workers
         reps = [w for w in enumerate_sn(n) if w == min(perm._orbit(w))]
         order = sorted(reps, key=lambda w: (-inversions(w), w))
         assert len(shares) == threads
@@ -418,14 +449,12 @@ def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch):
         assert shares[0][0] == longest_element(n)
 
 
-def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch):
+def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch, fake_workers):
     # every w is checked against the budget in this process, heaviest first,
-    # so a pooled sweep is refused as a serial one is, with no pool started
+    # so a pooled sweep is refused as a serial one is, with no worker started
     def no_build(*args):
         raise AssertionError("G(w) built before the budget check")
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(classes, "_scan_impl", no_build)
     refusals = []
     for threads in (1, 2):
@@ -434,7 +463,7 @@ def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch):
         refusals.append(str(refused.value))
     # 4321 goes first, and its first state with more than 2 words has 3
     assert refusals == ["at least 3 reduced words exceed the budget of 2"] * 2
-    assert FakePool.sizes == []
+    assert fake_workers == []
 
 
 def _per_w(n, budget=10**8, threads=1):
@@ -536,25 +565,23 @@ def test_scan_checks_one_w_per_orbit(monkeypatch):
     lambda g: min(perm._orbit(g.w)) == (2, 4, 5, 1, 3),  # one orbit of four
     lambda g: len(g) == 3 and inversions(g.w) == 6,  # three orbits, by isomorphism invariants
 ])
-def test_a_failing_orbit_is_checked_per_w(monkeypatch, threads, fails):
+def test_a_failing_orbit_is_checked_per_w(monkeypatch, fake_workers, threads, fails):
     # a check patched to fail on whole orbits: scan_sn reports what the
     # per-w sweep reports, each member of a failing orbit once, in order;
     # the members are checked again inside the job of the orbit's least w,
-    # so one pool serves the whole sweep
+    # so one set of workers serves the whole sweep
     def cube(g):
         if fails(g):
             raise InvariantViolation(f"no cube in G({g.w})")
 
     monkeypatch.setattr(suite, "embed_hypercube", cube)
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
     want, _ = _per_w(5)
     failing = [w for w, g in classes._sweep(enumerate_sn(5), lambda g: g, 10**8).items()
                if fails(g)]
     assert want == [f"no cube in G({w})" for w in sorted(failing)]
     assert len(failing) >= 4
     assert suite.scan_sn(5, threads=threads) == want
-    assert FakePool.sizes == ([threads] if threads > 1 else [])
+    assert _started(fake_workers) == ([threads] if threads > 1 else [])
 
 
 @pytest.mark.slow
