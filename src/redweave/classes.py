@@ -5,8 +5,8 @@
 order, ``g.edges`` the braid moves between them, ``g.max_windows`` is Y.
 G(w) is built in layers.  The canonical words and their triple masks (one
 int per class, a bitmask over w's 321-triples) come up front, by one walk in
-``words`` on the memos of the one ``_SweepTables`` of a ``_sweep``, which
-``build_graph`` is a sweep of one.  The graph keeps them alone, by id: the
+``words`` on the memos of a ``_SweepTables``: ``build_graph``'s own, or the
+one a ``_sweep`` shares among its w.  The graph keeps them alone, by id: the
 records of ``g.vertices`` are made on first read, which only the ``classes``
 command and library callers make.  The bare mask-flip edges ``_pairs``, which
 every check reads, and Y, on the one memo the graph keeps, come on first read
@@ -17,7 +17,7 @@ is its rank in P(w): G(w) is the hypercube's subgraph induced on the masks,
 and every graph read comes off them and their ``{mask: id}`` dict ``_ids``,
 with no adjacency stored.  Every function of G(w), here and in ``subnet``,
 ``structure``, ``bounds`` and ``suite``, takes the graph; the word budget of
-a G(w) is checked in ``_sweep`` alone, in the process that calls it.
+a G(w) is checked by ``build_graph``, or by ``_sweep`` in the process that calls it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
 from .perm import Perm, _triples321, check_perm, inversions
 from .words import (Letters, Word, _Cache, _SweepTables, _all_within_budget, _canonical_words,
-                    _class_count, _most_windows, _paths, crossing_events)
+                    _class_count, _most_windows, _paths, _within_budget, crossing_events)
 
 Wires = tuple[int, int, int]
 EdgeLabel = tuple[int, Wires]  # (braid index i, sorted value triple re-crossed)
@@ -102,18 +102,17 @@ class ClassGraph:
     sizes is kept on first read.
     """
 
-    def __init__(self, w: Perm, live: dict, best: dict):
+    def __init__(self, w: Perm, dag: _SweepTables):
         self.w = w
         self.n = len(w)
-        self._canonical, self._masks = _canonical_words(w, live, self._triples)  # by id
-        self._best = best  # the memo Y fills: the sweep's, or the graph's own
+        self._triples = _triples321(w)  # a < b < c, by mask bit
+        self._canonical, self._masks = _canonical_words(w, dag.live, self._triples)  # by id
+        self._best = dag.best  # the memo Y fills, the one of dag the graph keeps
 
     @cached_property
     def vertices(self) -> tuple[CommClass, ...]:
         """The class records, made on first read: no check reads them."""
         return tuple(CommClass(i, Word(c, self.n)) for i, c in enumerate(self._canonical))
-
-    _triples = cached_property(lambda self: _triples321(self.w))  # a < b < c, by mask bit
 
     @cached_property
     def _ids(self) -> dict[int, int]:
@@ -192,20 +191,18 @@ def class_members(letters: Letters) -> set[Letters]:
 
 
 def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
-    """G(w), built afresh by a sweep of w alone; refused when |R(w)| exceeds budget."""
+    """G(w), built afresh on memos of its own; refused when |R(w)| exceeds budget."""
     w = check_perm(w)
-    return _sweep([w], lambda g: g, budget)[w]
+    _within_budget(w, budget)
+    return ClassGraph(w, _SweepTables())
 
 
-def _scan_impl(w: Perm, dag: _SweepTables) -> ClassGraph:
-    """G(w) on the memos of ``dag``, of which it keeps Y's alone, with no budget
-    check; a class's id is its canonical word's place in lexicographic order."""
-    return ClassGraph(w, dag.live, dag.best)
+_scan_impl = ClassGraph  # the name that perfbench/tracer.py reads at install; nothing here calls it
 
 
 def _run(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTables) -> list:
     """[job(G(w)) for w in perms] on ``dag``: the sweep loop of every process."""
-    return [job(_scan_impl(w, dag)) for w in perms]
+    return [job(ClassGraph(w, dag)) for w in perms]
 
 
 def _work(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTables, out) -> None:
@@ -218,51 +215,50 @@ def _work(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTab
 
 def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
            threads: int = 1) -> dict:
-    """{w: job(G(w))} for each w of perms, on one DAG, by one ``_run`` here if
-    ``min(threads, len(perms))`` is 1, else one per share: share 0 here, each
-    other in a worker process of the default start method.  The w go longest
-    first, lexicographic among equals, and pass ``words._within_budget`` here,
-    in that order on one word-count memo, before any G(w) is built.  The DAG
-    below the first w (w0 in a scan, above every w) is then filled here: a
-    forked worker inherits it, a spawn or forkserver one gets it by pickle,
-    with job (which must then pickle) and its share.  The w are dealt back and
-    forth (0, 1, ..., t-1, t-1, ..., 0, ...), so each share gets heavy and light
-    w and starts on one of the heaviest.  A worker's error is raised here
+    """{w: job(G(w))} for each w of perms (one at least), on one DAG, by one
+    ``_run`` per share: share 0 here, each other in one of ``min(threads,
+    len(perms)) - 1`` worker processes of the default start method, so with
+    one thread none starts.  The w go longest first, lexicographic among
+    equals, and pass ``words._within_budget`` here, in that order on one
+    word-count memo, before any G(w) is built.  The DAG below the first w (w0
+    in a scan, above every w) is then filled here: a forked worker inherits
+    it, a spawn or forkserver one gets it by pickle, with job (which must then
+    pickle) and its share.  The w are dealt back and forth (0, 1, ..., t-1,
+    t-1, ..., 0, ...), so each share gets heavy and light w, starts on one of
+    the heaviest and ends about when share 0 does; the workers' results are
+    read here in share order.  A worker's error is raised here
     (``ChildProcessError`` if it exits with nothing sent), and any error stops
-    the other workers.  ``suite.scan_sn`` gives the least w of each orbit."""
+    every worker.  ``suite.scan_sn`` gives the least w of each orbit."""
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     _all_within_budget(order, budget)  # before any G(w)
-    threads, dag = min(threads, len(order)), _SweepTables()
-    if threads <= 1:
-        return dict(zip(order, _run(job, order, dag)))
+    dag = _SweepTables()
     _class_count(order[0], dag.live), _most_windows(order[0], dag.best)  # every process's DAG
-    import multiprocessing.connection
-
-    turn = 2 * threads  # share k takes places k and 2t - 1 - k of every 2t
+    turn = 2 * min(threads, len(order))  # share k takes places k and 2t - 1 - k of every 2t
     shares = [[w for p, w in enumerate(order) if p % turn in (k, turn - 1 - k)]
-              for k in range(threads)]
-    done, procs, ends = [None] * threads, [], {}  # ends: a worker's pipe end -> (share, worker)
+              for k in range(turn // 2)]
+    procs = []  # (worker, the pipe end its results come in on), in share order
     try:
-        for k, share in enumerate(shares[1:], 1):
+        for share in shares[1:]:
+            import multiprocessing  # only once a worker starts
+
             get, put = multiprocessing.Pipe(duplex=False)
-            procs.append(multiprocessing.Process(target=_work, args=(job, share, dag, put)))
-            procs[-1].start()
+            proc = multiprocessing.Process(target=_work, args=(job, share, dag, put))
+            proc.start()
+            procs.append((proc, get))
             put.close()  # the worker holds the one copy left: EOF once it exits
-            ends[get] = k, procs[-1]
-        done[0] = _run(job, shares[0], dag)
-        while ends:
-            for get in multiprocessing.connection.wait(list(ends)):
-                k, proc = ends.pop(get)
-                try:
-                    ok, done[k] = get.recv()
-                except EOFError:
-                    proc.join()
-                    raise ChildProcessError(f"a scan worker exited with code {proc.exitcode} "
-                                            "before it sent its results") from None
-                if not ok:
-                    raise done[k]
+        done = [_run(job, shares[0], dag)]
+        for proc, get in procs:
+            try:
+                ok, out = get.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"a scan worker exited with code {proc.exitcode} "
+                                        "before it sent its results") from None
+            if not ok:
+                raise out
+            done.append(out)
     finally:
-        for proc in procs:  # one that has sent its results is only exiting
+        for proc, _ in procs:  # one that has sent its results is only exiting
             proc.terminate()
             proc.join()
     return {w: out for share, outs in zip(shares, done) for w, out in zip(share, outs)}

@@ -46,9 +46,6 @@ WARRINGTON_X = word_set(
     [(1, 2, 3, 2, 1, 2), (3, 2, 1, 2, 3, 2), (2, 1, 2, 3, 2, 1), (2, 3, 2, 1, 2, 3)], 4
 )
 
-# The top commutation class of 321: the rank statistic of the class poset.
-TOP_212 = word_set([(2, 1, 2)], 3)
-
 
 def s4_longest_classes() -> list[WordSet]:
     """The commutation classes of the longest word of S_4, each as a WordSet."""

@@ -63,10 +63,6 @@ def evaluate(word: Word) -> tuple[Perm, bool]:
     return w, len(word.letters) == inversions(w)
 
 
-def is_reduced(word: Word) -> bool:
-    return evaluate(word)[1]
-
-
 def index_sum(word: Word) -> int:
     return sum(word.letters)
 
@@ -93,8 +89,9 @@ class _SweepTables:
     cap (empty at the identity), and c > 0 counts the canonical words
     through it.  ``best`` is the Y DP's memo.  A walk fills the memo it is
     given and expands only the states that it does not hold yet.  A G(w)
-    built alone gets a holder of its own, and a sweep one for all its w,
-    filled below the first (w0 of S_n in a scan) before any worker starts.
+    built alone gets a holder of its own, which fills only what G(w) reads;
+    a sweep gets one for all its w, filled below the first (w0 of S_n in a
+    scan) before any job runs or any worker starts.
     """
 
     def __init__(self) -> None:

@@ -571,7 +571,8 @@ def count_212(word: Word) -> int:
     crosses once and (b, c) crosses before (a, b): the induced word is
     then one of the two reduced words of 321, and 1,2,1 crosses (a, b)
     first.  Requiring single crossings keeps this equal to
-    ``count_subnetworks(word, TOP_212)`` on non-reduced words too.
+    ``count_subnetworks(word, word_set([(2, 1, 2)], 3))``, the top class of 321,
+    on non-reduced words too.
     """
     steps: dict[tuple[int, int], list[int]] = {}
     for t, (u, v) in enumerate(crossing_events(word)):

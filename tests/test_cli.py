@@ -379,6 +379,14 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["abc", "1e"])
+def test_a_budget_that_is_no_number_exits_1(capsys, text):
+    # text that Decimal cannot parse is refused as "nan" is, with no traceback
+    assert exit_code(["bounds", "21", "--budget-words", text]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --budget-words: {text!r} is not an integer\n")
+
+
 def src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -439,7 +447,7 @@ def test_bounds_lists_no_classes(capsys, monkeypatch):
         raise AssertionError("the bounds listed the classes")
 
     monkeypatch.setattr(words, "_canonical_words", no_class_list)
-    monkeypatch.setattr(classes, "_scan_impl", no_class_list)  # the one build of G(w)
+    monkeypatch.setattr(classes, "ClassGraph", no_class_list)  # the one build of G(w)
     assert run(["bounds", "654321", "--actual", "--format", "json"]) == 0
     assert json.loads(out_of(capsys))["actual"] == 908
 

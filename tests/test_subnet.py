@@ -8,7 +8,6 @@ from oracles import (
 from redweave import BudgetExceeded, InputError, classes
 from redweave.perm import enumerate_sn, identity, longest_element
 from redweave.subnet import (
-    TOP_212,
     WARRINGTON_X,
     complement_word,
     count_subnetworks,
@@ -126,7 +125,7 @@ def any_word(draw):
 
 @given(any_word())
 def test_count_212_matches_count_subnetworks(word):
-    assert count_212(word) == count_subnetworks(word, TOP_212)
+    assert count_212(word) == count_subnetworks(word, word_set([(2, 1, 2)], 3))
 
 
 def test_count_subnetworks_examples():

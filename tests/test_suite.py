@@ -1,6 +1,7 @@
 import gc
-import random
 import multiprocessing
+import pickle
+import random
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -39,7 +40,7 @@ def test_check_permutation_builds_graph_and_poset_once(monkeypatch, w):
     def no_build(*args):
         raise AssertionError("G(w) built again")
 
-    monkeypatch.setattr(classes, "_scan_impl", no_build)
+    monkeypatch.setattr(classes, "ClassGraph", no_build)
     for mod in (classes, subnet):  # bounds and suite do not import it
         monkeypatch.setattr(mod, "build_graph", no_build)
     for mod in (classes, suite):
@@ -250,7 +251,7 @@ def test_sweep_tables_give_the_fresh_scans(s5, s6_graphs, heaviest_first):
         perms.sort(key=lambda w: (-inversions(w), w))
     dag, counts = words._SweepTables(), {}
     for w in perms:
-        assert graph_as_scan(classes._scan_impl(w, dag)) == fresh[w], w
+        assert graph_as_scan(classes.ClassGraph(w, dag)) == fresh[w], w
         assert words._within_budget(w, inf, counts) == fresh[w]["word_count"], w
 
 
@@ -357,27 +358,30 @@ class FakeProcess:
     the few of a test, until the sweep reads them."""
 
     shares: list[list] = []  # the share of each worker started, in order
+    stops: list[tuple[int, str]] = []  # (worker's place in shares, "terminate" or "join")
 
     def __init__(self, target, args):
         self.target, self.args = target, args
 
     def start(self):
+        self.place = len(self.shares)
         self.shares.append(self.args[1])
         self.target(*self.args)
 
     def terminate(self):
-        pass
+        self.stops.append((self.place, "terminate"))
 
     def join(self):
-        pass
+        self.stops.append((self.place, "join"))
 
 
 @pytest.fixture
 def fake_workers(monkeypatch):
     """The shares of the workers that sweeps start from now on, each run by
-    a ``FakeProcess``, in order."""
+    a ``FakeProcess``, in order; ``FakeProcess.stops`` records how they end."""
     monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
     monkeypatch.setattr(FakeProcess, "shares", [])
+    monkeypatch.setattr(FakeProcess, "stops", [])
     return FakeProcess.shares
 
 
@@ -391,13 +395,14 @@ def test_sweep_expands_each_guard_state_once(monkeypatch, counted_dags, counted_
                                              fake_workers):
     # the budget guard reads one word-count memo, in this process, and one
     # DAG serves the canonical words and Y: each memo gets each state of S_5
-    # once, not once per walk or per w; with workers, this process fills the
-    # live runs of every state before the first starts, so none expands one
+    # once, not once per walk or per w; with any number of shares, this
+    # process fills the live runs of every state before the first job of
+    # any share, so no share expands one: each worker's (run first by
+    # FakeProcess) and then share 0's, here
     ready = []
-    real = classes._work
-    monkeypatch.setattr(classes, "_work",
-                        lambda job, perms, dag, out: ready.append(set(dag.live)) or
-                        real(job, perms, dag, out))
+    real = classes._run
+    monkeypatch.setattr(classes, "_run", lambda job, perms, dag: ready.append(set(dag.live)) or
+                        real(job, perms, dag))
     states = {inverse(w) for w in enumerate_sn(5)}
     for threads in (1, 2, 3):
         for made in (counted_dags, counted_guards, ready, fake_workers):
@@ -407,7 +412,7 @@ def test_sweep_expands_each_guard_state_once(monkeypatch, counted_dags, counted_
         [(_, guard)] = counted_guards.values()
         assert dag.once(states)
         assert set(guard.filled) == states and max(guard.filled.values()) == 1
-        assert ready == [states] * (threads - 1) and len(fake_workers) == threads - 1
+        assert ready == [states] * threads and len(fake_workers) == threads - 1
 
 
 @pytest.mark.parametrize("n, threads, started", [
@@ -449,13 +454,47 @@ def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch, fake_workers):
         assert shares[0][0] == longest_element(n)
 
 
+def test_an_error_in_the_last_share_is_raised_here_and_stops_every_worker(monkeypatch,
+                                                                         fake_workers):
+    # a job that raises in the last worker's share: the sweep raises that
+    # error, sent back over its pipe, once share 0 and the earlier worker's
+    # results are read, and every worker is terminated and joined
+    reps = [w for w in enumerate_sn(5) if w == min(perm._orbit(w))]
+    bad = sorted(reps, key=lambda w: (-inversions(w), w))[2]  # first of share 2 of 3
+    real = suite.check_permutation
+
+    def check(g):
+        if g.w == bad:
+            raise InvariantViolation(f"no cube in G({g.w})")
+        return real(g)
+
+    monkeypatch.setattr(suite, "check_permutation", check)
+    with pytest.raises(InvariantViolation) as raised:
+        suite.scan_sn(5, threads=3)
+    assert str(raised.value) == f"no cube in G({bad})"
+    assert bad in fake_workers[-1] and len(fake_workers) == 2
+    assert FakeProcess.stops == [(0, "terminate"), (0, "join"), (1, "terminate"), (1, "join")]
+
+
+def test_a_worker_that_cannot_start_raises_its_own_error(monkeypatch):
+    # as a spawn worker's start() does on a job that does not pickle: the
+    # sweep stops only the workers that started, so that error is raised
+    class Unstartable(multiprocessing.Process):
+        def start(self):
+            raise pickle.PicklingError("the job does not pickle")
+
+    monkeypatch.setattr(multiprocessing, "Process", Unstartable)
+    with pytest.raises(pickle.PicklingError, match="the job does not pickle"):
+        suite.scan_sn(4, threads=2)
+
+
 def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch, fake_workers):
     # every w is checked against the budget in this process, heaviest first,
     # so a pooled sweep is refused as a serial one is, with no worker started
     def no_build(*args):
         raise AssertionError("G(w) built before the budget check")
 
-    monkeypatch.setattr(classes, "_scan_impl", no_build)
+    monkeypatch.setattr(classes, "ClassGraph", no_build)
     refusals = []
     for threads in (1, 2):
         with pytest.raises(BudgetExceeded) as refused:
@@ -552,9 +591,9 @@ def test_orbit_maps_carry_classes_index_sums_and_ranks(n):
 def test_scan_checks_one_w_per_orbit(monkeypatch):
     # and builds G(w) for that w alone: the other members are credited its |G(w)|
     checked, built = [], []
-    real, real_scan = suite.check_permutation, classes._scan_impl
+    real, real_build = suite.check_permutation, classes.ClassGraph
     monkeypatch.setattr(suite, "check_permutation", lambda g: checked.append(g.w) or real(g))
-    monkeypatch.setattr(classes, "_scan_impl", lambda w, dag: built.append(w) or real_scan(w, dag))
+    monkeypatch.setattr(classes, "ClassGraph", lambda w, dag: built.append(w) or real_build(w, dag))
     assert suite.scan_sn(6, threads=1) == []
     assert sorted(checked) == sorted(built) == sorted({min(perm._orbit(w)) for w in enumerate_sn(6)})
     assert len(checked) == 230

@@ -25,7 +25,6 @@ from redweave.words import (
     enumerate_reduced_words,
     evaluate,
     index_sum,
-    is_reduced,
     parse_word,
     reduced_letter_seqs,
     word_of,
@@ -272,7 +271,7 @@ def test_moves_preserve_evaluation(word):
 def test_canonical_idempotent_and_reduced(word):
     canon = canonical_letters(word.letters)
     assert canonical_letters(canon) == canon
-    assert is_reduced(Word(canon, word.n))
+    assert evaluate(Word(canon, word.n))[1]
     assert index_sum(Word(canon, word.n)) == index_sum(word)
 
 
