@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from heapq import heapreplace
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InputError, InvariantViolation, WORD_BUDGET_DEFAULT
@@ -200,6 +201,11 @@ def build_graph(w: Perm, budget: int = WORD_BUDGET_DEFAULT) -> ClassGraph:
 _scan_impl = ClassGraph  # the name that perfbench/tracer.py reads at install; nothing here calls it
 
 
+# A worker costs about 30 ms of CPU and 1 MB (2 CPUs, Python 3.11.7), the work of some
+# 10^4 classes: S_6's 230 orbit jobs hold 4,141 classes (45 ms), S_7's 1,388 hold 135,611.
+_SHARE_CLASSES = 1 << 14  # the fewest classes of a sweep that a share pays for
+
+
 def _run(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTables) -> list:
     """[job(G(w)) for w in perms] on ``dag``: the sweep loop of every process."""
     return [job(ClassGraph(w, dag)) for w in perms]
@@ -215,27 +221,34 @@ def _work(job: Callable[[ClassGraph], object], perms: list[Perm], dag: _SweepTab
 
 def _sweep(perms: Iterable[Perm], job: Callable[[ClassGraph], object], budget: int,
            threads: int = 1) -> dict:
-    """{w: job(G(w))} for each w of perms (one at least), on one DAG, by one
-    ``_run`` per share: share 0 here, each other in one of ``min(threads,
-    len(perms)) - 1`` worker processes of the default start method, so with
-    one thread none starts.  The w go longest first, lexicographic among
-    equals, and pass ``words._within_budget`` here, in that order on one
-    word-count memo, before any G(w) is built.  The DAG below the first w (w0
-    in a scan, above every w) is then filled here: a forked worker inherits
-    it, a spawn or forkserver one gets it by pickle, with job (which must then
-    pickle) and its share.  The w are dealt back and forth (0, 1, ..., t-1,
-    t-1, ..., 0, ...), so each share gets heavy and light w, starts on one of
-    the heaviest and ends about when share 0 does; the workers' results are
-    read here in share order.  A worker's error is raised here
-    (``ChildProcessError`` if it exits with nothing sent), and any error stops
-    every worker.  ``suite.scan_sn`` gives the least w of each orbit."""
+    """{w: job(G(w))} for each w of perms (one at least), on one DAG, by one ``_run``
+    per share: share 0 here, each other in a worker process of the default start
+    method.  The w go longest first, lexicographic among equals, and pass
+    ``words._within_budget`` here, in that order on one word-count memo, before any
+    G(w) is built.  The DAG below the first w (w0 in a scan, above every w) is then
+    filled here, and each w weighed by its |G(w)|: a forked worker inherits the DAG,
+    a spawn or forkserver one gets it by pickle, with job (which must then pickle)
+    and its share.  There are ``min(threads, len(perms))`` shares, but at most one
+    per ``_SHARE_CLASSES`` classes of the sweep, so with one thread or a light sweep
+    no worker starts.  The w are dealt heaviest first (ties in the order above),
+    each to the least-loaded share, the lowest on ties (Graham's LPT rule), so share
+    k starts on the k-th heaviest (share 0 on w0 in a scan) and the shares end about
+    together; the workers' results are read here in share order.  A worker's error
+    is raised here (``ChildProcessError`` if it exits with nothing sent), and any
+    error stops every worker.  ``suite.scan_sn`` gives the least w of each orbit."""
     order = sorted(perms, key=lambda w: (-inversions(w), w))
     _all_within_budget(order, budget)  # before any G(w)
     dag = _SweepTables()
-    _class_count(order[0], dag.live), _most_windows(order[0], dag.best)  # every process's DAG
-    turn = 2 * min(threads, len(order))  # share k takes places k and 2t - 1 - k of every 2t
-    shares = [[w for p, w in enumerate(order) if p % turn in (k, turn - 1 - k)]
-              for k in range(turn // 2)]
+    weight = {w: _class_count(w, dag.live) for w in order}  # the first fills the DAG below it
+    _most_windows(order[0], dag.best)  # and Y's memo: every process's DAG
+    order.sort(key=weight.__getitem__, reverse=True)  # stable: ties stay longest first
+    t = max(1, min(threads, len(order), sum(weight.values()) // _SHARE_CLASSES))
+    shares: list[list[Perm]] = [[] for _ in range(t)]
+    loads = [(0, k) for k in range(t)]  # a heap of (classes dealt, share)
+    for w in order:
+        load, k = loads[0]
+        shares[k].append(w)
+        heapreplace(loads, (load + weight[w], k))
     procs = []  # (worker, the pipe end its results come in on), in share order
     try:
         for share in shares[1:]:

@@ -100,11 +100,12 @@ def _check_orbit(g: ClassGraph) -> tuple[dict[Perm, list[str]], int]:
 def scan_sn(n: int, budget: int = WORD_BUDGET_DEFAULT, threads: int = 1) -> list[str]:
     """Run the invariant suite over all of S_n; returns all violations.
 
-    One ``classes._sweep``, here and in up to ``threads`` - 1 workers, runs
-    ``_check_orbit`` on the least w of each orbit of w -> w^-1 and w -> w0 w
-    w0 alone; it keeps no G(w).  The budget is checked for each of them here
-    before any job runs (w0 among them, which every w lies below); the jobs
-    share one DAG of S_n, filled here below w0 before any worker starts.  G(w) is isomorphic
+    One ``classes._sweep``, here and in up to ``threads`` - 1 workers (none
+    where S_n is too light to pay for one, as S_6 is), runs ``_check_orbit``
+    on the least w of each orbit of w -> w^-1 and w -> w0 w w0 alone; it
+    keeps no G(w).  The budget is checked for each of them here before any
+    job runs (w0 among them, which every w lies below); the jobs share one
+    DAG of S_n, filled here below w0 before any worker starts.  G(w) is isomorphic
     to the graph of each member, by word reversal and i -> n - i, so each
     member is credited its least w's |G(w)| for the aggregate bound, and
     each check passes or fails alike on them.  The graph checks (connected,

@@ -91,7 +91,7 @@ class _SweepTables:
     given and expands only the states that it does not hold yet.  A G(w)
     built alone gets a holder of its own, which fills only what G(w) reads;
     a sweep gets one for all its w, filled below the first (w0 of S_n in a
-    scan) before any job runs or any worker starts.
+    scan) and read for each w's weight before any job runs or worker starts.
     """
 
     def __init__(self) -> None:

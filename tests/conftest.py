@@ -89,3 +89,11 @@ def credited_sizes(monkeypatch):
     monkeypatch.setattr(suite, "aggregate_reports",
                         lambda n, sizes: seen.append(sizes) or real(n, sizes))
     return seen
+
+
+@pytest.fixture
+def light_shares(monkeypatch):
+    """A share pays for itself from one class on, so a sweep of S_2-S_6,
+    lighter than ``classes._SHARE_CLASSES``, starts its workers as a
+    heavy one does."""
+    monkeypatch.setattr(classes, "_SHARE_CLASSES", 1)

@@ -255,6 +255,7 @@ def test_scan_clean(capsys):
     assert "0 violation(s)" in out_of(capsys)
 
 
+@pytest.mark.usefixtures("light_shares")
 def test_scan_reports_each_member_of_a_failing_orbit(capsys, monkeypatch):
     # a check patched to fail on one whole orbit: the job of its least w
     # checks every member again, in the pool's workers too (forks of this
@@ -275,6 +276,7 @@ def test_scan_reports_each_member_of_a_failing_orbit(capsys, monkeypatch):
         "S_5: 4 violation(s)\n")
 
 
+@pytest.mark.usefixtures("light_shares")
 @pytest.mark.parametrize("threads", ["100000", str(THREADS_CAP + 1)])
 def test_scan_refuses_threads_past_the_cap_before_any_pool(capsys, monkeypatch, threads):
     def no_worker(*args, **kwargs):
@@ -400,7 +402,7 @@ def test_a_worker_that_dies_stops_the_scan():
     # no traceback, instead of waiting for results that never come
     code = """if 1:
         import multiprocessing, os, signal, sys
-        from redweave import suite
+        from redweave import classes, suite
         from redweave.cli import run
         here, real = os.getpid(), suite._check_orbit
         def job(g):
@@ -408,6 +410,7 @@ def test_a_worker_that_dies_stops_the_scan():
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(g)
         suite._check_orbit = job
+        classes._SHARE_CLASSES = 1  # S_6 is too light to start a worker otherwise
         multiprocessing.set_start_method("fork")
         sys.exit(run(["scan", "6", "--threads", "2"]))
     """

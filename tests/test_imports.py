@@ -50,7 +50,8 @@ def test_a_command_loads_only_its_own_layers():
                           ["bounds", "4321", "--actual"], ["bounds", "4321"],
                           ["aggregate", "4", "3"], ["graph", "4321"],
                           ["subnet", "3421", "--word", "21323", "--set", "212", "--predict"],
-                          ["scan", "4", "--threads", "1"])  # the last loads every layer
+                          ["scan", "4", "--threads", "1"],  # loads every layer
+                          ["scan", "6", "--threads", "2"])
     assert {m for m in loaded["redweave"] if m.startswith("redweave")} == {
         "redweave", "redweave.errors"}
     assert not HEAVY & loaded["redweave.cli"]
@@ -60,6 +61,7 @@ def test_a_command_loads_only_its_own_layers():
     assert "redweave.classes" not in loaded["bounds 4321 --actual"]
     assert "redweave.classes" not in loaded["aggregate 4 3"]  # nor does the aggregate
     assert HEAVY - {"dataclasses"} <= loaded["scan 4 --threads 1"]
+    assert "multiprocessing" not in loaded["scan 6 --threads 2"]  # too light for a worker
     for step, modules in loaded.items():  # the records are NamedTuples
         assert "dataclasses" not in modules, step
 

@@ -337,18 +337,34 @@ def test_sweep_reports_in_lexicographic_order(monkeypatch):
     assert suite.scan_sn(4, threads=1) == [str(w) for w in enumerate_sn(4)]
 
 
+def _record_workers(monkeypatch, method=None) -> list:
+    """The real worker processes that sweeps start from now on, of the
+    given start method (None: the default one), in order."""
+    started = []
+
+    def process(*args, **kwargs):
+        started.append(proc := multiprocessing.get_context(method).Process(*args, **kwargs))
+        return proc
+
+    monkeypatch.setattr(multiprocessing, "Process", process)
+    return started
+
+
+@pytest.mark.usefixtures("light_shares")
 def test_pool_sweep_matches_serial():
     assert suite.scan_sn(5, threads=2) == suite.scan_sn(5, threads=1)
 
 
+@pytest.mark.usefixtures("light_shares")
 @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_pool_sweep_runs_in_workers_that_inherit_nothing(monkeypatch, method):
     # a spawned or forkserver worker imports redweave afresh and gets the
     # filled DAG, the job and its share by pickle
     want = suite.scan_sn(5)
-    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context(method).Process)
+    started = _record_workers(monkeypatch, method)
     assert suite.scan_sn(5, threads=2) == want
+    assert len(started) == 1 and started[0].pid is not None
 
 
 class FakeProcess:
@@ -391,6 +407,7 @@ def _started(workers: list) -> list[int]:
     return [len(workers) + 1] if workers else []
 
 
+@pytest.mark.usefixtures("light_shares")
 def test_sweep_expands_each_guard_state_once(monkeypatch, counted_dags, counted_guards,
                                              fake_workers):
     # the budget guard reads one word-count memo, in this process, and one
@@ -415,6 +432,7 @@ def test_sweep_expands_each_guard_state_once(monkeypatch, counted_dags, counted_
         assert ready == [states] * threads and len(fake_workers) == threads - 1
 
 
+@pytest.mark.usefixtures("light_shares")
 @pytest.mark.parametrize("n, threads, started", [
     (3, 8, [4]), (3, 2, [2]), (4, 24, [13]), (2, 2, [2]), (1, 8, []), (3, 1, []),
 ])
@@ -426,13 +444,51 @@ def test_sweep_starts_no_idle_worker(fake_workers, n, threads, started):
     assert global_dags() == []
 
 
+@pytest.mark.parametrize("threads", [2, 64])
+def test_a_light_sweep_starts_no_worker(fake_workers, threads):
+    # S_6's 230 orbit jobs hold 4,141 classes, less than one share pays for,
+    # so its sweep runs here alone at any thread count
+    assert suite.scan_sn(6, threads=threads) == []
+    assert fake_workers == []
+
+
+@pytest.mark.parametrize("share_classes", [1, 111, 112, 223, 224])
+def test_a_sweep_starts_a_share_per_share_classes(monkeypatch, fake_workers, share_classes):
+    # S_5's 45 orbit jobs hold 223 classes: at 3 threads, as many shares as
+    # _SHARE_CLASSES fit in them, one at least and 3 at most
+    reps, live = [w for w in enumerate_sn(5) if w == min(perm._orbit(w))], {}
+    assert sum(words._class_count(w, live) for w in reps) == 223
+    monkeypatch.setattr(classes, "_SHARE_CLASSES", share_classes)
+    assert suite.scan_sn(5, threads=3) == []
+    assert len(fake_workers) == max(1, min(3, 223 // share_classes)) - 1
+
+
+@pytest.mark.slow
+def test_a_heavy_sweep_starts_a_real_worker(monkeypatch):
+    # S_7's 1,388 orbit jobs hold 135,611 classes, 8 shares' worth: at 2
+    # threads one worker starts, with the real gate and start method
+    started = _record_workers(monkeypatch)
+    assert suite.scan_sn(7, 10**12, threads=2) == []
+    assert len(started) == 1 and started[0].pid is not None
+
+
+def _heaviest_first(n: int) -> tuple[list, dict]:
+    """The least w of each orbit of S_n, in the order ``_sweep`` deals them
+    (|G(w)| down, then longest first, then lexicographic), and each |G(w)|,
+    counted as the canonical words of a serial sweep."""
+    reps = [w for w in enumerate_sn(n) if w == min(perm._orbit(w))]
+    weight = classes._sweep(reps, len, 10**8)
+    return sorted(reps, key=lambda w: (-weight[w], -inversions(w), w)), weight
+
+
+@pytest.mark.usefixtures("light_shares")
 def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch, fake_workers):
-    # one share a process, dealt back and forth down the heaviest-first
-    # order: each w lands in one share, each share keeps that order, the
-    # shares differ in size by at most one w, each starts on one of the
-    # heaviest (not on a block of its own), and the first, which this
-    # process works once every worker has started, holds w0; a w is the
-    # least of its orbit, as scan_sn deals no other
+    # one share a process, dealt heaviest first by |G(w)|, each w to the
+    # least-loaded share, the lowest on ties (Graham's LPT rule): each w
+    # lands in one share, share k starts on the k-th heaviest, the first,
+    # which this process works once every worker has started, on w0, each
+    # share goes down in weight, and the loads differ by at most the heaviest
+    # w; a w is the least of its orbit, as scan_sn deals no other
     ran = []
     real = classes._run
     monkeypatch.setattr(classes, "_run", lambda job, perms, dag: ran.append(perms) or
@@ -444,23 +500,28 @@ def test_sweep_deals_each_worker_heavy_and_light_w(monkeypatch, fake_workers):
         assert suite.scan_sn(n, threads=threads) == want
         assert ran[:-1] == fake_workers
         shares = ran[-1:] + fake_workers
-        reps = [w for w in enumerate_sn(n) if w == min(perm._orbit(w))]
-        order = sorted(reps, key=lambda w: (-inversions(w), w))
+        order, weight = _heaviest_first(n)
         assert len(shares) == threads
         assert sorted(w for share in shares for w in share) == sorted(order)
-        assert all(share == sorted(share, key=order.index) for share in shares)
-        assert max(map(len, shares)) - min(map(len, shares)) <= 1
         assert [share[0] for share in shares] == order[:threads]
         assert shares[0][0] == longest_element(n)
+        assert all(weight[x] >= weight[y] for share in shares for x, y in zip(share, share[1:]))
+        loads = [sum(weight[w] for w in share) for share in shares]
+        assert max(loads) - min(loads) <= weight[order[0]]
+        dealt = [0] * threads  # each w went to the least-loaded share, not round the table
+        for w in order:
+            k = next(k for k, share in enumerate(shares) if w in share)
+            assert k == dealt.index(min(dealt)), w
+            dealt[k] += weight[w]
 
 
+@pytest.mark.usefixtures("light_shares")
 def test_an_error_in_the_last_share_is_raised_here_and_stops_every_worker(monkeypatch,
                                                                          fake_workers):
     # a job that raises in the last worker's share: the sweep raises that
     # error, sent back over its pipe, once share 0 and the earlier worker's
     # results are read, and every worker is terminated and joined
-    reps = [w for w in enumerate_sn(5) if w == min(perm._orbit(w))]
-    bad = sorted(reps, key=lambda w: (-inversions(w), w))[2]  # first of share 2 of 3
+    bad = _heaviest_first(5)[0][2]  # the third heaviest, the first of share 2 of 3
     real = suite.check_permutation
 
     def check(g):
@@ -476,6 +537,7 @@ def test_an_error_in_the_last_share_is_raised_here_and_stops_every_worker(monkey
     assert FakeProcess.stops == [(0, "terminate"), (0, "join"), (1, "terminate"), (1, "join")]
 
 
+@pytest.mark.usefixtures("light_shares")
 def test_a_worker_that_cannot_start_raises_its_own_error(monkeypatch):
     # as a spawn worker's start() does on a job that does not pickle: the
     # sweep stops only the workers that started, so that error is raised
@@ -488,6 +550,7 @@ def test_a_worker_that_cannot_start_raises_its_own_error(monkeypatch):
         suite.scan_sn(4, threads=2)
 
 
+@pytest.mark.usefixtures("light_shares")
 def test_pooled_sweep_is_refused_here_before_any_graph_or_pool(monkeypatch, fake_workers):
     # every w is checked against the budget in this process, heaviest first,
     # so a pooled sweep is refused as a serial one is, with no worker started
@@ -599,6 +662,7 @@ def test_scan_checks_one_w_per_orbit(monkeypatch):
     assert len(checked) == 230
 
 
+@pytest.mark.usefixtures("light_shares")
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("fails", [
     lambda g: min(perm._orbit(g.w)) == (2, 4, 5, 1, 3),  # one orbit of four
